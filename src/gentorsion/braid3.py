@@ -4,6 +4,9 @@ With x = s1 s2 s1 and y = s1 s2 the element h = x^2 = y^3 generates the
 center, and B3 / <h> is PSL(2,Z) with x -> a, y -> b.  Every braid word
 therefore has a unique normal form h^m * section(q) where q is a reduced
 word over ``a:2, b:3`` and the section lifts a to x and b^e to y^e.
+B3 is the fundamental group of the trefoil complement, the Seifert group
+(O,o,0 | 0; (2,1),(3,1)); boundaries=1 with x, y as c1, c2, so its
+arithmetic is that group's engine, :class:`~gentorsion.seifert.CentralExtension`.
 
 The extension makes three decisions exact.  Writing e for the exponent-sum
 homomorphism (s1, s2 -> 1), two braids with the same quotient image and the
@@ -19,10 +22,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from itertools import repeat
+from typing import Iterator, Optional, Union
 
 from .errors import InvalidCertificate, ParseError, TrivialElement
 from .modular import Verdict, gen3_torsion
+from .seifert import CentralExtension, Piece
 from .words import (
     PSL2Z,
     Syllable,
@@ -93,25 +98,9 @@ def parse_braid(text: str) -> BraidWord:
     return BraidWord(tuple(letters))
 
 
-def _concat_with_wraps(q1: Word, q2: Word) -> tuple[int, Word]:
-    """Reduce the concatenation q1 q2, counting central wraps.
-
-    Merging syllables of exponents within [1, order) spills
-    (combined // order) copies of h, because x^2 = h and y^3 = h.
-    """
-    wraps = 0
-    stack: list[Syllable] = list(q1.syllables)
-    for s in q2.syllables:
-        order = PSL2Z.order(s.gen)
-        if stack and stack[-1].gen == s.gen:
-            combined = stack.pop().exp + s.exp
-            wraps += combined // order
-            rest = combined % order
-            if rest:
-                stack.append(Syllable(s.gen, rest))
-        else:
-            stack.append(s)
-    return wraps, Word(PSL2Z, tuple(stack))
+#: B3 as the trefoil group (O,o,0 | 0; (2,1),(3,1)); boundaries=1, with
+#: x, y as c1, c2: x^2 = y^3 = h, and h is central.
+_B3 = CentralExtension(PSL2Z, beta={"a": 1, "b": 1}, phi={})
 
 
 @dataclass(frozen=True)
@@ -126,21 +115,13 @@ class CentralElement:
         return self.m == 0 and self.q.is_identity
 
     def __mul__(self, other: "CentralElement") -> "CentralElement":
-        wraps, q = _concat_with_wraps(self.q, other.q)
-        return CentralElement(self.m + other.m + wraps, q)
+        return CentralElement(*_B3.product(self.m, self.q, ((other.m, other.q.syllables),)))
 
     def inverse(self) -> "CentralElement":
-        q_inv = invert(self.q)
-        wraps, _ = _concat_with_wraps(q_inv, self.q)
-        return CentralElement(-self.m - wraps, q_inv)
+        return CentralElement(*_B3.inverse(self.m, self.q))
 
     def __pow__(self, n: int) -> "CentralElement":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = CentralElement(0, identity(PSL2Z))
-        for _ in range(n):
-            out = out * self
-        return out
+        return CentralElement(*_B3.power(self.m, self.q, n))
 
     def conjugated_by(self, k: "CentralElement") -> "CentralElement":
         return k * self * k.inverse()
@@ -169,22 +150,27 @@ def _word(text: str) -> Word:
     return parse_word(PSL2Z, text)
 
 
-_PAIR_OF_LETTER = {
-    ("s1", 1): (-1, "b^2 a"),
-    ("s1", -1): (-1, "a b"),
-    ("s2", 1): (-1, "a b^2"),
-    ("s2", -1): (-1, "b a"),
-    ("x", 1): (0, "a"),
-    ("x", -1): (-1, "a"),
-    ("y", 1): (0, "b"),
-    ("y", -1): (-1, "b^2"),
-    ("h", 1): (1, ""),
-    ("h", -1): (-1, ""),
+#: the lifts h^m * section(q) of s1, s1^-1, s2 and s2^-1
+_LIFT = {
+    ("s1", 1): (-1, _word("b^2 a").syllables),
+    ("s1", -1): (-1, _word("a b").syllables),
+    ("s2", 1): (-1, _word("a b^2").syllables),
+    ("s2", -1): (-1, _word("b a").syllables),
 }
 
 
+def _pieces(w: BraidWord) -> Iterator[Piece]:
+    for name, exp in w.letters:
+        if name == "h":
+            yield exp, ()
+        elif name in ("x", "y"):
+            yield 0, (Syllable("a" if name == "x" else "b", exp),)
+        else:
+            yield from repeat(_LIFT[name, 1 if exp > 0 else -1], abs(exp))
+
+
 def normal_form(w: Union[BraidWord, CentralElement]) -> CentralElement:
-    """Fold the letters through the extension cocycle.
+    """Fold the letters through the extension cocycle in one stack pass.
 
     A CentralElement is already in normal form and passes through.
 
@@ -193,14 +179,7 @@ def normal_form(w: Union[BraidWord, CentralElement]) -> CentralElement:
     """
     if isinstance(w, CentralElement):
         return w
-    out = CentralElement(0, identity(PSL2Z))
-    for name, exp in w.letters:
-        sign = 1 if exp > 0 else -1
-        m, q_text = _PAIR_OF_LETTER[(name, sign)]
-        step = CentralElement(m, _word(q_text))
-        for _ in range(abs(exp)):
-            out = out * step
-    return out
+    return CentralElement(*_B3.product(0, identity(PSL2Z), _pieces(w)))
 
 
 def section(m: int, q: Word) -> BraidWord:

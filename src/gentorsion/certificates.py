@@ -18,7 +18,7 @@ from typing import Callable, Mapping
 from .braid3 import CentralElement, gen3_relation, normal_form, parse_braid
 from .errors import GroupError, MalformedCertificate
 from .modular import gen3_product
-from .seifert import SeifertGroup, parse_seifert
+from .seifert import SeifertGroup, gen_n_relation_holds, parse_seifert
 from .words import PSL2Z, Word, conjugated, invert, parse_word
 
 __all__ = [
@@ -189,18 +189,7 @@ def _check_seifert_gen_n(payload: Mapping) -> bool:
     element_text = _text(payload, "element")
     if n * x + m1 + m2 != 0 or len(texts) != n - 1:
         return False
-    if data.boundary_count == 0:
-        # No faithful multiplication is available over a closed base, so the
-        # arithmetic identity above is the whole check.
-        return True
-    group = SeifertGroup(data)
-    g = group.element(element_text)
-    if g.is_identity:
-        return False
-    product = g
-    for text in texts:
-        product = group.mul(product, group.conjugated(g, group.element(text)))
-    return product.is_identity
+    return gen_n_relation_holds(data, element_text, texts)
 
 
 _CHECKERS: dict[str, Callable[[Mapping], bool]] = {

@@ -23,7 +23,7 @@ from typing import Mapping, Optional, Sequence
 from . import certificates
 from .braid3 import exponent_sum, gen3_torsion_b3, normal_form, parse_braid, reversible_b3
 from .braid3 import conjugate_b3
-from .errors import GroupError, MalformedCertificate
+from .errors import GroupError, InvalidCertificate, MalformedCertificate
 from .modular import Verdict, classify, gen3_torsion, reversible, to_matrix
 from .oracle import SUITES, SearchBudget, sweep_agreement
 from .seifert import (
@@ -81,6 +81,13 @@ def _emit_error(exc: GroupError, fmt: str) -> None:
         sys.stderr.write(_compact(payload) + "\n")
     else:
         sys.stderr.write(f"error: {exc}\n")
+
+
+def _verified(cert: dict) -> dict:
+    """The certificate, once it re-multiplies; a failure is an error, never a yes."""
+    if not certificates.verify_certificate(cert):
+        raise InvalidCertificate(f"emitted {cert['kind']} certificate failed verification")
+    return cert
 
 
 def _split_group(value: str) -> tuple[str, Optional[str]]:
@@ -156,8 +163,7 @@ def _handle_conjugate(args):
         )
     else:
         raise GroupError("conjugate supports --group pslz and --group b3")
-    assert certificates.verify_certificate(cert)
-    return {"verdict": "yes", "certificate": cert, "diagnostics": []}, EXIT_DECIDED
+    return {"verdict": "yes", "certificate": _verified(cert), "diagnostics": []}, EXIT_DECIDED
 
 
 def _handle_reversible(args):
@@ -198,11 +204,10 @@ def _handle_reversible(args):
         cert = certificates.seifert_reverser_certificate(
             spec, word, group.spell(report.reverser)
         )
-        assert certificates.verify_certificate(cert)
-        result.update({"verdict": "yes", "certificate": cert})
+        result.update({"verdict": "yes", "certificate": _verified(cert)})
         return result, EXIT_DECIDED
-    assert certificates.verify_certificate(cert)
-    return {"verdict": "yes", "certificate": cert, "diagnostics": diagnostics}, EXIT_DECIDED
+    result = {"verdict": "yes", "certificate": _verified(cert), "diagnostics": diagnostics}
+    return result, EXIT_DECIDED
 
 
 def _verdict_exit(tag: Verdict) -> int:
@@ -225,10 +230,9 @@ def _handle_gen_torsion(args):
             ]
             return {"verdict": "absent", "diagnostics": diagnostics}, EXIT_DECIDED
         cert = certificates.seifert_gen_n_certificate(spec, found)
-        assert certificates.verify_certificate(cert)
         result = {
             "verdict": "yes",
-            "certificate": cert,
+            "certificate": _verified(cert),
             "diagnostics": [
                 f"fibers ({found.i}, {found.j}) with powers ({found.p}, {found.p_prime})"
             ],
@@ -260,8 +264,7 @@ def _handle_gen_torsion(args):
         "budget": {"bound": verdict.bound_used},
     }
     if cert is not None:
-        assert certificates.verify_certificate(cert)
-        result["certificate"] = cert
+        result["certificate"] = _verified(cert)
     return result, _verdict_exit(verdict.tag)
 
 

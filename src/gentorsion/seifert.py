@@ -14,16 +14,19 @@ eliminated from the long relation, the quotient by <h> becomes a free
 product of cyclic groups, and every element gets a unique central form
 h^m * section(q).  Since h is only phi-twisted central, pushing the fiber
 through a word flips its exponent by the product of the phi values it
-crosses; merging c-syllables spills beta-weighted fiber powers.
+crosses; merging c-syllables spills beta-weighted fiber powers.  That
+arithmetic is :class:`CentralExtension`, which the braid group B3 shares.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import dataclass, replace
+from itertools import repeat
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
+    InvalidCertificate,
     InvalidInvariant,
     ParseError,
     TrivialElement,
@@ -324,8 +327,71 @@ class SeifertPair:
 
 _ELEMENT_TOKEN = re.compile(r"^([A-Za-z][A-Za-z0-9]*)(?:\^(-?\d+))?$")
 
+#: a factor h^k * s_1 ... s_r of a product, as (k, syllables)
+Piece = tuple[int, Sequence[Syllable]]
 
-class SeifertGroup:
+
+class CentralExtension:
+    """Arithmetic of pairs (m, q) = h^m * section(q) over a free product of cyclics.
+
+    Each generator g carries a twist phi(g) = +-1 with g h g^-1 = h^phi(g),
+    and each finite-order generator a fiber weight beta(g) with
+    g^order = h^beta(g).  Pushing the fiber through a word flips its exponent
+    by the product of the phi values it crosses; merging syllables spills
+    beta-weighted fiber powers.
+    """
+
+    def __init__(self, scheme: GroupScheme, beta: dict[str, int], phi: dict[str, int]):
+        self.scheme = scheme
+        self._order = dict(scheme.generators)
+        self._beta = beta
+        self._flips = frozenset(name for name, value in phi.items() if value == -1)
+
+    def phi_word(self, q: Word) -> int:
+        odd = sum(s.exp % 2 for s in q.syllables if s.gen in self._flips)
+        return -1 if odd % 2 else 1
+
+    def product(self, m: int, q: Word, pieces: Iterable[Piece]) -> tuple[int, Word]:
+        """(m, q) times every piece in turn, in one stack pass.
+
+        Piece syllables need not be normalised: a finite-order exponent
+        outside [1, order) wraps into the fiber on the way in.
+        """
+        order, beta, flips = self._order, self._beta, self._flips
+        stack = list(q.syllables)
+        pend = 0  # the fiber power sitting to the right of the stack
+        for k, syllables in pieces:
+            pend += k
+            for s in syllables:
+                gen, exp = s.gen, s.exp
+                # h^pend * g^e = g^e * h^(pend * phi(g)^e)
+                if flips and exp % 2 and gen in flips:
+                    pend = -pend
+                if stack and stack[-1].gen == gen:
+                    exp += stack.pop().exp
+                n = order[gen]
+                if n is not None:
+                    wraps, exp = divmod(exp, n)
+                    pend += beta[gen] * wraps
+                if exp:
+                    stack.append(Syllable(gen, exp))
+        q = Word(self.scheme, tuple(stack))
+        if flips and pend:
+            pend *= self.phi_word(q)
+        return m + pend, q
+
+    def inverse(self, m: int, q: Word) -> tuple[int, Word]:
+        q_inv = invert(q)
+        drift, _ = self.product(0, q_inv, ((m, q.syllables),))
+        return -drift, q_inv
+
+    def power(self, m: int, q: Word, n: int) -> tuple[int, Word]:
+        if n < 0:
+            (m, q), n = self.inverse(m, q), -n
+        return self.product(0, identity(self.scheme), repeat((m, q.syllables), n))
+
+
+class SeifertGroup(CentralExtension):
     """Central-form arithmetic for data with at least one boundary component."""
 
     def __init__(self, data: SeifertData):
@@ -334,15 +400,14 @@ class SeifertGroup:
             raise UnsupportedBase(
                 "exact element arithmetic needs at least one boundary component"
             )
+        beta = dict(zip(data.exceptional_generators(), (b for _, b in data.exceptional)))
+        phi = {name: data.phi_of(name) for name, _ in qmap.scheme.generators}
+        super().__init__(qmap.scheme, beta, phi)
         self.data = data
         self.qmap = qmap
-        self.scheme = qmap.scheme
-        self._order = {name: order for name, order in self.scheme.generators}
-        self._beta = dict(
-            zip(data.exceptional_generators(), (beta for _, beta in data.exceptional))
-        )
-        self._phi = {name: data.phi_of(name) for name, _ in self.scheme.generators}
-        self._dm = self._eliminated_pair()
+        # the long relation gives d_m = (prefix * h^b)^-1
+        prefix = invert(qmap.elimination_image)
+        self._dm = self.inv(SeifertPair(*self.product(0, prefix, ((data.b, ()),))))
 
     # -- basic elements ------------------------------------------------
 
@@ -359,63 +424,14 @@ class SeifertGroup:
             return SeifertPair(0, reduce([(name, 1)], self.scheme))
         raise UnknownGenerator(f"unknown generator {name!r}")
 
-    def _eliminated_pair(self) -> SeifertPair:
-        # the long relation gives d_m = (prefix * h^b)^-1
-        prefix = self.one
-        word = invert(self.qmap.elimination_image)
-        for s in word.syllables:
-            prefix = self.mul(prefix, SeifertPair(0, Word(self.scheme, (s,))))
-        prefix = self.mul(prefix, SeifertPair(self.data.b, identity(self.scheme)))
-        return self.inv(prefix)
-
-    # -- the twisted cocycle -------------------------------------------
-
-    def phi_word(self, q: Word) -> int:
-        out = 1
-        for s in q.syllables:
-            if self._phi[s.gen] == -1 and s.exp % 2:
-                out = -out
-        return out
-
-    def _append(self, stack: list[Syllable], pend: int, syl: Syllable) -> int:
-        # h^pend * g^e = g^e * h^(pend * phi(g)^e)
-        if self._phi[syl.gen] == -1 and syl.exp % 2:
-            pend = -pend
-        combined = syl.exp
-        if stack and stack[-1].gen == syl.gen:
-            combined += stack.pop().exp
-        order = self._order[syl.gen]
-        if order is None:
-            if combined:
-                stack.append(Syllable(syl.gen, combined))
-        else:
-            wraps, rest = divmod(combined, order)
-            pend += self._beta[syl.gen] * wraps
-            if rest:
-                stack.append(Syllable(syl.gen, rest))
-        return pend
-
     def mul(self, p1: SeifertPair, p2: SeifertPair) -> SeifertPair:
-        stack = list(p1.q.syllables)
-        pend = p2.m
-        for s in p2.q.syllables:
-            pend = self._append(stack, pend, s)
-        q = Word(self.scheme, tuple(stack))
-        return SeifertPair(p1.m + pend * self.phi_word(q), q)
+        return SeifertPair(*self.product(p1.m, p1.q, ((p2.m, p2.q.syllables),)))
 
     def inv(self, p: SeifertPair) -> SeifertPair:
-        q_inv = invert(p.q)
-        drift = self.mul(SeifertPair(0, q_inv), p)
-        assert drift.q.is_identity
-        return SeifertPair(-drift.m, q_inv)
+        return SeifertPair(*self.inverse(p.m, p.q))
 
     def pow(self, p: SeifertPair, n: int) -> SeifertPair:
-        if n < 0:
-            return self.pow(self.inv(p), -n)
-        out = self.one
-        for _ in range(n):
-            out = self.mul(out, p)
-        return out
+        return SeifertPair(*self.power(p.m, p.q, n))
 
     def conjugated(self, p: SeifertPair, k: SeifertPair) -> SeifertPair:
         return self.mul(self.mul(k, p), self.inv(k))
@@ -424,7 +440,9 @@ class SeifertGroup:
 
     def element(self, text: str) -> SeifertPair:
         """Parse a word over the presentation alphabet into central form."""
-        out = self.one
+        return SeifertPair(*self.product(0, identity(self.scheme), self._pieces(text)))
+
+    def _pieces(self, text: str) -> Iterator[Piece]:
         pos = 0
         for token in text.split():
             pos = text.index(token, pos)
@@ -436,21 +454,15 @@ class SeifertGroup:
                 raise ParseError(f"bad token {token!r}", pos)
             name, exp = m.group(1), int(m.group(2) or 1)
             if name == "h":
-                step = SeifertPair(exp, identity(self.scheme))
+                yield exp, ()
             elif name == self.qmap.eliminated:
-                step = self.pow(self._dm, exp)
+                dm = self._dm if exp > 0 else self.inv(self._dm)
+                yield from repeat((dm.m, dm.q.syllables), abs(exp))
             elif name in self.scheme:
-                step = self.one
-                if exp:
-                    stack: list[Syllable] = []
-                    pend = self._append(stack, 0, Syllable(name, exp))
-                    q = Word(self.scheme, tuple(stack))
-                    step = SeifertPair(pend * self.phi_word(q), q)
+                yield 0, (Syllable(name, exp),)
             else:
                 raise UnknownGenerator(f"unknown generator {name!r}")
-            out = self.mul(out, step)
             pos += len(token)
-        return out
 
     def spell(self, p: SeifertPair) -> str:
         parts = []
@@ -765,13 +777,31 @@ def gen_n_certificate(d: SeifertData, n: int) -> Optional[GenNCertificate]:
         conjugators=conjugators,
     )
     assert n * cert.x + cert.m1 + cert.m2 == 0
-    if d.boundary_count >= 1:
-        group = SeifertGroup(d)
-        g = group.element(cert.element)
-        assert not g.is_identity, "certificate element must be nontrivial"
-        total = g
-        for text in cert.conjugators:
-            k = group.element(text)
-            total = group.mul(total, group.conjugated(g, k))
-        assert total.is_identity, "certificate relation must multiply to 1"
+    if not gen_n_relation_holds(d, cert.element, cert.conjugators):
+        raise InvalidCertificate(f"gen-{n} relation fails for {cert.element!r}")
     return cert
+
+
+def gen_n_relation_holds(d: SeifertData, element: str, conjugators: Sequence[str]) -> bool:
+    """Whether g = element is nontrivial and g * prod (k g k^-1) over conjugators is 1.
+
+    A closed base has no exact arithmetic, so the relation is multiplied in
+    the group drilled along one more fiber (boundaries=1).  That group maps
+    onto the closed one by d1 -> 1, so a relation that holds there holds in
+    the closed group too; d1 itself is not a generator of the closed group.
+    """
+    if d.boundary_count:
+        group = SeifertGroup(d)
+    else:
+        group = SeifertGroup(replace(d, boundary_count=1))
+        drilled = group.qmap.eliminated
+        for text in (element, *conjugators):
+            if any(token.split("^")[0] == drilled for token in text.split()):
+                raise UnknownGenerator(f"unknown generator {drilled!r}")
+    g = group.element(element)
+    if g.is_identity:
+        return False
+    total = g
+    for text in conjugators:
+        total = group.mul(total, group.conjugated(g, group.element(text)))
+    return total.is_identity

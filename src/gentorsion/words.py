@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Optional
 
 from .errors import ParseError, SchemeMismatch, TrivialElement, UnknownGenerator
@@ -110,10 +111,7 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return invert(self) ** (-n)
-        out = identity(self.scheme)
-        for _ in range(n):
-            out = out * self
-        return out
+        return reduce(chain.from_iterable(repeat(self.pairs(), n)), self.scheme)
 
     def __str__(self) -> str:
         return format_word(self)

@@ -217,3 +217,34 @@ def test_sweep_subcommand_agreement():
 def test_sweep_rejects_unknown_suite():
     proc = run_cli("sweep", "--suite", "everything")
     assert proc.returncode == 1
+
+
+_CLI_WITH_A_FAILING_VERIFIER = """
+import sys
+from unittest import mock
+from gentorsion import cli
+if __debug__:
+    sys.exit("expected to run under python -O")
+with mock.patch("gentorsion.certificates.verify_certificate", return_value=False):
+    sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_emitted_certificates_are_checked_under_python_dash_o():
+    commands = (
+        ("reversible", "--word", "a b a b^2"),
+        ("reversible", "--group", "b3", "--word", "s1 S2"),
+        ("reversible", "--group", f"seifert:{TWO_BOUNDARY}", "--word", "h"),
+        ("gen-torsion", "--group", "pslz", "--word", "a b a b"),
+        ("gen-torsion", "--group", f"seifert:{TREFOIL}", "--n", "3"),
+        ("conjugate", "--group", "pslz", "--word", "a b", "--other", "b a"),
+    )
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", _CLI_WITH_A_FAILING_VERIFIER, *argv],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1, (argv, proc.stderr)
+        assert "yes" not in proc.stdout, argv
+        assert json.loads(proc.stderr)["error_kind"] == "InvalidCertificate", argv

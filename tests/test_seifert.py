@@ -1,7 +1,9 @@
 import pytest
 
+from gentorsion.certificates import seifert_gen_n_certificate, verify_certificate
 from gentorsion.errors import (
     InvalidInvariant,
+    MalformedCertificate,
     ParseError,
     TrivialElement,
     UnknownGenerator,
@@ -17,6 +19,7 @@ from gentorsion.seifert import (
     TwoHalfTwists,
     classify_reversible_families,
     gen_n_certificate,
+    gen_n_relation_holds,
     parse_seifert,
     presentation,
     quotient_scheme,
@@ -429,6 +432,49 @@ def test_gen_n_closed_base_arithmetic_only():
     assert cert is not None
     assert (cert.i, cert.j, cert.p, cert.p_prime, cert.x) == (1, 1, 1, 1, -1)
     assert cert.separating == "c2"
+
+
+CLOSED_BASES = (
+    GENUS_ONE,
+    "(N,2 | 0; (2,1),(2,3))",
+    "(O,o,0|0;(4,1),(4,3))",
+    "(N,2 | 0; (2,1),(2,1)); phi: x1=-1,x2=-1",
+    "(O,o,2 | -1; (3,1),(6,1),(9,2))",
+)
+
+
+def test_closed_base_gen_n_certificates_are_multiplied_in_the_drilled_group():
+    checked = 0
+    for spec in CLOSED_BASES:
+        d = parse_seifert(spec)
+        for n in range(2, 13):
+            cert = gen_n_certificate(d, n)
+            if cert is None:
+                continue
+            assert gen_n_relation_holds(d, cert.element, cert.conjugators), (spec, n)
+            assert verify_certificate(seifert_gen_n_certificate(spec, cert)), (spec, n)
+            checked += 1
+    assert checked >= 30
+
+
+def test_closed_base_tampered_certificate_fails():
+    cert = {
+        "kind": "seifert-gen-n",
+        "data": "(O,o,1|0;(4,1),(4,1));boundaries=0",
+        "n": 2,
+        "element": "a1",
+        "conjugators": ["b1"],
+        "x": -1,
+        "m1": 1,
+        "m2": 1,
+    }
+    assert verify_certificate(cert) is False
+    # the drilled fiber's boundary generator is no generator of the closed group
+    for field, value in (("element", "d1"), ("conjugators", ["b1 d1^-1"])):
+        with pytest.raises(MalformedCertificate):
+            verify_certificate({**cert, field: value})
+    with pytest.raises(UnknownGenerator):
+        gen_n_relation_holds(parse_seifert(GENUS_ONE), "c1", ["d1"])
 
 
 def test_gen_n_rejects_small_n():
