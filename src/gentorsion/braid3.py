@@ -210,7 +210,8 @@ def conjugate_b3(
     if k_q is None:
         return None
     k = CentralElement(0, k_q)
-    assert n1.conjugated_by(k) == n2, "lifted conjugator failed its check"
+    if n1.conjugated_by(k) != n2:
+        raise InvalidCertificate("lifted conjugator failed its check")
     return k.spell()
 
 
@@ -245,7 +246,8 @@ def reversible_b3(
     if rho is None:
         return None
     r = CentralElement(0, rho)
-    assert n.conjugated_by(r) == n.inverse(), "lifted reverser failed its check"
+    if n.conjugated_by(r) != n.inverse():
+        raise InvalidCertificate("lifted reverser failed its check")
 
     witness = conjugator = None
     if witness_bound is None:
@@ -362,10 +364,11 @@ def gen3_torsion_b3(
         )
 
     w = image.witness
-    assert w is not None and (w.e1, w.e2) in ((1, 2), (2, 1)), (
-        "a zero-exponent-sum braid forces an order-3 image witness with "
-        "exponents summing to 0 mod 3"
-    )
+    if w is None or (w.e1, w.e2) not in ((1, 2), (2, 1)):
+        raise InvalidCertificate(
+            "a zero-exponent-sum braid forces an order-3 image witness with "
+            "exponents summing to 0 mod 3"
+        )
     y = CentralElement(0, _word("b"))
     z = CentralElement(0, w.z)
     if (w.e1, w.e2) == (1, 2):
@@ -379,7 +382,8 @@ def gen3_torsion_b3(
         c_img = w.conjugator * invert(b)
     c = CentralElement(0, c_img)
     e1, e2 = e1.conjugated_by(c), e2.conjugated_by(c)
-    assert e1 != e2, "the two torsion factors must be distinct"
+    if e1 == e2:
+        raise InvalidCertificate("the two torsion factors must be distinct")
     h_inv = CentralElement(-1, identity(PSL2Z))
     if e1 * e2 ** 2 * h_inv != n:
         raise InvalidCertificate("form witness does not rebuild the element")

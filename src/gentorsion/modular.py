@@ -101,24 +101,44 @@ class IntMatrix2:
         return ((self.m11, self.m12), (self.m21, self.m22))
 
 
-_A = IntMatrix2.of(0, -1, 1, 0)
-_B = IntMatrix2.of(0, 1, -1, -1)
-
-
 def to_matrix(w: Word) -> IntMatrix2:
-    """The image of a word under a -> [[0,-1],[1,0]], b -> [[0,1],[-1,-1]]."""
-    out = IntMatrix2.identity()
+    """The image of a word under a -> [[0,-1],[1,0]], b -> [[0,1],[-1,-1]].
+
+    Right multiplication by A, B or B^2 only permutes, adds and negates the
+    four entries; the product is normalised once, at the end.  A^2 and B^3
+    are the identity up to sign, so only exponents mod 2 and mod 3 matter.
+
+    >>> to_matrix(parse_word(PSL2Z, "a b")).rows()
+    ((1, 1), (0, 1))
+    >>> to_matrix(parse_word(PSL2Z, "a b a b^2")).rows()
+    ((2, 1), (1, 1))
+    """
+    p, q, r, t = 1, 0, 0, 1
     for s in w.syllables:
-        base = _A if s.gen == "a" else _B
-        step = base
-        for _ in range(s.exp - 1):
-            step = step * base
-        out = out * step
-    return out
+        if s.gen == "a":
+            if s.exp % 2:
+                p, q, r, t = q, -p, t, -r
+        else:
+            e = s.exp % 3
+            if e == 1:
+                p, q, r, t = -q, p - q, -t, r - t
+            elif e == 2:
+                p, q, r, t = q - p, -p, t - r, -r
+    return IntMatrix2.of(p, q, r, t)
 
 
 def classify(w: Word) -> IsometryClass:
-    """Trace trichotomy, with the finite orders split by |trace|."""
+    """Trace trichotomy, with the finite orders split by |trace|.
+
+    >>> classify(parse_word(PSL2Z, "a")).value
+    'elliptic-order-2'
+    >>> classify(parse_word(PSL2Z, "a b a")).value
+    'elliptic-order-3'
+    >>> classify(parse_word(PSL2Z, "a b")).value
+    'parabolic'
+    >>> classify(parse_word(PSL2Z, "a b a b^2")).value
+    'hyperbolic'
+    """
     if w.is_identity:
         return IsometryClass.IDENTITY
     t = abs(to_matrix(w).trace)
@@ -167,10 +187,11 @@ def reversible(g: Word) -> Optional[Reversibility]:
     r = is_conjugate(g, invert(g))
     if r is None:
         return None
-    e = identity(g.scheme)
-    assert r * r == e, "hyperbolic reverser must be an involution"
+    if not (r * r).is_identity:
+        raise InvalidCertificate(f"reverser {r} of {g} is not an involution")
     u, v = r, r * g
-    assert u * v == g and v * v == e
+    if u * v != g or not (v * v).is_identity:
+        raise InvalidCertificate(f"involution pair ({u}, {v}) does not rebuild {g}")
     return Reversibility(reverser=r, involution_pair=(u, v))
 
 
@@ -265,7 +286,8 @@ def gen3_torsion(g: Word, bound: Optional[int] = None) -> Gen3Verdict:
             e1 = e2 = 1 if n == 2 else 2
             t = a * b ** e1 * a * b ** e2
             c = is_conjugate(t, g)
-            assert c is not None
+            if c is None:
+                raise InvalidCertificate(f"{g} is not conjugate to its parabolic form {t}")
             h1 = conjugated(b ** (3 - e2), c)
             k = conjugated(b ** e2, c)
             return Gen3Verdict(
@@ -307,7 +329,8 @@ def gen3_torsion(g: Word, bound: Optional[int] = None) -> Gen3Verdict:
                 if CyclicWord.from_word(t) != target:
                     continue
                 c = is_conjugate(t, g)
-                assert c is not None
+                if c is None:
+                    raise InvalidCertificate(f"{t} has the cyclic form of {g} but no conjugator")
                 h1 = conjugated(b ** (3 - e2), c)
                 k = conjugated(b ** e2, c)
                 return Gen3Verdict(

@@ -482,7 +482,8 @@ class SeifertReversibility:
 
 def _defect(group: SeifertGroup, p: SeifertPair, rho: Word, p_inv: SeifertPair) -> int:
     got = group.conjugated(p, SeifertPair(0, rho))
-    assert got.q == p_inv.q
+    if got.q != p_inv.q:
+        raise InvalidCertificate(f"quotient reverser {rho} does not invert the image")
     return got.m - p_inv.m
 
 
@@ -515,7 +516,8 @@ def reversible_seifert(
             if d.phi_of(name) == -1:
                 reverser = group.generator(name)
                 flipped = group.conjugated(p, reverser)
-                assert flipped == group.inv(p)
+                if flipped != group.inv(p):
+                    raise InvalidCertificate(f"{name} does not invert the fiber power")
                 return SeifertReversibility(
                     True, reverser, f"phi({name}) = -1 inverts the fiber", p
                 )
@@ -540,7 +542,8 @@ def reversible_seifert(
         if s is None:
             return None
         reverser = SeifertPair(s, rho)
-        assert group.conjugated(p, reverser) == p_inv
+        if group.conjugated(p, reverser) != p_inv:
+            raise InvalidCertificate("lifted reverser failed its check")
         return SeifertReversibility(True, reverser, "zero-defect lifted reverser", p)
 
     core, _ = cyclic_reduce(p.q)
@@ -776,7 +779,8 @@ def gen_n_certificate(d: SeifertData, n: int) -> Optional[GenNCertificate]:
         element=element,
         conjugators=conjugators,
     )
-    assert n * cert.x + cert.m1 + cert.m2 == 0
+    if n * cert.x + cert.m1 + cert.m2 != 0:
+        raise InvalidCertificate(f"fiber exponents fail n x + m1 + m2 = 0 for n = {n}")
     if not gen_n_relation_holds(d, cert.element, cert.conjugators):
         raise InvalidCertificate(f"gen-{n} relation fails for {cert.element!r}")
     return cert

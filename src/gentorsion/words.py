@@ -9,16 +9,27 @@ reduced words is equality of group elements.
 Conjugacy is decided through cyclic words: every element is conjugate to a
 cyclically reduced one, and two cyclically reduced words of syllable length
 at least two are conjugate exactly when one is a rotation of the other.
+
+Reduction, products, inverses, powers, cyclic reduction and conjugacy take
+time linear in input plus output.  Products cancel only at the seam of two
+reduced words, the canonical rotation is found by Booth's least-rotation
+algorithm, and a rotation of one core onto another is found by substring
+search in the doubled core.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from itertools import chain, repeat
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
-from .errors import ParseError, SchemeMismatch, TrivialElement, UnknownGenerator
+from .errors import (
+    InvalidCertificate,
+    ParseError,
+    SchemeMismatch,
+    TrivialElement,
+    UnknownGenerator,
+)
 
 
 @dataclass(frozen=True)
@@ -32,33 +43,57 @@ class GroupScheme:
     """
 
     generators: tuple[tuple[str, Optional[int]], ...]
+    # name -> order and name -> index, derived from ``generators``
+    orders: dict[str, Optional[int]] = field(init=False, repr=False, compare=False)
+    indices: dict[str, int] = field(init=False, repr=False, compare=False)
+    # the shared syllables of finite-order generators, filled on first use
+    interned: dict[tuple[str, int], "Syllable"] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        seen = set()
+        orders: dict[str, Optional[int]] = {}
         for name, order in self.generators:
-            if name in seen:
+            if name in orders:
                 raise ValueError(f"duplicate generator {name!r}")
-            seen.add(name)
             if order is not None and order < 2:
                 raise ValueError(f"order of {name!r} must be >= 2 or None")
+            orders[name] = order
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "indices", {name: i for i, name in enumerate(orders)})
+        object.__setattr__(self, "interned", {})
 
     def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.generators)
+        return tuple(self.orders)
 
     def order(self, name: str) -> Optional[int]:
-        for gen, order in self.generators:
-            if gen == name:
-                return order
-        raise UnknownGenerator(f"unknown generator {name!r}")
+        try:
+            return self.orders[name]
+        except KeyError:
+            raise UnknownGenerator(f"unknown generator {name!r}") from None
 
     def index(self, name: str) -> int:
-        for i, (gen, _) in enumerate(self.generators):
-            if gen == name:
-                return i
-        raise UnknownGenerator(f"unknown generator {name!r}")
+        try:
+            return self.indices[name]
+        except KeyError:
+            raise UnknownGenerator(f"unknown generator {name!r}") from None
 
     def __contains__(self, name: str) -> bool:
-        return any(gen == name for gen, _ in self.generators)
+        return name in self.orders
+
+    def syllable(self, gen: str, exp: int) -> "Syllable":
+        """Syllable(gen, exp), exp normalised; one shared object per finite-order syllable.
+
+        Shared syllables make equal reduced words equal element by element
+        by identity, and spare an allocation per syllable.  A finite factor
+        has order - 1 syllables, so the table never outgrows the scheme.
+        """
+        s = self.interned.get((gen, exp))
+        if s is None:
+            s = Syllable(gen, exp)
+            if self.orders[gen] is not None:
+                self.interned[gen, exp] = s
+        return s
 
 
 #: The modular group PSL(2,Z) as C2 * C3.
@@ -94,13 +129,28 @@ class Word:
         return not self.syllables
 
     def __mul__(self, other: "Word") -> "Word":
-        if self.scheme != other.scheme:
+        """The reduced product: both factors are reduced, so only the seam cancels."""
+        scheme = self.scheme
+        if scheme is not other.scheme and scheme != other.scheme:
             raise SchemeMismatch("cannot multiply words over different schemes")
-        return reduce(
-            [(s.gen, s.exp) for s in self.syllables]
-            + [(s.gen, s.exp) for s in other.syllables],
-            self.scheme,
-        )
+        left, right = self.syllables, other.syllables
+        if not left:
+            return other
+        if not right:
+            return self
+        orders = scheme.orders
+        i, j, n = len(left), 0, len(right)
+        while i and j < n:
+            x, y = left[i - 1], right[j]
+            if x.gen != y.gen:
+                break
+            i -= 1
+            j += 1
+            order = orders[x.gen]
+            exp = x.exp + y.exp if order is None else (x.exp + y.exp) % order
+            if exp:
+                return Word(scheme, left[:i] + (scheme.syllable(x.gen, exp),) + right[j:])
+        return Word(scheme, left[:i] + right[j:])
 
     def __invert__(self) -> "Word":
         return invert(self)
@@ -109,9 +159,18 @@ class Word:
         return invert(self)
 
     def __pow__(self, n: int) -> "Word":
+        """p core^n p^-1 for the cyclic core of self, in time linear in the output."""
         if n < 0:
             return invert(self) ** (-n)
-        return reduce(chain.from_iterable(repeat(self.pairs(), n)), self.scheme)
+        core, p = _cyclic_core(self)
+        sylls = core.syllables
+        if len(sylls) == 1:
+            # a single syllable: multiply its exponent
+            power = reduce(((sylls[0].gen, sylls[0].exp * n),), self.scheme)
+        else:
+            # a cyclically reduced core repeats without cancelling
+            power = Word(self.scheme, sylls * n)
+        return p * power * invert(p) if p else power
 
     def __str__(self) -> str:
         return format_word(self)
@@ -122,11 +181,6 @@ class Word:
 
 def identity(scheme: GroupScheme) -> Word:
     return Word(scheme, ())
-
-
-def _norm_exp(order: Optional[int], exp: int) -> int:
-    # finite orders keep exponents in [0, order); 0 marks a vanished syllable
-    return exp if order is None else exp % order
 
 
 def reduce(raw: Iterable[tuple[str, int]], scheme: GroupScheme) -> Word:
@@ -140,28 +194,41 @@ def reduce(raw: Iterable[tuple[str, int]], scheme: GroupScheme) -> Word:
     >>> str(reduce([("b", 1), ("b", 1), ("b", 1)], PSL2Z))
     '1'
     """
+    orders, interned, syllable = scheme.orders, scheme.interned, scheme.syllable
     stack: list[Syllable] = []
+    push, pop = stack.append, stack.pop
     for gen, exp in raw:
-        order = scheme.order(gen)
+        try:
+            order = orders[gen]
+        except KeyError:
+            raise UnknownGenerator(f"unknown generator {gen!r}") from None
         if stack and stack[-1].gen == gen:
-            combined = _norm_exp(order, stack[-1].exp + exp)
-            stack.pop()
-            if combined != 0:
-                stack.append(Syllable(gen, combined))
-        else:
-            e = _norm_exp(order, exp)
-            if e != 0:
-                stack.append(Syllable(gen, e))
+            exp += pop().exp
+        # finite orders keep exponents in [0, order); 0 marks a vanished syllable
+        if order is not None:
+            exp %= order
+        if exp:
+            push(interned.get((gen, exp)) or syllable(gen, exp))
     return Word(scheme, tuple(stack))
 
 
 def invert(w: Word) -> Word:
     """The group inverse: reversed syllables with negated exponents.
 
+    A reduced word inverts syllable by syllable, with no cancellation:
+    a finite-order exponent e becomes order - e.
+
     >>> str(invert(parse_word(PSL2Z, "a b a b^2")))
     'b a b^2 a'
     """
-    return reduce([(s.gen, -s.exp) for s in reversed(w.syllables)], w.scheme)
+    orders, interned, syllable = w.scheme.orders, w.scheme.interned, w.scheme.syllable
+    out = []
+    for s in reversed(w.syllables):
+        gen = s.gen
+        order = orders[gen]
+        exp = -s.exp if order is None else order - s.exp
+        out.append(interned.get((gen, exp)) or syllable(gen, exp))
+    return Word(w.scheme, tuple(out))
 
 
 def conjugated(w: Word, k: Word) -> Word:
@@ -170,36 +237,102 @@ def conjugated(w: Word, k: Word) -> Word:
 
 
 def _cyclic_core(w: Word) -> tuple[Word, Word]:
-    """Peel matching end syllables; returns (core, conj) with conj^-1 w conj = core."""
-    core = list(w.syllables)
-    conj: list[tuple[str, int]] = []
-    while len(core) >= 2 and core[0].gen == core[-1].gen:
-        first = core[0]
-        conj.append((first.gen, first.exp))
-        order = w.scheme.order(first.gen)
-        merged = _norm_exp(order, core[-1].exp + first.exp)
-        core = core[1:-1]
-        if merged != 0:
-            core.append(Syllable(first.gen, merged))
-    return Word(w.scheme, tuple(core)), reduce(conj, w.scheme)
+    """Peel matching end syllables; returns (core, conj) with conj^-1 w conj = core.
+
+    The peeled syllables are a prefix of w, so conj is that prefix.  Peeling
+    stops at the first pair of end syllables that merges into a nontrivial
+    one, since the merged syllable then differs in generator from its new
+    neighbour.
+    """
+    sylls = w.syllables
+    orders = w.scheme.orders
+    i, j = 0, len(sylls)
+    tail: tuple[Syllable, ...] = ()
+    while j - i >= 2:
+        first, last = sylls[i], sylls[j - 1]
+        if first.gen != last.gen:
+            break
+        i += 1
+        j -= 1
+        order = orders[first.gen]
+        exp = last.exp + first.exp
+        if order is not None:
+            exp %= order
+        if exp:
+            tail = (w.scheme.syllable(first.gen, exp),)
+            break
+    return Word(w.scheme, sylls[i:j] + tail), Word(w.scheme, sylls[:i])
 
 
-def _rotation_key(scheme: GroupScheme, sylls: tuple[Syllable, ...]):
-    return [(scheme.index(s.gen), s.exp) for s in sylls]
+def _least_rotation(keys: list) -> int:
+    """The start of a lexicographically least rotation (Booth 1980).
+
+    One pass of a failure function over the doubled sequence, so O(n)
+    comparisons.
+    """
+    n = len(keys)
+    s = keys + keys
+    f = [-1] * (2 * n)
+    k = 0
+    for j in range(1, 2 * n):
+        sj = s[j]
+        i = f[j - k - 1]
+        while i != -1 and sj != s[k + i + 1]:
+            if sj < s[k + i + 1]:
+                k = j - i - 1
+            i = f[i]
+        if sj != s[k + i + 1]:  # here i == -1
+            if sj < s[k]:
+                k = j
+            f[j - k] = -1
+        else:
+            f[j - k] = i + 1
+    return k
 
 
 def _canonical_rotation(scheme: GroupScheme, sylls: tuple[Syllable, ...]) -> tuple[Syllable, ...]:
     if len(sylls) <= 1:
         return sylls
-    rotations = [sylls[i:] + sylls[:i] for i in range(len(sylls))]
-    return min(rotations, key=lambda r: _rotation_key(scheme, r))
+    indices = scheme.indices
+    k = _least_rotation([(indices[s.gen], s.exp) for s in sylls])
+    return sylls[k:] + sylls[:k]
+
+
+def _rotation_offset(text: tuple[Syllable, ...], pattern: tuple[Syllable, ...]) -> int:
+    """The least t with text[t:] + text[:t] == pattern, or -1; equal lengths.
+
+    Each distinct syllable of the pattern gets a code, every other syllable
+    one more, and ``str.find`` searches the doubled text.  A code is one code
+    point, or for an alphabet too large for that two code points from
+    disjoint ranges, so that every match starts on a syllable.
+    """
+    codes: dict[tuple[str, int], int] = {}
+    for s in pattern:
+        codes.setdefault((s.gen, s.exp), len(codes))
+    other = len(codes)
+    p = [codes[s.gen, s.exp] for s in pattern]
+    t = [codes.get((s.gen, s.exp), other) for s in text]
+    t += t[:-1]
+    if other <= _MAX_CODE:
+        return "".join(map(chr, t)).find("".join(map(chr, p)))
+    return _wide(t).find(_wide(p)) // 2
+
+
+#: the largest code ``_rotation_offset`` writes as a single code point
+_MAX_CODE = 0x10FFFF
+
+
+def _wide(codes: list[int]) -> str:
+    # a code point in [0x100000, 0x10FFFF], then one below 0x10000
+    return "".join([chr(0x100000 | c >> 16) + chr(c & 0xFFFF) for c in codes])
 
 
 @dataclass(frozen=True)
 class CyclicWord:
     """A conjugacy-class representative: the least rotation of a cyclic core.
 
-    Rotations are ordered lexicographically by (generator index, exponent).
+    Rotations are ordered lexicographically by (generator index, exponent);
+    Booth's algorithm finds the least one in linear time.
     """
 
     scheme: GroupScheme
@@ -230,9 +363,10 @@ def cyclic_reduce(w: Word) -> tuple[CyclicWord, Word]:
 def is_conjugate(u: Word, v: Word) -> Optional[Word]:
     """A conjugator k with reduce(k * u * k^-1) = v, or None.
 
-    Cores of equal length are compared rotation by rotation; the conjugator is
-    assembled from the two peeling conjugators and the rotation prefix, then
-    checked by multiplication.
+    The core of v is searched for in the doubled core of u; the first match,
+    at the least rotation offset, gives the conjugator, assembled from the
+    two peeling conjugators and the rotation prefix.  It is checked by
+    multiplication, and a failed check raises InvalidCertificate.
 
     >>> k = is_conjugate(parse_word(PSL2Z, "a b"), parse_word(PSL2Z, "b a"))
     >>> str(k)
@@ -244,16 +378,16 @@ def is_conjugate(u: Word, v: Word) -> Optional[Word]:
     cv, pv = _cyclic_core(v)
     if len(cu) != len(cv):
         return None
-    n = len(cu)
-    if n == 0:
+    if not cu:
         return identity(u.scheme)
-    for t in range(n):
-        if cu.syllables[t:] + cu.syllables[:t] == cv.syllables:
-            prefix = Word(u.scheme, cu.syllables[:t])
-            k = pv * invert(prefix) * invert(pu)
-            assert conjugated(u, k) == v, "conjugator failed its multiplication check"
-            return k
-    return None
+    t = _rotation_offset(cu.syllables, cv.syllables)
+    if t < 0:
+        return None
+    prefix = Word(u.scheme, cu.syllables[:t])
+    k = pv * invert(prefix) * invert(pu)
+    if conjugated(u, k) != v:
+        raise InvalidCertificate("conjugator failed its multiplication check")
+    return k
 
 
 def conjugate_to_inverse(w: Word) -> Optional[Word]:
@@ -348,30 +482,35 @@ def enumerate_reduced(
         level = next_level
 
 
-_TOKEN = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
+_TOKEN = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?")
+#: a whole word: whitespace-separated tokens, each ``1`` or a syllable
+_WORD = re.compile(r"(?:\s*(?:1|[A-Za-z][A-Za-z0-9_]*(?:\^-?\d+)?)(?!\S))*\s*")
 
 
 def parse_word(scheme: GroupScheme, text: str) -> Word:
     """Parse whitespace-separated tokens like ``a b^2 a b^-1``.
 
-    The token ``1`` denotes the identity.
+    The token ``1`` denotes the identity.  A well-formed text is split into
+    syllables by one regex pass; a malformed one is walked token by token,
+    to report the first bad token and its position.
     """
-    raw: list[tuple[str, int]] = []
-    pos = 0
-    for token in text.split():
-        pos = text.index(token, pos)
+    if _WORD.fullmatch(text) is None:
+        _reject_word(scheme, text)
+    return reduce(
+        [(name, int(exp) if exp else 1) for name, exp in _TOKEN.findall(text)], scheme
+    )
+
+
+def _reject_word(scheme: GroupScheme, text: str) -> None:
+    for found in re.finditer(r"\S+", text):
+        token = found.group()
         if token == "1":
-            pos += len(token)
             continue
-        m = _TOKEN.match(token)
+        m = _TOKEN.fullmatch(token)
         if not m:
-            raise ParseError(f"bad token {token!r}", pos)
-        name, exp = m.group(1), int(m.group(2) or 1)
-        if name not in scheme:
-            raise UnknownGenerator(f"unknown generator {name!r}")
-        raw.append((name, exp))
-        pos += len(token)
-    return reduce(raw, scheme)
+            raise ParseError(f"bad token {token!r}", found.start())
+        if m.group(1) not in scheme:
+            raise UnknownGenerator(f"unknown generator {m.group(1)!r}")
 
 
 def format_word(w: Word) -> str:

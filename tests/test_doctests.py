@@ -3,6 +3,7 @@
 import doctest
 
 import gentorsion.braid3
+import gentorsion.modular
 import gentorsion.words
 
 
@@ -14,5 +15,11 @@ def test_words_doctests():
 
 def test_braid3_doctests():
     result = doctest.testmod(gentorsion.braid3, verbose=False)
+    assert result.failed == 0
+    assert result.attempted > 0
+
+
+def test_modular_doctests():
+    result = doctest.testmod(gentorsion.modular, verbose=False)
     assert result.failed == 0
     assert result.attempted > 0
