@@ -30,13 +30,14 @@ from .modular import Verdict, gen3_torsion
 from .seifert import CentralExtension, Piece
 from .words import (
     PSL2Z,
+    CyclicWord,
     Syllable,
     Word,
     conjugate_to_inverse,
-    enumerate_reduced,
     identity,
     invert,
     is_conjugate,
+    mirror_centres,
     parse_word,
 )
 
@@ -217,25 +218,26 @@ def conjugate_b3(
 
 @dataclass(frozen=True)
 class B3Reversibility:
-    """A validated reverser, plus a commutator form when the search finds it.
+    """A validated reverser and a commutator form of g.
 
     The witness exhibits g as conjugate to [x, k0] = x k0 x^-1 k0^-1 with
     x = s1 s2 s1: witness_conjugator * [x, k0] * witness_conjugator^-1 = g.
     """
 
     reverser: BraidWord
-    commutator_witness: Optional[BraidWord] = None
-    witness_conjugator: Optional[BraidWord] = None
+    commutator_witness: BraidWord
+    witness_conjugator: BraidWord
 
 
-def reversible_b3(
-    g: Union[BraidWord, CentralElement], witness_bound: Optional[int] = None
-) -> Optional[B3Reversibility]:
+def reversible_b3(g: Union[BraidWord, CentralElement]) -> Optional[B3Reversibility]:
     """Decide whether g is conjugate to its inverse in B3.
 
-    The decision (exponent sum zero and reversible image) is exact; the
-    commutator witness search is bounded and may come back empty without
-    affecting the verdict.
+    The decision is exact: the exponent sum is zero and the image is
+    reversible.  The image is then a product of two involutions, conjugate
+    to [a, k0] = a k0 a k0^-1, so its cyclic core mirrors itself to its
+    inverse around an a-syllable out to half its length L, and k0 is the
+    L/2 - 1 syllables after that centre.  Among the centres the witness
+    takes the first k0 in enumerate_reduced order.
     """
     n = normal_form(g)
     if n.is_identity:
@@ -249,26 +251,21 @@ def reversible_b3(
     if n.conjugated_by(r) != n.inverse():
         raise InvalidCertificate("lifted reverser failed its check")
 
-    witness = conjugator = None
-    if witness_bound is None:
-        witness_bound = len(n.q) + 2
+    cyclic = CyclicWord.from_word(n.q)
+    core, half = cyclic.syllables, len(cyclic) // 2
+    ring = core + core
+    readings = [ring[c + 1:c + half] for c in mirror_centres(cyclic, half) if core[c].gen == "a"]
+    if not readings:
+        raise InvalidCertificate(f"reversible image {n.q} has no commutator form")
+    # every such k0 alternates from b, so its exponents order it as
+    # enumerate_reduced does
+    k0 = CentralElement(0, Word(PSL2Z, min(readings, key=lambda k: [s.exp for s in k])))
     x = CentralElement(0, _word("a"))
-    for q0 in enumerate_reduced(PSL2Z, witness_bound):
-        k0 = CentralElement(0, q0)
-        comm = x * k0 * x.inverse() * k0.inverse()
-        if comm.is_identity:
-            continue
-        c_q = is_conjugate(comm.q, n.q)
-        if c_q is None:
-            continue
-        c = CentralElement(0, c_q)
-        if comm.conjugated_by(c) == n:
-            witness, conjugator = k0.spell(), c.spell()
-            break
+    conjugator = conjugate_b3(x * k0 * x.inverse() * k0.inverse(), n)
+    if conjugator is None:
+        raise InvalidCertificate(f"commutator [x, {k0.spell()}] is not conjugate to {n}")
     return B3Reversibility(
-        reverser=r.spell(),
-        commutator_witness=witness,
-        witness_conjugator=conjugator,
+        reverser=r.spell(), commutator_witness=k0.spell(), witness_conjugator=conjugator
     )
 
 
@@ -314,7 +311,6 @@ class B3Gen3Verdict:
     tag: Verdict
     certificate: Optional[tuple[CentralElement, CentralElement]] = None
     reason: Optional[str] = None
-    bound_used: Optional[int] = None
     form_witness: Optional[B3Gen3Witness] = None
     diagnostics: tuple[str, ...] = ()
 
@@ -324,9 +320,7 @@ def gen3_relation(g: CentralElement, h1: CentralElement, k: CentralElement) -> C
     return g * g.conjugated_by(h1) * g.conjugated_by(k)
 
 
-def gen3_torsion_b3(
-    g: Union[BraidWord, CentralElement], bound: Optional[int] = None
-) -> B3Gen3Verdict:
+def gen3_torsion_b3(g: Union[BraidWord, CentralElement]) -> B3Gen3Verdict:
     """Decide generalised 3-torsion in B3.
 
     The exponent sum must vanish (three conjugates of g have exponent sum
@@ -347,19 +341,11 @@ def gen3_torsion_b3(
             f"conjugates has exponent sum {3 * e} and cannot be trivial",
             diagnostics=diagnostics,
         )
-    image = gen3_torsion(n.q, bound=bound)
+    image = gen3_torsion(n.q)
     if image.tag == Verdict.NO:
         return B3Gen3Verdict(
             Verdict.NO,
             reason=f"quotient image is not generalised 3-torsion: {image.reason}",
-            bound_used=image.bound_used,
-            diagnostics=diagnostics,
-        )
-    if image.tag == Verdict.UNKNOWN_WITHIN_BOUND:
-        return B3Gen3Verdict(
-            Verdict.UNKNOWN_WITHIN_BOUND,
-            reason=f"quotient image undecided: {image.reason}",
-            bound_used=image.bound_used,
             diagnostics=diagnostics,
         )
 
@@ -394,7 +380,6 @@ def gen3_torsion_b3(
         Verdict.YES,
         certificate=(h1, k),
         reason="conjugate to e1 e2^2 h^-1 with e1, e2 lifted order-3 torsions",
-        bound_used=image.bound_used,
         form_witness=B3Gen3Witness(e1=e1, e2=e2, conjugator=c),
         diagnostics=diagnostics,
     )

@@ -4,7 +4,6 @@ Every subcommand prints one deterministic result object (JSON by default,
 ``--format text`` for line-oriented output) and exits with:
 
 * ``0`` for a decided verdict, including negative ones,
-* ``2`` when a bounded search ran out of budget (``unknown-within-bound``),
 * ``1`` for errors: bad words, bad group data, malformed certificates,
   usage problems.
 
@@ -24,7 +23,7 @@ from . import certificates
 from .braid3 import exponent_sum, gen3_torsion_b3, normal_form, parse_braid, reversible_b3
 from .braid3 import conjugate_b3
 from .errors import GroupError, InvalidCertificate, MalformedCertificate
-from .modular import Verdict, classify, gen3_torsion, reversible, to_matrix
+from .modular import classify, gen3_torsion, reversible, to_matrix
 from .oracle import SUITES, SearchBudget, sweep_agreement
 from .seifert import (
     PowersOfH,
@@ -44,7 +43,6 @@ __all__ = ["main"]
 
 EXIT_DECIDED = 0
 EXIT_ERROR = 1
-EXIT_UNKNOWN = 2
 
 _SEIFERT_PREFIX = "seifert:"
 
@@ -183,11 +181,10 @@ def _handle_reversible(args):
         outcome = reversible_b3(parse_braid(word))
         if outcome is None:
             return {"verdict": "no", "diagnostics": []}, EXIT_DECIDED
-        diagnostics = []
-        if outcome.commutator_witness is not None:
-            diagnostics.append(f"commutator witness {outcome.commutator_witness}")
-        if outcome.witness_conjugator is not None:
-            diagnostics.append(f"witness conjugator {outcome.witness_conjugator}")
+        diagnostics = [
+            f"commutator witness {outcome.commutator_witness}",
+            f"witness conjugator {outcome.witness_conjugator}",
+        ]
         cert = certificates.b3_reverser_certificate(word, str(outcome.reverser))
     else:
         data = parse_seifert(spec)
@@ -208,10 +205,6 @@ def _handle_reversible(args):
         return result, EXIT_DECIDED
     result = {"verdict": "yes", "certificate": _verified(cert), "diagnostics": diagnostics}
     return result, EXIT_DECIDED
-
-
-def _verdict_exit(tag: Verdict) -> int:
-    return EXIT_UNKNOWN if tag is Verdict.UNKNOWN_WITHIN_BOUND else EXIT_DECIDED
 
 
 def _handle_gen_torsion(args):
@@ -245,27 +238,20 @@ def _handle_gen_torsion(args):
         )
     word = _require_word(args)
     if kind == "pslz":
-        parsed = parse_word(PSL2Z, word)
-        verdict = gen3_torsion(parsed, bound=args.bound)
-        cert = None
-        if verdict.certificate is not None:
-            h1, k = verdict.certificate
-            cert = certificates.pslz_gen3_certificate(parsed, h1, k)
+        element = parse_word(PSL2Z, word)
+        verdict = gen3_torsion(element)
+        build = certificates.pslz_gen3_certificate
     else:
-        braid_verdict = gen3_torsion_b3(parse_braid(word), bound=args.bound)
-        verdict = braid_verdict
-        cert = None
-        if braid_verdict.certificate is not None:
-            h1, k = braid_verdict.certificate
-            cert = certificates.b3_gen3_certificate(word, h1, k)
+        element = word
+        verdict = gen3_torsion_b3(parse_braid(word))
+        build = certificates.b3_gen3_certificate
     result = {
         "verdict": verdict.tag.value,
         "diagnostics": [verdict.reason] if verdict.reason else [],
-        "budget": {"bound": verdict.bound_used},
     }
-    if cert is not None:
-        result["certificate"] = _verified(cert)
-    return result, _verdict_exit(verdict.tag)
+    if verdict.certificate is not None:
+        result["certificate"] = _verified(build(element, *verdict.certificate))
+    return result, EXIT_DECIDED
 
 
 def _handle_braid(args):
@@ -412,8 +398,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gen-torsion", help="decide generalised n-torsion")
     p.add_argument("--word", help="element text (pslz and b3; omit for seifert)")
     p.add_argument("--n", type=int, default=3, help="torsion degree (default: 3)")
-    p.add_argument("--bound", type=int, default=None,
-                   help="conjugator search bound for hyperbolic inputs")
     _add_common(p)
     p.set_defaults(func=_handle_gen_torsion)
 

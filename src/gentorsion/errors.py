@@ -17,10 +17,6 @@ class TrivialElement(GroupError):
     """The identity was passed to an operation defined for nontrivial elements."""
 
 
-class NonpositiveBound(GroupError):
-    """A search bound must be a positive integer."""
-
-
 class NotParabolic(GroupError):
     pass
 

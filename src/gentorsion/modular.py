@@ -22,10 +22,10 @@ from typing import Optional
 
 from .errors import (
     InvalidCertificate,
-    NonpositiveBound,
     NotElliptic,
     NotHyperbolic,
     NotParabolic,
+    SchemeMismatch,
     TrivialElement,
 )
 from .words import (
@@ -33,11 +33,10 @@ from .words import (
     CyclicWord,
     Word,
     conjugated,
-    cyclic_reduce,
-    enumerate_reduced,
     identity,
     invert,
     is_conjugate,
+    mirror_centres,
     parse_word,
 )
 
@@ -45,7 +44,6 @@ from .words import (
 class Verdict(enum.Enum):
     YES = "yes"
     NO = "no"
-    UNKNOWN_WITHIN_BOUND = "unknown-within-bound"
 
 
 class IsometryClass(enum.Enum):
@@ -107,12 +105,15 @@ def to_matrix(w: Word) -> IntMatrix2:
     Right multiplication by A, B or B^2 only permutes, adds and negates the
     four entries; the product is normalised once, at the end.  A^2 and B^3
     are the identity up to sign, so only exponents mod 2 and mod 3 matter.
+    A word over any scheme other than ``a:2, b:3`` raises SchemeMismatch.
 
     >>> to_matrix(parse_word(PSL2Z, "a b")).rows()
     ((1, 1), (0, 1))
     >>> to_matrix(parse_word(PSL2Z, "a b a b^2")).rows()
     ((2, 1), (1, 1))
     """
+    if w.scheme is not PSL2Z and w.scheme != PSL2Z:
+        raise SchemeMismatch(f"{w} is not a word over the modular group a:2, b:3")
     p, q, r, t = 1, 0, 0, 1
     for s in w.syllables:
         if s.gen == "a":
@@ -234,7 +235,6 @@ class Gen3Verdict:
     tag: Verdict
     certificate: Optional[tuple[Word, Word]] = None
     reason: Optional[str] = None
-    bound_used: Optional[int] = None
     witness: Optional[Gen3Witness] = None
 
 
@@ -244,106 +244,84 @@ def _checked(g: Word, h1: Word, k: Word) -> tuple[Word, Word]:
     return (h1, k)
 
 
-def default_gen3_bound(g: Word) -> int:
-    core, _ = cyclic_reduce(g)
-    return -(-len(core) // 2) + 3
-
-
-def gen3_torsion(g: Word, bound: Optional[int] = None) -> Gen3Verdict:
+def gen3_torsion(g: Word) -> Gen3Verdict:
     """Decide generalised 3-torsion in PSL(2,Z).
 
-    Finite-order and parabolic inputs are decided outright.  A hyperbolic
-    input is generalised 3-torsion exactly when it is a product of two
-    elements of order three; the search normalises the second factor to a
-    power of b and scans conjugating words z of at most ``bound`` syllables
-    for the first, so a miss is only conclusive up to that bound.
+    Finite-order inputs and odd a-exponent sums are decided outright.  Any
+    other g is generalised 3-torsion exactly when it is a product of two
+    elements of order three, conjugate to z b^e1 z^-1 b^e2 with z from a to
+    a: its cyclic core has a length L divisible by four and mirrors itself
+    to its inverse around b^e1, out to the L/2 - 1 syllables z before it.
+    The witness reads the first such z in enumerate_reduced order, then
+    the least e1 and e2.  Of the parabolics (ab)^n, n = +-2 alone pass.
     """
     if g.is_identity:
         raise TrivialElement("generalised torsion is considered for nontrivial elements")
     scheme = g.scheme
-    e = identity(scheme)
-    b = parse_word(scheme, "b")
     kind = classify(g)
 
     if kind == IsometryClass.ELLIPTIC_ORDER_3:
+        e = identity(scheme)
         return Gen3Verdict(
             Verdict.YES,
             certificate=_checked(g, e, e),
             reason="order-3 torsion: the cube of g is already trivial",
         )
+    odd_a_sum = Gen3Verdict(
+        Verdict.NO,
+        reason="abelianization obstruction: the a-exponent sum of g is odd, "
+        "so no product of three conjugates of g can be trivial",
+    )
     if kind == IsometryClass.ELLIPTIC_ORDER_2:
-        return Gen3Verdict(
-            Verdict.NO,
-            reason="abelianization obstruction: the a-exponent sum of g is odd, "
-            "so no product of three conjugates of g can be trivial",
-        )
+        return odd_a_sum
+    cyclic = CyclicWord.from_word(g)
+    core, half = cyclic.syllables, len(cyclic) // 2
     if kind == IsometryClass.PARABOLIC:
-        n, _ = parabolic_power(g)
-        a = parse_word(scheme, "a")
-        if n in (2, -2):
-            # (ab)^2 = (a b a) b and (ab)^-2 = (a b^2 a) b^2 are products
-            # of two order-3 elements, so the hyperbolic recipe applies
-            e1 = e2 = 1 if n == 2 else 2
-            t = a * b ** e1 * a * b ** e2
-            c = is_conjugate(t, g)
-            if c is None:
-                raise InvalidCertificate(f"{g} is not conjugate to its parabolic form {t}")
-            h1 = conjugated(b ** (3 - e2), c)
-            k = conjugated(b ** e2, c)
-            return Gen3Verdict(
-                Verdict.YES,
-                certificate=_checked(g, h1, k),
-                reason=f"parabolic of power {n:+d}",
-                witness=Gen3Witness(z=a, e1=e1, e2=e2, conjugator=c),
-            )
+        # the core is a rotation of (a b)^n, or of (a b^2)^-n for n < 0
+        n = half if max(s.exp for s in core) == 1 else -half
         if n % 2:
             return Gen3Verdict(
                 Verdict.NO,
                 reason=f"abelianization obstruction: parabolic power {n} is odd",
             )
-        return Gen3Verdict(
-            Verdict.NO,
-            reason=f"parabolic of power {n}: only powers +2 and -2 are products "
-            "of two order-3 elements",
-        )
+    elif _a_exponent_parity(g) == 1:
+        return odd_a_sum
 
-    # hyperbolic
-    if _a_exponent_parity(g) == 1:
+    # the core alternates a and b, so an even a-exponent sum makes L divisible
+    # by four; each z, read before a b-centre c, alternates from a, so its
+    # exponents order it as enumerate_reduced does
+    ring = core + core
+    readings = [
+        ([s.exp for s in ring[c + half + 1:c + 2 * half]], core[c].exp, core[c - half].exp, c)
+        for c in mirror_centres(cyclic, half - 1)
+        if core[c].gen == "b"
+    ]
+    if not readings:
+        if kind == IsometryClass.PARABOLIC:
+            return Gen3Verdict(
+                Verdict.NO,
+                reason=f"parabolic of power {n}: only powers +2 and -2 are products "
+                "of two order-3 elements",
+            )
         return Gen3Verdict(
             Verdict.NO,
-            reason="abelianization obstruction: the a-exponent sum of g is odd, "
-            "so no product of three conjugates of g can be trivial",
+            reason="no b-syllable of the cyclic core of g is a mirror centre, so g "
+            "is not a product z b^e1 z^-1 b^e2 of two order-3 elements",
         )
-    if bound is None:
-        bound = default_gen3_bound(g)
-    if bound <= 0:
-        raise NonpositiveBound(f"search bound must be positive, got {bound}")
-    target = CyclicWord.from_word(g)
-    for z in enumerate_reduced(scheme, bound):
-        if z.syllables and z.syllables[-1].gen == "b":
-            continue
-        left = {1: z * b * invert(z), 2: z * (b * b) * invert(z)}
-        for e1 in (1, 2):
-            for e2 in (1, 2):
-                t = left[e1] * (b ** e2)
-                if CyclicWord.from_word(t) != target:
-                    continue
-                c = is_conjugate(t, g)
-                if c is None:
-                    raise InvalidCertificate(f"{t} has the cyclic form of {g} but no conjugator")
-                h1 = conjugated(b ** (3 - e2), c)
-                k = conjugated(b ** e2, c)
-                return Gen3Verdict(
-                    Verdict.YES,
-                    certificate=_checked(g, h1, k),
-                    bound_used=bound,
-                    witness=Gen3Witness(z=z, e1=e1, e2=e2, conjugator=c),
-                )
+    _, e1, e2, centre = min(readings)
+    z = Word(scheme, ring[centre + half + 1:centre + 2 * half])
+    b = parse_word(scheme, "b")
+    t = z * b ** e1 * invert(z) * b ** e2
+    c = is_conjugate(t, g)
+    if c is None:
+        raise InvalidCertificate(f"{t} has the cyclic form of {g} but no conjugator")
+    h1 = conjugated(b ** (3 - e2), c)
+    k = conjugated(b ** e2, c)
     return Gen3Verdict(
-        Verdict.UNKNOWN_WITHIN_BOUND,
-        reason="no product of two order-3 elements matching g was found with "
-        f"conjugating words of at most {bound} syllables",
-        bound_used=bound,
+        Verdict.YES,
+        certificate=_checked(g, h1, k),
+        reason=f"parabolic of power {n:+d}" if kind == IsometryClass.PARABOLIC else None,
+        witness=Gen3Witness(z=z, e1=e1, e2=e2, conjugator=c),
     )
 
 

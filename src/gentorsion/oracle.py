@@ -5,8 +5,7 @@ candidate sets, deterministic and reproducible from the budget alone.
 The sweeps enumerate admissible inputs, run both the structural decider
 and the brute search, and report disagreements.  A brute hit with a
 structural No is a mismatch and must never happen; a structural Yes the
-brute search misses only means the witness lies outside the budget, and
-a structural Unknown next to a brute hit is counted separately.
+brute search misses only means the witness lies outside the budget.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from typing import Optional
 
 from .braid3 import CentralElement, conjugate_b3, reversible_b3
 from .errors import TrivialElement, UnknownSuite
-from .modular import Verdict, gen3_product, gen3_torsion, reversible
+from .modular import gen3_torsion, reversible
 from .seifert import SeifertGroup, SeifertPair, parse_seifert, reversible_seifert
 from .words import PSL2Z, Word, conjugated, enumerate_reduced, invert
 
@@ -119,7 +118,6 @@ class SweepReport:
     structural_yes: int
     oracle_yes: int
     oracle_missed: int
-    unknown_with_oracle_yes: int
     mismatches: tuple[dict, ...]
 
     def to_dict(self) -> dict:
@@ -130,7 +128,6 @@ class SweepReport:
             "structural_yes": self.structural_yes,
             "oracle_yes": self.oracle_yes,
             "oracle_missed": self.oracle_missed,
-            "unknown_with_oracle_yes": self.unknown_with_oracle_yes,
             "mismatches": list(self.mismatches),
         }
 
@@ -143,7 +140,6 @@ class _Tally:
         self.structural_yes = 0
         self.oracle_yes = 0
         self.oracle_missed = 0
-        self.unknown = 0
         self.mismatches: list[dict] = []
 
     def record(self, label: str, structural: str, oracle_hit: bool):
@@ -156,8 +152,6 @@ class _Tally:
             self.mismatches.append(
                 {"input": label, "oracle": "yes", "structural": "no"}
             )
-        elif oracle_hit and structural == "unknown":
-            self.unknown += 1
         elif not oracle_hit and structural == "yes":
             self.oracle_missed += 1
 
@@ -169,7 +163,6 @@ class _Tally:
             structural_yes=self.structural_yes,
             oracle_yes=self.oracle_yes,
             oracle_missed=self.oracle_missed,
-            unknown_with_oracle_yes=self.unknown,
             mismatches=tuple(self.mismatches),
         )
 
@@ -186,12 +179,11 @@ def _sweep_pslz_reversible(budget: SearchBudget) -> SweepReport:
 
 
 def _sweep_pslz_gen3(budget: SearchBudget) -> SweepReport:
-    tags = {Verdict.YES: "yes", Verdict.NO: "no", Verdict.UNKNOWN_WITHIN_BOUND: "unknown"}
     tally = _Tally("pslz-gen3", budget)
     for w in enumerate_reduced(PSL2Z, budget.max_conjugator_syllables):
         if w.is_identity:
             continue
-        structural = tags[gen3_torsion(w).tag]
+        structural = gen3_torsion(w).tag.value
         oracle = brute_gen3(w, budget) is not None
         tally.record(str(w), structural, oracle)
     return tally.report()

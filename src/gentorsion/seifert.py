@@ -374,7 +374,7 @@ class CentralExtension:
                     wraps, exp = divmod(exp, n)
                     pend += beta[gen] * wraps
                 if exp:
-                    stack.append(Syllable(gen, exp))
+                    stack.append(self.scheme.syllable(gen, exp))
         q = Word(self.scheme, tuple(stack))
         if flips and pend:
             pend *= self.phi_word(q)

@@ -13,8 +13,9 @@ at least two are conjugate exactly when one is a rotation of the other.
 Reduction, products, inverses, powers, cyclic reduction and conjugacy take
 time linear in input plus output.  Products cancel only at the seam of two
 reduced words, the canonical rotation is found by Booth's least-rotation
-algorithm, and a rotation of one core onto another is found by substring
-search in the doubled core.
+algorithm, a rotation of one core onto another is found by substring
+search in the doubled core, and the centres around which a core mirrors
+itself to its inverse are found by Manacher's algorithm.
 """
 
 from __future__ import annotations
@@ -439,6 +440,62 @@ def primitive_root(w: Word) -> Word:
                 root = Word(w.scheme, block)
                 break
     return p * root * invert(p)
+
+
+def mirror_centres(core: CyclicWord, radius: int) -> list[int]:
+    """The centres c < period with core[c + d] = core[c - d]^-1 for d = 1 .. radius.
+
+    Indices are taken mod len(core), 0 <= radius <= len(core) / 2, and the
+    centres of a proper power repeat with the length of its primitive root.
+
+    The syllable at c is free, and a mirror around a syllable that is not
+    its own inverse carries no mirror across its centre, so Manacher's
+    algorithm (Manacher 1975) runs on the pairs p[i] = (core[i - radius],
+    core[i + 1]), inverted as (x, y) -> (y^-1, x^-1): pair t of the window
+    p[c .. c + radius - 1] holds the syllables at distances radius - t and
+    t + 1 from c, so c is a centre when that window is its own mirror image.
+    Time is O(len(core)).
+
+    >>> mirror_centres(CyclicWord.from_word(parse_word(PSL2Z, "a b a b^2")), 2)
+    [0, 2]
+    """
+    sylls = core.syllables
+    n = len(sylls)
+    if not 0 <= 2 * radius <= n:
+        raise ValueError(f"radius {radius} is outside [0, {n // 2}]")
+    if not n:
+        return []
+    codes: dict[tuple[str, int], int] = {}
+    code = [codes.setdefault((s.gen, s.exp), len(codes)) for s in sylls]
+    width = len(codes) + 1  # code len(codes): an inverse absent from the core
+    inverse = [
+        codes.get((s.gen, s.exp), width - 1)
+        for s in reversed(invert(Word(core.scheme, sylls)).syllables)
+    ]
+    # the pairs, each followed by a separator -1, between end sentinels -2 and
+    # -3 that match nothing; text[q] must equal mirror[q'] for q, q' to mirror
+    text, mirror = [-2, -1], [-3, -1]
+    for i in range(n + radius - 1):
+        x, y = (i - radius) % n, (i + 1) % n
+        text += (code[x] * width + code[y], -1)
+        mirror += (inverse[y] * width + inverse[x], -1)
+    text.append(-2)
+    mirror.append(-3)
+    arm = [0] * len(text)
+    lo = hi = 0  # the mirror reaching furthest right spans text[lo .. hi]
+    for q in range(1, len(text) - 1):
+        if text[q] != mirror[q]:
+            arm[q] = -1  # not its own mirror image, so no mirror is centred here
+            continue
+        r = min(arm[lo + hi - q], hi - q) if q < hi else 0
+        while r < radius and text[q + r + 1] == mirror[q - r - 1]:
+            r += 1
+        arm[q] = r
+        if q + r > hi:
+            lo, hi = q - r, q + r
+    period = len(primitive_root(Word(core.scheme, sylls)))
+    # the window of centre c is centred at text[2c + radius + 1]
+    return [c for c in range(period) if arm[2 * c + radius + 1] >= radius - 1]
 
 
 def enumerate_reduced(

@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 
 from gentorsion.braid3 import (
     B3Gen3Verdict,
+    B3Reversibility,
     BraidWord,
     CentralElement,
     conjugate_b3,
@@ -15,9 +17,18 @@ from gentorsion.braid3 import (
     section,
 )
 from gentorsion.braid3 import reversible_b3
-from gentorsion.errors import NonpositiveBound, ParseError, TrivialElement
+from gentorsion.errors import ParseError, TrivialElement
 from gentorsion.modular import Verdict
-from gentorsion.words import PSL2Z, enumerate_reduced, identity, parse_word
+from gentorsion.words import (
+    PSL2Z,
+    Syllable,
+    Word,
+    conjugate_to_inverse,
+    enumerate_reduced,
+    identity,
+    is_conjugate,
+    parse_word,
+)
 
 
 def w(text):
@@ -168,7 +179,6 @@ def test_reversible_commutator_family():
     rn = normal_form(rev.reverser)
     n = normal_form(g)
     assert rn * n * rn.inverse() == n.inverse()
-    assert rev.commutator_witness is not None
     k0 = normal_form(rev.commutator_witness)
     x = nf("x")
     comm = x * k0 * x.inverse() * k0.inverse()
@@ -238,30 +248,30 @@ def test_gen3_two_factor_family_diagnostic():
 
 
 def test_gen3_unknown_is_inherited_from_the_image():
+    """The image's verdict is inherited: a lift of (a b a b^2)^2 is a no."""
     q = w("a b a b^2") ** 2
     g = section(-4, q)
     assert normal_form(g).exponent_sum == 0
     verdict = gen3_torsion_b3(g)
-    assert verdict.tag == Verdict.UNKNOWN_WITHIN_BOUND
+    assert verdict.tag == Verdict.NO
+    assert verdict.reason.startswith("quotient image is not generalised 3-torsion")
     assert verdict.certificate is None
 
 
 def test_gen3_trivial_and_bound_validation():
     with pytest.raises(TrivialElement):
         gen3_torsion_b3(parse_braid("x^2 H"))
-    with pytest.raises(NonpositiveBound):
-        gen3_torsion_b3(parse_braid("y s1 y S1 s1 y S1 H"), bound=0)
 
 
 def test_gen3_verdict_invariant_under_conjugation_and_inversion():
     g = parse_braid("y s1 y S1 s1 y S1 H")
-    base = gen3_torsion_b3(g, bound=4).tag
+    base = gen3_torsion_b3(g).tag
     assert base == Verdict.YES
-    assert gen3_torsion_b3(g.inverse(), bound=4).tag == base
+    assert gen3_torsion_b3(g.inverse()).tag == base
     for c in ["s1", "x y^2"]:
         k = parse_braid(c)
         conj = k * g * k.inverse()
-        verdict = gen3_torsion_b3(conj, bound=4)
+        verdict = gen3_torsion_b3(conj)
         assert verdict.tag == base
         h1, kk = verdict.certificate
         assert gen3_relation(normal_form(conj), h1, kk).is_identity
@@ -274,9 +284,70 @@ def test_gen3_certificates_validate_over_a_small_sweep():
             g = CentralElement(m, q)
             if g.is_identity:
                 continue
-            verdict = gen3_torsion_b3(g.spell(), bound=3)
+            verdict = gen3_torsion_b3(g.spell())
             if verdict.tag == Verdict.YES:
                 seen_yes += 1
                 h1, k = verdict.certificate
                 assert gen3_relation(normal_form(g.spell()), h1, k).is_identity
     assert seen_yes >= 1
+
+
+# -- the mirror scan against the witness search it replaced -----------------
+
+
+def reference_reversible_b3(n: CentralElement):
+    """reversible_b3 as it was, with its commutator witness found by search.
+
+    Every k0 of at most |q| + 2 syllables was tried in enumerate_reduced
+    order until [x, k0] was conjugate to g; None when g is not reversible.
+    """
+    if n.exponent_sum != 0:
+        return None
+    rho = conjugate_to_inverse(n.q)
+    if rho is None:
+        return None
+    x = CentralElement(0, w("a"))
+    for q0 in enumerate_reduced(PSL2Z, len(n.q) + 2):
+        k0 = CentralElement(0, q0)
+        comm = x * k0 * x.inverse() * k0.inverse()
+        c_q = None if comm.is_identity else is_conjugate(comm.q, n.q)
+        if c_q is not None and comm.conjugated_by(CentralElement(0, c_q)) == n:
+            return B3Reversibility(
+                reverser=CentralElement(0, rho).spell(),
+                commutator_witness=k0.spell(),
+                witness_conjugator=CentralElement(0, c_q).spell(),
+            )
+    raise AssertionError(f"no commutator witness for {n} within the bound")
+
+
+def test_reversible_b3_matches_the_witness_search():
+    reversible = 0
+    for q in enumerate_reduced(PSL2Z, 12):
+        image_sum = CentralElement(0, q).exponent_sum
+        for m in {-(image_sum // 6), 0, 1}:
+            g = CentralElement(m, q)
+            if g.is_identity:
+                continue
+            expected = reference_reversible_b3(g)
+            assert reversible_b3(g) == expected, str(g)
+            reversible += expected is not None
+    assert reversible > 50
+
+
+def test_reversible_b3_on_a_twenty_thousand_syllable_image():
+    rng = random.Random(7)
+    k0 = CentralElement(0, Word(PSL2Z, tuple(
+        Syllable("a", 1) if i % 2 else Syllable("b", rng.choice((1, 2)))
+        for i in range(9_999)
+    )))
+    x = nf("x")
+    c = CentralElement(3, Word(PSL2Z, tuple(
+        Syllable("b", rng.choice((1, 2))) if i % 2 else Syllable("a", 1) for i in range(301)
+    )))
+    g = (x * k0 * x.inverse() * k0.inverse()).conjugated_by(c)
+    assert len(g.q) >= 20_000
+    rev = reversible_b3(g)
+    witness, conjugator = normal_form(rev.commutator_witness), normal_form(rev.witness_conjugator)
+    assert len(witness.q) == 9_999
+    assert (x * witness * x.inverse() * witness.inverse()).conjugated_by(conjugator) == g
+    assert g.conjugated_by(normal_form(rev.reverser)) == g.inverse()

@@ -53,13 +53,15 @@ def test_negative_verdict_exits_zero():
 
 
 def test_unknown_within_bound_exits_two():
-    data = run_json(
-        "gen-torsion", "--group", "pslz",
-        "--word", "a b a b a b^2 a b^2", "--bound", "1",
-        expect=2,
+    """gen-torsion always decides and exits 0; --bound is a usage error."""
+    data = run_json("gen-torsion", "--group", "pslz", "--word", "a b a b^2 a b a b^2")
+    assert data["verdict"] == "no"
+    assert "budget" not in data
+    proc = run_cli(
+        "gen-torsion", "--group", "pslz", "--word", "a b a b a b^2 a b^2", "--bound", "1"
     )
-    assert data["verdict"] == "unknown-within-bound"
-    assert data["budget"]["bound"] == 1
+    assert proc.returncode == 1
+    assert "--bound" in proc.stderr
 
 
 def test_default_bound_decides_the_same_word():

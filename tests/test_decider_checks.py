@@ -48,6 +48,21 @@ CASES = {
         "None",
         "modular.gen3_torsion(parse_word(PSL2Z, 'a b^2 a b a b a b'))",
     ),
+    "modular.gen3_torsion.mirror_centres": (
+        "gentorsion.modular.mirror_centres",
+        "[1]",
+        "modular.gen3_torsion(parse_word(PSL2Z, 'a b a b^2 a b a b^2'))",
+    ),
+    "braid3.reversible_b3.mirror_centres": (
+        "gentorsion.braid3.mirror_centres",
+        "[2]",
+        "braid3.reversible_b3(braid3.parse_braid('x y x y x y^2 X Y^2 X Y X Y'))",
+    ),
+    "braid3.reversible_b3.is_conjugate": (
+        "gentorsion.braid3.is_conjugate",
+        "parse_word(PSL2Z, 'b')",
+        "braid3.reversible_b3(braid3.parse_braid('s1 S2'))",
+    ),
     "braid3.reversible_b3": (
         "gentorsion.braid3.conjugate_to_inverse",
         "parse_word(PSL2Z, 'b')",

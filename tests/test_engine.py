@@ -50,6 +50,15 @@ def test_word_power_is_one_reduction():
     assert involution ** 1001 == involution and (involution ** 1000).is_identity
 
 
+def test_products_push_the_shared_syllables_of_the_words_kernel():
+    nf = normal_form(parse_braid("s1^300 s2^-300 s1 s2^5 S1^20"))
+    G = SeifertGroup(parse_seifert(TWO_BOUNDARY))
+    pair = G.element("c1^3 d1^2 c2 c1^-5 d1^-1 c2^2")
+    for q in (nf.q, pair.q):
+        finite = [s for s in q.syllables if q.scheme.order(s.gen) is not None]
+        assert finite and all(s is q.scheme.syllable(s.gen, s.exp) for s in finite)
+
+
 # -- B3 against the faithful pair ---------------------------------------
 
 S1 = ((1, 1), (0, 1))

@@ -1,26 +1,29 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gentorsion.errors import (
     InvalidCertificate,
-    NonpositiveBound,
     NotElliptic,
     NotHyperbolic,
     NotParabolic,
+    SchemeMismatch,
     TrivialElement,
 )
 from gentorsion.modular import (
     Axis,
     EllipticFixedPoint,
     Gen3Verdict,
+    Gen3Witness,
     IntMatrix2,
     IsometryClass,
     Verdict,
     axis,
     classify,
-    default_gen3_bound,
     elliptic_fixed_point,
     gen3_product,
     gen3_torsion,
@@ -29,14 +32,21 @@ from gentorsion.modular import (
     reversible,
     to_matrix,
 )
+from gentorsion.oracle import SearchBudget, brute_gen3
 from gentorsion.words import (
     PSL2Z,
+    CyclicWord,
+    Syllable,
+    Word,
     conjugated,
     cyclic_reduce,
     enumerate_reduced,
     identity,
     invert,
+    is_conjugate,
+    parse_scheme,
     parse_word,
+    reduce,
 )
 
 
@@ -245,21 +255,16 @@ def test_gen3_hyperbolic_odd_a_sum_is_obstructed():
 
 
 def test_gen3_hyperbolic_unknown_within_bound():
-    g = w("a b a b^2") ** 2
-    verdict = gen3_torsion(g)
-    assert verdict.tag == Verdict.UNKNOWN_WITHIN_BOUND
-    assert verdict.bound_used == default_gen3_bound(g)
-    assert verdict.certificate is None
-
-
-def test_gen3_default_bound():
-    assert default_gen3_bound(w("a b a b^2")) == 5
-    assert default_gen3_bound(w("a b a b^2") ** 2) == 7
+    """(a b a b^2)^k has no b-syllable mirror centre, so it is decided: no."""
+    for k in (2, 3, 4):
+        g = w("a b a b^2") ** k
+        verdict = gen3_torsion(g)
+        assert verdict.tag == Verdict.NO
+        assert "mirror centre" in verdict.reason
+        assert verdict.certificate is None and verdict.witness is None
 
 
 def test_gen3_bound_validation_and_identity():
-    with pytest.raises(NonpositiveBound):
-        gen3_torsion(w("a b a b^2"), bound=0)
     with pytest.raises(TrivialElement):
         gen3_torsion(identity(PSL2Z))
 
@@ -268,17 +273,17 @@ def test_gen3_verdict_is_invariant_under_conjugation_and_inversion():
     for word in enumerate_reduced(PSL2Z, 4):
         if word.is_identity:
             continue
-        base = gen3_torsion(word, bound=3).tag
-        assert gen3_torsion(invert(word), bound=3).tag == base
+        base = gen3_torsion(word).tag
+        assert gen3_torsion(invert(word)).tag == base
         for k in [w("a"), w("b a")]:
-            assert gen3_torsion(conjugated(word, k), bound=3).tag == base
+            assert gen3_torsion(conjugated(word, k)).tag == base
 
 
 def test_gen3_yes_certificates_always_check_out():
     for word in enumerate_reduced(PSL2Z, 5):
         if word.is_identity:
             continue
-        verdict = gen3_torsion(word, bound=4)
+        verdict = gen3_torsion(word)
         if verdict.tag == Verdict.YES:
             h1, k = verdict.certificate
             assert gen3_product(word, h1, k).is_identity
@@ -348,3 +353,141 @@ def test_all_hyperbolic_reversers_pass_the_axis_check():
         check = reverser_on_axis_check(word, rev.reverser)
         assert check.residual == 0 and check.within_tolerance
     assert seen >= 5
+
+
+def test_to_matrix_rejects_words_over_other_schemes():
+    foreign = parse_word(parse_scheme("t:inf, u:5"), "u t")
+    for decide in (to_matrix, classify, reversible, gen3_torsion):
+        with pytest.raises(SchemeMismatch):
+            decide(foreign)
+    # an equal scheme built separately is the modular group
+    assert classify(parse_word(parse_scheme("a:2, b:3"), "a b")) == IsometryClass.PARABOLIC
+
+
+# -- the mirror scan against the bounded search it replaced -----------------
+
+
+def reference_gen3(g: Word):
+    """gen3_torsion as a bounded search decided it; None stands for unknown.
+
+    A parabolic of power +-2 was conjugated onto (ab)^+-2 directly.  A
+    hyperbolic g of even a-exponent sum was matched against
+    z b^e1 z^-1 b^e2 for every z of at most ceil(L/2) + 3 syllables not
+    ending in b, in enumerate_reduced order, e1 and e2 in 1, 2.
+    """
+    kind = classify(g)
+    a, b = w("a"), w("b")
+    if kind == IsometryClass.PARABOLIC:
+        n, _ = parabolic_power(g)
+        if n in (2, -2):
+            e1 = e2 = 1 if n == 2 else 2
+            c = is_conjugate(a * b ** e1 * a * b ** e2, g)
+            return Gen3Verdict(
+                Verdict.YES,
+                certificate=(conjugated(b ** (3 - e2), c), conjugated(b ** e2, c)),
+                reason=f"parabolic of power {n:+d}",
+                witness=Gen3Witness(z=a, e1=e1, e2=e2, conjugator=c),
+            )
+        if n % 2:
+            reason = f"abelianization obstruction: parabolic power {n} is odd"
+        else:
+            reason = (f"parabolic of power {n}: only powers +2 and -2 are products "
+                      "of two order-3 elements")
+        return Gen3Verdict(Verdict.NO, reason=reason)
+    if kind != IsometryClass.HYPERBOLIC or sum(
+        s.exp for s in g.syllables if s.gen == "a"
+    ) % 2:
+        return gen3_torsion(g)  # decided before any search, then as now
+    core, _ = cyclic_reduce(g)
+    for z in enumerate_reduced(PSL2Z, -(-len(core) // 2) + 3):
+        if z.syllables and z.syllables[-1].gen == "b":
+            continue
+        for e1, e2 in itertools.product((1, 2), repeat=2):
+            t = z * b ** e1 * invert(z) * b ** e2
+            if CyclicWord.from_word(t) == core:
+                c = is_conjugate(t, g)
+                return Gen3Verdict(
+                    Verdict.YES,
+                    certificate=(conjugated(b ** (3 - e2), c), conjugated(b ** e2, c)),
+                    witness=Gen3Witness(z=z, e1=e1, e2=e2, conjugator=c),
+                )
+    return None
+
+
+def test_gen3_matches_the_bounded_search_wherever_it_decided():
+    decided = unknown = 0
+    for g in enumerate_reduced(PSL2Z, 12):
+        if g.is_identity:
+            continue
+        expected, verdict = reference_gen3(g), gen3_torsion(g)
+        if expected is None:
+            unknown += 1
+            assert verdict.tag == Verdict.NO, str(g)
+        else:
+            decided += 1
+            assert verdict == expected, str(g)
+    assert decided > 300 and unknown > 10
+
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
+PSL_WORDS = st.lists(
+    st.tuples(st.sampled_from(("a", "b")), st.integers(1, 2)), max_size=10
+).map(lambda raw: reduce(raw, PSL2Z))
+
+
+@PROPERTY
+@given(PSL_WORDS, PSL_WORDS)
+def test_gen3_agrees_with_brute_force_and_is_a_class_function(g, k):
+    if g.is_identity:
+        return
+    tag = gen3_torsion(g).tag
+    if brute_gen3(g, SearchBudget(max_conjugator_syllables=3)) is not None:
+        assert tag == Verdict.YES
+    assert gen3_torsion(invert(g)).tag == tag
+    assert gen3_torsion(conjugated(g, k)).tag == tag
+
+
+# -- sizes the bounded search could not reach ---------------------------------
+
+
+def _alternating(rng, syllables, first):
+    """A reduced word alternating a and b^(1|2), starting with ``first``."""
+    gens = ("a", "b") if first == "a" else ("b", "a")
+    return Word(PSL2Z, tuple(
+        Syllable("a", 1) if gens[i % 2] == "a" else Syllable("b", rng.choice((1, 2)))
+        for i in range(syllables)
+    ))
+
+
+def test_gen3_decides_twenty_thousand_syllable_words():
+    rng = random.Random(6)
+    z = _alternating(rng, 10_001, "a")
+    b = w("b")
+    c = _alternating(rng, 500, "b")
+    g = conjugated(z * b * invert(z) * b ** 2, c)
+    verdict = gen3_torsion(g)
+    assert verdict.tag == Verdict.YES and len(cyclic_reduce(g)[0]) == 20_004
+    wit = verdict.witness
+    assert len(wit.z) == 10_001
+    assert conjugated(wit.z * b ** wit.e1 * invert(wit.z) * b ** wit.e2, wit.conjugator) == g
+
+    # flip the b-syllable next to the end of z^-1: the mirror around the
+    # first b now breaks three syllables short of full radius
+    zi = invert(z).syllables
+    zi = zi[:-2] + (Syllable("b", 3 - zi[-2].exp),) + zi[-1:]
+    core = z.syllables + (Syllable("b", 1),) + zi + (Syllable("b", 2),)
+    n = len(core)
+
+    def mirrored(x, y):
+        return x.gen == y.gen and (x.exp + y.exp) % PSL2Z.order(x.gen) == 0
+
+    def arm(centre):
+        d = 1
+        while d < n // 2 and mirrored(core[(centre + d) % n], core[centre - d]):
+            d += 1
+        return d - 1
+
+    arms = [arm(i) for i in range(n) if core[i].gen == "b"]
+    assert max(arms) == n // 2 - 3 == arm(10_001)
+    verdict = gen3_torsion(conjugated(Word(PSL2Z, core), c))
+    assert verdict.tag == Verdict.NO and "mirror centre" in verdict.reason

@@ -1,7 +1,10 @@
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+import gentorsion
 from gentorsion.braid3 import CentralElement, normal_form, parse_braid
 from gentorsion.errors import TrivialElement, UnknownSuite
 from gentorsion.modular import gen3_product
@@ -99,7 +102,6 @@ def test_sweep_pslz_gen3_agreement():
     assert report.mismatches == ()
     assert report.checked == 13
     assert report.structural_yes == 4
-    assert report.unknown_with_oracle_yes == 0
 
 
 def test_sweep_b3_reversible_agreement():
@@ -148,3 +150,19 @@ def test_unknown_suite_rejected():
         "b3-conjugacy",
         "seifert-reversible",
     }
+
+
+def test_only_the_oracle_enumerates_words():
+    """Brute-force search lives in oracle.py; the deciders search nothing."""
+    calls, imports = set(), set()
+    for path in Path(gentorsion.__file__).parent.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        if "enumerate_reduced(" in text:
+            calls.add(path.name)
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and any(
+                alias.name == "enumerate_reduced" for alias in node.names
+            ):
+                imports.add(path.name)
+    assert calls == {"words.py", "oracle.py"}
+    assert imports == {"__init__.py", "oracle.py"}

@@ -22,6 +22,7 @@ from gentorsion.words import (
     identity,
     invert,
     is_conjugate,
+    mirror_centres,
     parse_scheme,
     parse_word,
     primitive_root,
@@ -409,6 +410,45 @@ def test_is_conjugate_gives_the_oracle_conjugator(scheme):
         assert is_conjugate(u, v) == old_is_conjugate(u, v)
 
     check()
+
+
+def old_mirror_centres(core, radius):
+    """Every centre of the first period, its mirror compared pair by pair."""
+    sylls, n = core.syllables, len(core)
+    period = len(primitive_root(Word(core.scheme, sylls)))
+    return [
+        c for c in range(period)
+        if all(
+            old_mul(Word(core.scheme, (sylls[(c + d) % n],)),
+                    Word(core.scheme, (sylls[(c - d) % n],))).is_identity
+            for d in range(1, radius + 1)
+        )
+    ]
+
+
+@pytest.mark.parametrize("scheme", [PSL2Z, MIXED], ids=["psl2z", "mixed"])
+def test_mirror_centres_match_the_pairwise_oracle(scheme):
+    @PROPERTY
+    @given(word_pairs(scheme))
+    def check(pair):
+        for w in pair:
+            if w.is_identity:
+                continue
+            core = CyclicWord.from_word(w)
+            for radius in range(len(core) // 2 + 1):
+                assert mirror_centres(core, radius) == old_mirror_centres(core, radius)
+
+    check()
+
+
+def test_mirror_centres_take_radii_up_to_half_the_core():
+    core = CyclicWord.from_word(w("a b a b^2"))
+    assert mirror_centres(core, 0) == [0, 1, 2, 3]
+    for radius in (-1, 3):
+        with pytest.raises(ValueError):
+            mirror_centres(core, radius)
+    # (a b a b^2)^2 repeats its mirrors with period 4
+    assert mirror_centres(CyclicWord.from_word(w("a b a b^2") ** 2), 3) == [0, 2]
 
 
 @PROPERTY
