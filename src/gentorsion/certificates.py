@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Callable, Mapping
 
 from .braid3 import CentralElement, gen3_relation, normal_form, parse_braid
-from .errors import GroupError, MalformedCertificate
+from .errors import GroupError, MalformedCertificate, UnsupportedBase
 from .modular import gen3_product
 from .seifert import SeifertGroup, gen_n_relation_holds, parse_seifert
 from .words import PSL2Z, Word, conjugated, invert, parse_word
@@ -212,7 +212,9 @@ def verify_certificate(payload) -> bool:
     Returns ``True`` when the relation holds and ``False`` when it does not
     (a tampered but well-formed certificate).  Raises
     :class:`MalformedCertificate` when the payload is not a dict, names an
-    unknown kind, or carries missing, mistyped, or unparseable fields.
+    unknown kind, or carries missing, mistyped, or unparseable fields, and
+    :class:`~gentorsion.errors.UnsupportedBase` when its Seifert data is
+    beyond what can be decided.
     """
     if not isinstance(payload, Mapping):
         raise MalformedCertificate("certificate must be a JSON object")
@@ -224,7 +226,7 @@ def verify_certificate(payload) -> bool:
         raise MalformedCertificate(f"unknown certificate kind {kind!r}")
     try:
         return checker(payload)
-    except MalformedCertificate:
+    except (MalformedCertificate, UnsupportedBase):
         raise
     except GroupError as exc:
         raise MalformedCertificate(f"{kind}: {exc}") from exc

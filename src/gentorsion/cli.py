@@ -31,6 +31,7 @@ from .seifert import (
     SurfaceException,
     TwoHalfTwists,
     classify_reversible_families,
+    gen_n_absent_reason,
     gen_n_certificate,
     parse_seifert,
     presentation,
@@ -218,18 +219,14 @@ def _handle_gen_torsion(args):
         data = parse_seifert(spec)
         found = gen_n_certificate(data, args.n)
         if found is None:
-            diagnostics = [
-                f"no exceptional fiber order shares a factor with n = {args.n}"
-            ]
+            diagnostics = [gen_n_absent_reason(data, args.n)]
             return {"verdict": "absent", "diagnostics": diagnostics}, EXIT_DECIDED
         cert = certificates.seifert_gen_n_certificate(spec, found)
-        result = {
-            "verdict": "yes",
-            "certificate": _verified(cert),
-            "diagnostics": [
-                f"fibers ({found.i}, {found.j}) with powers ({found.p}, {found.p_prime})"
-            ],
-        }
+        if found.flipping:
+            reason = f"phi({found.flipping}) = -1 inverts h and n = {args.n} is even"
+        else:
+            reason = f"fibers ({found.i}, {found.j}) with powers ({found.p}, {found.p_prime})"
+        result = {"verdict": "yes", "certificate": _verified(cert), "diagnostics": [reason]}
         return result, EXIT_DECIDED
     if args.n != 3:
         raise GroupError(

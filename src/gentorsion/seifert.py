@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from itertools import repeat
+from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
@@ -690,6 +692,10 @@ class GenNCertificate:
     The powers satisfy c_i^(n p) = h^M1 and c_j^(n p') = h^M2, so the
     product of the n conjugates by the listed conjugators telescopes to
     h^(M1 + M2 + n x) = 1.
+
+    A nonempty ``flipping`` names a letter f with phi(f) = -1 and n is even:
+    the element is h, its conjugates by f, f^2, ..., f^(n-1) alternate
+    h^-1, h, ..., h^-1, and i, j, p, p', x, M1 and M2 are 0.
     """
 
     n: int
@@ -703,6 +709,13 @@ class GenNCertificate:
     separating: str
     element: str
     conjugators: tuple[str, ...]
+    flipping: str = ""
+
+
+def _kept_letters(d: SeifertData, phi: int) -> list[str]:
+    """Handle and non-eliminated boundary generators with twist phi."""
+    kept = d.handle_generators() + d.boundary_generators()[:-1]
+    return [g for g in kept if d.phi_of(g) == phi]
 
 
 def _separating_letter(d: SeifertData, i: int, j: int) -> str:
@@ -710,62 +723,108 @@ def _separating_letter(d: SeifertData, i: int, j: int) -> str:
     if i != j:
         return ""
     names = [f"c{idx}" for idx in range(1, len(d.exceptional) + 1) if idx != j]
-    candidates = names + [
-        g
-        for g in d.handle_generators() + d.boundary_generators()[:-1]
-        if d.phi_of(g) == 1
-    ]
+    candidates = names + _kept_letters(d, 1)
     return candidates[0] if candidates else ""
 
 
-def gen_n_certificate(d: SeifertData, n: int) -> Optional[GenNCertificate]:
-    """Search exceptional pairs for a generalised n-torsion element.
+def _require_gen_n_base(d: SeifertData) -> None:
+    """Refuse a closed base whose orbifold Euler characteristic is positive.
 
-    Scans (i, j) with powers p, p' nontrivial modulo the fiber orders such
-    that c_i^(n p) and c_j^(n p') are fiber powers whose exponents M1, M2
-    allow an integer x with n x + M1 + M2 = 0; the least
-    (p + p', i, j, p, p') wins.  Returns None when the data admits no such
-    pair, which covers n coprime to every fiber order.
+    chi_orb = chi(base) - sum(1 - 1/mu_i) is compared with 0 after scaling
+    by lcm(mu_i).  Above 0 the base orbifold is spherical or bad and the
+    fiber can have finite order, so an element nontrivial in the drilled
+    group can be 1: (O,o,0|0;(4,1),(4,3)) is Z/16, where
+    c1^2 c2 c1^2 c2^-1 h^-1 = 1, and in (O,o,0|3) the fiber has order 3.
+    """
+    if d.boundary_count:
+        return
+    scale = lcm(*(mu for mu, _ in d.exceptional))
+    chi_base = 2 - (2 if d.base_orientable else 1) * d.genus_or_crosscaps
+    chi_orb = chi_base * scale - sum(scale - scale // mu for mu, _ in d.exceptional)
+    if chi_orb > 0:
+        raise UnsupportedBase(
+            "gen-n answers on a closed base need orbifold Euler characteristic "
+            f"<= 0, got {Fraction(chi_orb, scale)}"
+        )
+
+
+def gen_n_pair(d: SeifertData, n: int) -> Optional[tuple[int, int, int, int]]:
+    """The pair (i, j, p, p') of least key (p + p', i, j, p, p'), if any.
+
+    p must be nonzero modulo mu_i with c_i^(n p) a fiber power, so mu_i
+    divides n p: p = u mu_i / g_i with g_i = gcd(n, mu_i) and u not
+    divisible by g_i.  Shifting u by g_i moves p by mu_i, M1 = beta_i n p / mu_i
+    by beta_i n and p + p' by mu_i, which changes neither "p != 0 mod mu_i",
+    nor (M1 + M2) mod n, nor the i = j merge test; it only grows the key.
+    So the least key has u in [1, g_i) and, likewise, v in [1, g_j), and
+    the scan makes at most sum (g_i - 1)(g_j - 1) <= sum mu_i mu_j steps
+    for any n.
     """
     if n < 2:
         raise InvalidInvariant(f"generalised torsion needs n >= 2, got {n}")
+    _require_gen_n_base(d)
     best = None
     for i, (mu_i, beta_i) in enumerate(d.exceptional, start=1):
+        g_i = gcd(n, mu_i)
         for j, (mu_j, beta_j) in enumerate(d.exceptional, start=1):
-            separating = _separating_letter(d, i, j)
-            for p in range(1, n * mu_i + 1):
-                if (n * p) % mu_i or p % mu_i == 0:
-                    continue
-                m1 = beta_i * (n * p) // mu_i
-                for p_prime in range(1, n * mu_j + 1):
-                    if (n * p_prime) % mu_j or p_prime % mu_j == 0:
-                        continue
-                    if i == j and not separating and (p + p_prime) % mu_i == 0:
+            g_j = gcd(n, mu_j)
+            merges = i == j and not _separating_letter(d, i, j)
+            for u in range(1, g_i):
+                p = u * (mu_i // g_i)
+                m1 = beta_i * u * (n // g_i)
+                for v in range(1, g_j):
+                    p_prime = v * (mu_j // g_j)
+                    if merges and (p + p_prime) % mu_i == 0:
                         # both conjugates would merge into a fiber power
                         continue
-                    m2 = beta_j * (n * p_prime) // mu_j
-                    if (m1 + m2) % n:
+                    if (m1 + beta_j * v * (n // g_j)) % n:
                         continue
                     key = (p + p_prime, i, j, p, p_prime)
-                    if best is None or key < best[0]:
-                        best = (key, (i, j, p, p_prime, m1, m2))
-    if best is None:
-        return None
-    i, j, p, p_prime, m1, m2 = best[1]
-    x = -(m1 + m2) // n
-    separating = _separating_letter(d, i, j)
+                    if best is None or key < best:
+                        best = key
+    return None if best is None else best[1:]
 
-    def wrap(core: str) -> str:
-        if not separating:
-            return core
-        return f"{separating} {core} {separating}^-1"
 
-    element = " ".join(
-        filter(None, (_fmt(f"c{i}", p), wrap(_fmt(f"c{j}", p_prime)), _fmt("h", x)))
-    )
-    conjugators = tuple(
-        wrap(_fmt(f"c{j}", -l * p_prime)) for l in range(1, n)
-    )
+def gen_n_certificate(d: SeifertData, n: int) -> Optional[GenNCertificate]:
+    """A generalised n-torsion element with its n - 1 conjugators, if any.
+
+    The pair (i, j, p, p') comes from :func:`gen_n_pair`, a scan over the
+    residues of p and p' modulo the fiber orders that takes at most
+    sum mu_i mu_j steps whatever n is.  Failing a pair, an even n and a
+    handle or non-eliminated boundary generator f with phi(f) = -1 give the
+    element h.  The n - 1 conjugators are built and the relation
+    re-multiplied, which is linear in that output.  Returns None when
+    neither exists, which covers n coprime to every fiber order with no
+    flipping letter; a closed base with positive orbifold Euler
+    characteristic raises UnsupportedBase.
+    """
+    pair = gen_n_pair(d, n)
+    if pair is not None:
+        i, j, p, p_prime = pair
+        (mu_i, beta_i), (mu_j, beta_j) = d.exceptional[i - 1], d.exceptional[j - 1]
+        m1 = beta_i * (n * p) // mu_i
+        m2 = beta_j * (n * p_prime) // mu_j
+        x = -(m1 + m2) // n
+        separating = _separating_letter(d, i, j)
+
+        def wrap(core: str) -> str:
+            if not separating:
+                return core
+            return f"{separating} {core} {separating}^-1"
+
+        element = " ".join(
+            filter(None, (_fmt(f"c{i}", p), wrap(_fmt(f"c{j}", p_prime)), _fmt("h", x)))
+        )
+        conjugators = tuple(wrap(_fmt(f"c{j}", -l * p_prime)) for l in range(1, n))
+        flipping = ""
+    else:
+        flips = _kept_letters(d, -1)
+        if n % 2 or not flips:
+            return None
+        i = j = p = p_prime = x = m1 = m2 = 0
+        separating, flipping = "", flips[0]
+        element = "h"
+        conjugators = tuple(_fmt(flipping, l) for l in range(1, n))
     cert = GenNCertificate(
         n=n,
         i=i,
@@ -778,12 +837,57 @@ def gen_n_certificate(d: SeifertData, n: int) -> Optional[GenNCertificate]:
         separating=separating,
         element=element,
         conjugators=conjugators,
+        flipping=flipping,
     )
     if n * cert.x + cert.m1 + cert.m2 != 0:
         raise InvalidCertificate(f"fiber exponents fail n x + m1 + m2 = 0 for n = {n}")
     if not gen_n_relation_holds(d, cert.element, cert.conjugators):
         raise InvalidCertificate(f"gen-{n} relation fails for {cert.element!r}")
     return cert
+
+
+def gen_n_absent_reason(d: SeifertData, n: int) -> str:
+    """Why :func:`gen_n_certificate` found nothing for n."""
+    for i, (mu, _) in enumerate(d.exceptional, start=1):
+        shared = gcd(n, mu)
+        if shared > 1:
+            return (
+                f"fiber c{i} shares the factor {shared} with n = {n} but no "
+                "letter separates its two conjugates, so they merge into a "
+                "fiber power"
+            )
+    return f"no exceptional fiber order shares a factor with n = {n}"
+
+
+def _shown_nontrivial(d: SeifertData, element: str) -> bool:
+    """Whether element is h^x, x != 0, or a two-rotation c_i^p [k] c_j^p' [k^-1] h^x.
+
+    The second shape needs p and p' nonzero modulo the fiber orders and the
+    two fixed points kept apart: i != j, a letter k that is a handle
+    generator or another c_l, or else p + p' nonzero modulo mu_i.
+    """
+    tokens = []
+    for token in element.split():
+        m = _ELEMENT_TOKEN.match(token)
+        if not m:
+            return False
+        tokens.append((m.group(1), int(m.group(2) or 1)))
+    if tokens and tokens[-1][0] == "h":
+        if len(tokens) == 1:
+            return tokens[0][1] != 0
+        tokens.pop()
+    k = None
+    if len(tokens) == 4 and tokens[1] == (tokens[3][0], 1) and tokens[3][1] == -1:
+        k = tokens[1][0]
+        del tokens[1::2]
+    if len(tokens) != 2:
+        return False
+    orders = dict(zip(d.exceptional_generators(), (mu for mu, _ in d.exceptional)))
+    (ci, p), (cj, p_prime) = tokens
+    if ci not in orders or cj not in orders or p % orders[ci] == 0 or p_prime % orders[cj] == 0:
+        return False
+    separated = k in d.handle_generators() or (k in orders and k != ci)
+    return ci != cj or separated or (p + p_prime) % orders[ci] != 0
 
 
 def gen_n_relation_holds(d: SeifertData, element: str, conjugators: Sequence[str]) -> bool:
@@ -793,7 +897,27 @@ def gen_n_relation_holds(d: SeifertData, element: str, conjugators: Sequence[str
     the group drilled along one more fiber (boundaries=1).  That group maps
     onto the closed one by d1 -> 1, so a relation that holds there holds in
     the closed group too; d1 itself is not a generator of the closed group.
+
+    The drilled group cannot show g nontrivial in the closed group, so a
+    closed base must have orbifold Euler characteristic <= 0, and g one of
+    the shapes :func:`gen_n_certificate` builds; anything else raises
+    UnsupportedBase.  The orbifold group then acts on the Euclidean or
+    hyperbolic plane, and those shapes are nontrivial in the closed group:
+
+    * h has infinite order (Scott, "The geometries of 3-manifolds", 1983,
+      Lemma 3.2).
+    * c_i^p [k] c_j^p' [k^-1] h^x maps into the orbifold group as a
+      product of two nontrivial rotations, as p and p' are nonzero modulo
+      the cone orders.  c_i fixes a lift of cone point i, and k c_j k^-1 a
+      lift of cone point j.  When i = j, k is another c_l, which fixes a
+      lift of another cone point, or a handle generator, which survives in
+      the surface group where <c_i> dies; either way k is not in the
+      stabiliser <c_i>, so it moves the fixed point.  Rotations about
+      distinct points never multiply to 1.  Without such a k the image is
+      the one rotation c_i^(p + p'), nontrivial when p + p' is nonzero
+      modulo mu_i.
     """
+    _require_gen_n_base(d)
     if d.boundary_count:
         group = SeifertGroup(d)
     else:
@@ -808,4 +932,11 @@ def gen_n_relation_holds(d: SeifertData, element: str, conjugators: Sequence[str
     total = g
     for text in conjugators:
         total = group.mul(total, group.conjugated(g, group.element(text)))
-    return total.is_identity
+    if not total.is_identity:
+        return False
+    if not d.boundary_count and not _shown_nontrivial(d, element):
+        raise UnsupportedBase(
+            f"{element!r} is not of a shape shown nontrivial on a closed base: "
+            "h^x, or c_i^p [k] c_j^p' [k^-1] h^x"
+        )
+    return True

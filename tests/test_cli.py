@@ -6,6 +6,7 @@ import sys
 
 TREFOIL = "(O,o,0 | 1; (2,1),(3,1)); boundaries=1; phi: d1=+1"
 TWO_BOUNDARY = "(O,o,0 | 0; (4,1),(4,1)); boundaries=2; phi: d1=-1,d2=-1"
+THREE_BOUNDARY = "(O,o,0|0);boundaries=3;phi:d1=-1,d2=-1"
 
 
 def run_cli(*argv, stdin_text=None):
@@ -153,6 +154,38 @@ def test_seifert_gen_torsion_yes_and_absent():
     assert data["certificate"]["x"] == -1
     absent = run_json("gen-torsion", "--group", f"seifert:{TREFOIL}", "--n", "5")
     assert absent["verdict"] == "absent"
+    assert absent["diagnostics"] == ["no exceptional fiber order shares a factor with n = 5"]
+    merged = run_json("gen-torsion", "--group", "seifert:(O,o,0|0;(4,1));boundaries=1",
+                      "--n", "2")
+    assert merged["verdict"] == "absent"
+    assert merged["diagnostics"] == [
+        "fiber c1 shares the factor 2 with n = 2 but no letter separates its two "
+        "conjugates, so they merge into a fiber power"
+    ]
+
+
+def test_seifert_gen_torsion_of_the_fiber_under_a_flipping_letter():
+    reverser = run_json("reversible", "--group", f"seifert:{THREE_BOUNDARY}", "--word", "h")
+    assert reverser["certificate"]["reverser"] == "d1"
+    data = run_json("gen-torsion", "--group", f"seifert:{THREE_BOUNDARY}", "--n", "2")
+    assert data["verdict"] == "yes"
+    cert = data["certificate"]
+    assert (cert["element"], cert["conjugators"], cert["x"]) == ("h", ["d1"], 0)
+    assert data["diagnostics"] == ["phi(d1) = -1 inverts h and n = 2 is even"]
+
+
+def test_seifert_gen_torsion_refuses_closed_spherical_bases_under_python_dash_o():
+    lens = "(O,o,0|0;(4,1),(4,3))"
+    cert = {"kind": "seifert-gen-n", "data": lens, "n": 2,
+            "element": "c1^2 c2 c1^2 c2^-1 h^-1", "conjugators": ["c2 c1^-2 c2^-1"],
+            "x": -1, "m1": 1, "m2": 1}
+    for argv in (("gen-torsion", "--group", "seifert:(O,o,0|3)", "--n", "3"),
+                 ("gen-torsion", "--group", f"seifert:{lens}", "--n", "2"),
+                 ("verify", "--certificate", json.dumps(cert))):
+        proc = subprocess.run([sys.executable, "-O", "-m", "gentorsion", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1, (argv, proc.stdout)
+        assert json.loads(proc.stderr)["error_kind"] == "UnsupportedBase", argv
 
 
 def test_seifert_gen_torsion_rejects_word():
@@ -176,6 +209,7 @@ def test_every_emitted_certificate_passes_verify():
         ("gen-torsion", "--group", "pslz", "--word", "a b a b"),
         ("gen-torsion", "--group", "b3", "--word", "y s1 y s1^-1 s1 y s1^-1 H"),
         ("gen-torsion", "--group", f"seifert:{TREFOIL}", "--n", "3"),
+        ("gen-torsion", "--group", f"seifert:{THREE_BOUNDARY}", "--n", "4"),
         ("conjugate", "--group", "pslz", "--word", "a b", "--other", "b a"),
         ("conjugate", "--group", "b3", "--word", "s1", "--other", "s2"),
     )
@@ -239,6 +273,7 @@ def test_emitted_certificates_are_checked_under_python_dash_o():
         ("reversible", "--group", f"seifert:{TWO_BOUNDARY}", "--word", "h"),
         ("gen-torsion", "--group", "pslz", "--word", "a b a b"),
         ("gen-torsion", "--group", f"seifert:{TREFOIL}", "--n", "3"),
+        ("gen-torsion", "--group", f"seifert:{THREE_BOUNDARY}", "--n", "2"),
         ("conjugate", "--group", "pslz", "--word", "a b", "--other", "b a"),
     )
     for argv in commands:

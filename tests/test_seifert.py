@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from gentorsion.certificates import seifert_gen_n_certificate, verify_certificate
@@ -18,7 +20,10 @@ from gentorsion.seifert import (
     SurfaceException,
     TwoHalfTwists,
     classify_reversible_families,
+    _separating_letter,
+    _shown_nontrivial,
     gen_n_certificate,
+    gen_n_pair,
     gen_n_relation_holds,
     parse_seifert,
     presentation,
@@ -434,12 +439,13 @@ def test_gen_n_closed_base_arithmetic_only():
     assert cert.separating == "c2"
 
 
+# closed bases with orbifold Euler characteristic <= 0
 CLOSED_BASES = (
     GENUS_ONE,
     "(N,2 | 0; (2,1),(2,3))",
-    "(O,o,0|0;(4,1),(4,3))",
     "(N,2 | 0; (2,1),(2,1)); phi: x1=-1,x2=-1",
     "(O,o,2 | -1; (3,1),(6,1),(9,2))",
+    "(O,o,0 | 0; (2,1),(3,1),(6,1))",
 )
 
 
@@ -480,3 +486,159 @@ def test_closed_base_tampered_certificate_fails():
 def test_gen_n_rejects_small_n():
     with pytest.raises(InvalidInvariant):
         gen_n_certificate(parse_seifert(TREFOIL), 1)
+
+
+def reference_gen_n_pair(d, n):
+    """The quadratic scan over p <= n mu_i, p' <= n mu_j that gen_n_pair replaced."""
+    best = None
+    for i, (mu_i, beta_i) in enumerate(d.exceptional, start=1):
+        for j, (mu_j, beta_j) in enumerate(d.exceptional, start=1):
+            separating = _separating_letter(d, i, j)
+            for p in range(1, n * mu_i + 1):
+                if (n * p) % mu_i or p % mu_i == 0:
+                    continue
+                m1 = beta_i * (n * p) // mu_i
+                for p_prime in range(1, n * mu_j + 1):
+                    if (n * p_prime) % mu_j or p_prime % mu_j == 0:
+                        continue
+                    if i == j and not separating and (p + p_prime) % mu_i == 0:
+                        continue
+                    m2 = beta_j * (n * p_prime) // mu_j
+                    if (m1 + m2) % n:
+                        continue
+                    key = (p + p_prime, i, j, p, p_prime)
+                    if best is None or key < best:
+                        best = key
+    return None if best is None else best[1:]
+
+
+# one fiber is the only case in which the base decides the separating letter:
+# none, d1, none (d1 flips), b1, none (x1 flips), x1
+GRID_BASES = (
+    "(O,o,0 | 0; {}); boundaries=1",
+    "(O,o,0 | 0; {}); boundaries=2",
+    "(O,o,0 | 0; {}); boundaries=2; phi: d1=-1,d2=-1",
+    "(O,o,1 | 0; {}); boundaries=1; phi: a1=-1",
+    "(N,1 | 0; {}); boundaries=1; phi: x1=-1",
+    "(N,1 | 0; {}); boundaries=2",
+)
+
+
+def _grid():
+    single = [((mu, beta),) for mu in range(2, 9) for beta in range(1, mu)]
+    for fibers in single:
+        for base in GRID_BASES:
+            yield base, fibers
+    for k in (2, 3):
+        for orders in itertools.combinations_with_replacement(range(2, 9), k):
+            fibers = tuple((mu, 1 if idx % 2 == 0 else mu - 1) for idx, mu in enumerate(orders))
+            yield GRID_BASES[0], fibers
+            if k == 2:
+                yield GRID_BASES[4], fibers
+
+
+def test_gen_n_pair_matches_the_reference_scan():
+    cases = 0
+    for base, fibers in _grid():
+        spec = base.format(",".join(f"({mu},{beta})" for mu, beta in fibers))
+        d = parse_seifert(spec)
+        for n in range(2, 25):
+            assert gen_n_pair(d, n) == reference_gen_n_pair(d, n), (spec, n)
+            cases += 1
+    assert cases > 7000
+
+
+def test_gen_n_pair_does_not_depend_on_the_size_of_n():
+    assert gen_n_pair(parse_seifert(TREFOIL), 10**9) == (1, 1, 1, 1)
+    for spec in (TREFOIL, TWO_BOUNDARY, GENUS_ONE, "(O,o,0 | -1; (2,1),(3,1),(5,2)); boundaries=2",
+                 "(O,o,2 | -1; (3,1),(6,1),(9,2))", "(O,o,0 | 0; (8,3)); boundaries=1"):
+        d = parse_seifert(spec)
+        for n in (10**9, 10**18, 2 * 3 * 5 * 10**17, 7 * 10**18 + 1):
+            pair = gen_n_pair(d, n)
+            if pair is None:
+                continue
+            i, j, p, p_prime = pair
+            assert 0 < p < d.exceptional[i - 1][0] and 0 < p_prime < d.exceptional[j - 1][0]
+    assert gen_n_pair(parse_seifert(TREFOIL), 7 * 10**18 + 1) is None
+
+
+def test_gen_n_certificates_at_large_n_verify():
+    for spec, n in ((TREFOIL, 10**4), ("(O,o,0 | -1; (2,1),(3,1),(5,2)); boundaries=2", 6000),
+                    (GENUS_ONE, 4000)):
+        cert = gen_n_certificate(parse_seifert(spec), n)
+        assert len(cert.conjugators) == n - 1
+        assert verify_certificate(seifert_gen_n_certificate(spec, cert))
+
+
+def test_gen_n_refuses_closed_bases_of_positive_orbifold_euler_characteristic():
+    # (O,o,0|0;(4,1),(4,3)) is Z/16, where the pair element c1^2 c2 c1^2 c2^-1 h^-1
+    # is 1; (O,o,0|3) is <h | h^3>
+    lens = "(O,o,0|0;(4,1),(4,3))"
+    for spec in (lens, "(O,o,0|3)", "(N,1 | 0; (3,1))", "(O,o,0 | 1; (2,1),(3,1),(5,1))"):
+        for n in (2, 3, 6, 10):
+            with pytest.raises(UnsupportedBase):
+                gen_n_certificate(parse_seifert(spec), n)
+    cert = {
+        "kind": "seifert-gen-n",
+        "data": lens,
+        "n": 2,
+        "element": "c1^2 c2 c1^2 c2^-1 h^-1",
+        "conjugators": ["c2 c1^-2 c2^-1"],
+        "x": -1,
+        "m1": 1,
+        "m2": 1,
+    }
+    with pytest.raises(UnsupportedBase):
+        verify_certificate(cert)
+    # chi_orb = 0 is decided: the Euclidean (2,3,6) triangle orbifold and the torus
+    assert gen_n_certificate(parse_seifert("(O,o,0 | 0; (2,1),(3,1),(6,1))"), 2) is not None
+    assert gen_n_certificate(parse_seifert("(O,o,1 | 0)"), 2) is None
+
+
+def test_gen_n_fiber_inverted_by_a_flipping_letter():
+    for spec, letter in (("(O,o,0|0);boundaries=3;phi:d1=-1,d2=-1", "d1"),
+                         ("(N,1|0;(3,1));boundaries=1;phi:x1=-1", "x1"),
+                         (KLEIN, "x1")):
+        d = parse_seifert(spec)
+        if spec != KLEIN:
+            assert reversible_seifert("h", d).reverser == SeifertGroup(d).generator(letter)
+        for n in (2, 4, 10):
+            cert = gen_n_certificate(d, n)
+            assert (cert.element, cert.flipping) == ("h", letter)
+            assert (cert.x, cert.m1, cert.m2) == (0, 0, 0)
+            assert cert.conjugators == (letter,) + tuple(f"{letter}^{l}" for l in range(2, n))
+            assert verify_certificate(seifert_gen_n_certificate(spec, cert))
+        assert gen_n_certificate(d, 5) is None
+
+
+def test_closed_base_certificate_for_an_element_trivial_there_is_refused():
+    # w = a1 b1 a1^-1 b1^-1 c1 c2 is the long relator, so g = w c1^2 w^-1 c1^-2
+    # is 1 in the closed group; in the drilled group w = d1^-1 and g is a
+    # nontrivial reversible element
+    w, w_inv = "a1 b1 a1^-1 b1^-1 c1 c2", "c2^-1 c1^-1 b1 a1 b1^-1 a1^-1"
+    cert = {
+        "kind": "seifert-gen-n",
+        "data": GENUS_ONE,
+        "n": 2,
+        "element": f"{w} c1^2 {w_inv} c1^-2",
+        "conjugators": [f"{w} c1^2 c2^3 c1^3 b1 a1 b1^-1 a1^-1"],
+        "x": 0,
+        "m1": 0,
+        "m2": 0,
+    }
+    drilled = {**cert, "data": GENUS_ONE.replace("boundaries=0", "boundaries=1")}
+    assert verify_certificate(drilled)
+    with pytest.raises(UnsupportedBase):
+        verify_certificate(cert)
+
+
+def test_shapes_shown_nontrivial_on_a_closed_base():
+    d = parse_seifert(GENUS_ONE)
+    for element, shown in (
+        ("h", True), ("h^-3", True), ("h^0", False),
+        ("c1^2 c2 c1^2 c2^-1 h^-1", True), ("c1 c2 h^-1", True), ("c1 c1^2 h^0", True),
+        ("c1^2 a1 c1^2 a1^-1", True), ("c1^2 c1 c1^2 c1^-1 h", False),
+        ("c1^2 h c1^2 h^-1", False), ("c1^2 c1^2 h^-1", False), ("c1^4 c2 h", False),
+        ("c1 c2^-4", False), ("a1 c2", False), ("c1 c2 c1", False), ("1", False),
+    ):
+        assert _shown_nontrivial(d, element) is shown, element
