@@ -6,16 +6,18 @@ therefore has a unique normal form h^m * section(q) where q is a reduced
 word over ``a:2, b:3`` and the section lifts a to x and b^e to y^e.
 B3 is the fundamental group of the trefoil complement, the Seifert group
 (O,o,0 | 0; (2,1),(3,1)); boundaries=1 with x, y as c1, c2, so its
-arithmetic is that group's engine, :class:`~gentorsion.seifert.CentralExtension`.
+arithmetic is that group's engine, :class:`~gentorsion.seifert.CentralExtension`,
+and a normal form is that group's :class:`~gentorsion.seifert.SeifertPair`.
 
 The extension makes three decisions exact.  Writing e for the exponent-sum
 homomorphism (s1, s2 -> 1), two braids with the same quotient image and the
 same exponent sum are equal, since e(h) = 6 separates the central powers.
 Hence: conjugacy holds iff exponent sums agree and images are conjugate;
-reversibility holds iff the exponent sum is zero and the image is
-reversible; and a product of three conjugates of g prescribed by a quotient
-certificate equals h^(e(g)/2), so g is generalised 3-torsion iff e(g) = 0
-and its image is generalised 3-torsion in PSL(2,Z).
+reversibility is the Seifert groups' one lift of a quotient reverser, whose
+central defect e(g)/3 vanishes iff e(g) = 0; and a product of three
+conjugates of g prescribed by a quotient certificate equals h^(e(g)/2), so
+g is generalised 3-torsion iff e(g) = 0 and its image is generalised
+3-torsion in PSL(2,Z).
 """
 
 from __future__ import annotations
@@ -27,13 +29,12 @@ from typing import Iterator, Optional, Union
 
 from .errors import InvalidCertificate, ParseError, TrivialElement
 from .modular import Verdict, gen3_torsion
-from .seifert import CentralExtension, Piece
+from .seifert import CentralExtension, Piece, SeifertPair
 from .words import (
     PSL2Z,
     CyclicWord,
     Syllable,
     Word,
-    conjugate_to_inverse,
     identity,
     invert,
     is_conjugate,
@@ -104,16 +105,8 @@ def parse_braid(text: str) -> BraidWord:
 _B3 = CentralExtension(PSL2Z, beta={"a": 1, "b": 1}, phi={})
 
 
-@dataclass(frozen=True)
-class CentralElement:
-    """The normal form h^m * section(q) of a braid."""
-
-    m: int
-    q: Word
-
-    @property
-    def is_identity(self) -> bool:
-        return self.m == 0 and self.q.is_identity
+class CentralElement(SeifertPair):
+    """The normal form h^m * section(q) of a braid, with the B3 operators."""
 
     def __mul__(self, other: "CentralElement") -> "CentralElement":
         return CentralElement(*_B3.product(self.m, self.q, ((other.m, other.q.syllables),)))
@@ -142,9 +135,6 @@ class CentralElement:
         for s in self.q.syllables:
             letters.append(("x", 1) if s.gen == "a" else ("y", s.exp))
         return BraidWord(tuple(letters))
-
-    def __str__(self) -> str:
-        return f"(h^{self.m}, {self.q})"
 
 
 def _word(text: str) -> Word:
@@ -232,24 +222,27 @@ class B3Reversibility:
 def reversible_b3(g: Union[BraidWord, CentralElement]) -> Optional[B3Reversibility]:
     """Decide whether g is conjugate to its inverse in B3.
 
-    The decision is exact: the exponent sum is zero and the image is
-    reversible.  The image is then a product of two involutions, conjugate
-    to [a, k0] = a k0 a k0^-1, so its cyclic core mirrors itself to its
-    inverse around an a-syllable out to half its length L, and k0 is the
-    L/2 - 1 syllables after that centre.  Among the centres the witness
-    takes the first k0 in enumerate_reduced order.
+    B3 is a Seifert group, so the decision is the Seifert groups' one lift
+    (:meth:`~gentorsion.seifert.CentralExtension.lift_reverser`): the image
+    must be reversible and the lifted reverser must leave defect 0.  That
+    defect is e(g)/3, since conjugation keeps the exponent sum and
+    inversion negates it, so g is reversible exactly when e(g) = 0 and its
+    image is reversible.  The image is then a product of two involutions,
+    conjugate to [a, k0] = a k0 a k0^-1, so its cyclic core mirrors itself
+    to its inverse around an a-syllable out to half its length L, and k0
+    is the L/2 - 1 syllables after that centre.  Among the centres the
+    witness takes the first k0 in enumerate_reduced order.
     """
     n = normal_form(g)
     if n.is_identity:
         raise TrivialElement("reversibility is considered for nontrivial braids")
-    if n.exponent_sum != 0:
+    if n.q.is_identity:
+        # the fiber h is central, so its nontrivial powers are not reversible
         return None
-    rho = conjugate_to_inverse(n.q)
-    if rho is None:
+    lift = _B3.lift_reverser(n.m, n.q)
+    if lift is None or lift[1]:
         return None
-    r = CentralElement(0, rho)
-    if n.conjugated_by(r) != n.inverse():
-        raise InvalidCertificate("lifted reverser failed its check")
+    r = CentralElement(0, lift[0])
 
     cyclic = CyclicWord.from_word(n.q)
     core, half = cyclic.syllables, len(cyclic) // 2

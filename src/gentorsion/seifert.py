@@ -16,6 +16,11 @@ h^m * section(q).  Since h is only phi-twisted central, pushing the fiber
 through a word flips its exponent by the product of the phi values it
 crosses; merging c-syllables spills beta-weighted fiber powers.  That
 arithmetic is :class:`CentralExtension`, which the braid group B3 shares.
+
+Reversibility is found in the quotient and lifted once, for B3 as well: a
+reversible image is elliptic or a product of two involutions (Lyndon-Schupp
+IV.1.6), so every lift of every quotient reverser conjugates g to the same
+h^t g^-1, and g is reversible exactly when t = 0.
 """
 
 from __future__ import annotations
@@ -40,10 +45,8 @@ from .words import (
     Syllable,
     Word,
     conjugate_to_inverse,
-    cyclic_reduce,
     identity,
     invert,
-    primitive_root,
     reduce,
 )
 
@@ -392,6 +395,24 @@ class CentralExtension:
             (m, q), n = self.inverse(m, q), -n
         return self.product(0, identity(self.scheme), repeat((m, q.syllables), n))
 
+    def lift_reverser(self, m: int, q: Word) -> Optional[tuple[Word, int]]:
+        """A quotient reverser rho of q and the central defect of its lift.
+
+        The defect t is the fiber power with (0, rho) (m, q) (0, rho)^-1 =
+        h^t (m, q)^-1, so (0, rho) reverses (m, q) exactly when t = 0.
+        Returns None when q is not conjugate to its inverse, and raises
+        InvalidCertificate when the conjugate's image is not q^-1.
+        """
+        rho = conjugate_to_inverse(q)
+        if rho is None:
+            return None
+        r_m, r_q = self.inverse(0, rho)
+        got_m, got_q = self.product(0, rho, ((m, q.syllables), (r_m, r_q.syllables)))
+        inv_m, inv_q = self.inverse(m, q)
+        if got_q != inv_q:
+            raise InvalidCertificate(f"quotient reverser {rho} does not invert the image")
+        return rho, got_m - inv_m
+
 
 class SeifertGroup(CentralExtension):
     """Central-form arithmetic for data with at least one boundary component."""
@@ -482,31 +503,25 @@ class SeifertReversibility:
     normal_form: SeifertPair
 
 
-def _defect(group: SeifertGroup, p: SeifertPair, rho: Word, p_inv: SeifertPair) -> int:
-    got = group.conjugated(p, SeifertPair(0, rho))
-    if got.q != p_inv.q:
-        raise InvalidCertificate(f"quotient reverser {rho} does not invert the image")
-    return got.m - p_inv.m
-
-
-def _lift_shift(defect: int, phi_q: int) -> Optional[int]:
-    """The h-power s making h^s rho a reverser, if any."""
-    if phi_q == 1:
-        return 0 if defect == 0 else None
-    return -defect // 2 if defect % 2 == 0 else None
-
-
 def reversible_seifert(
     g: Union[str, SeifertPair], d: SeifertData
 ) -> SeifertReversibility:
     """Decide reversibility in the fundamental group for boundary data.
 
     Powers of the fiber are reversible exactly when phi is nontrivial.
-    Anything else must have an image conjugate to its inverse in the
-    quotient; the reversers down there form a coset of the centralizer,
-    and the central defect of their lifts moves through that coset in an
-    arithmetic progression (period two when the centralizer generator
-    flips the fiber), so a zero-defect lift is found or refuted exactly.
+    Anything else is decided by one lift: the image q must be reversible
+    in the quotient, by rho = conjugate_to_inverse(q), and g is reversible
+    exactly when (0, rho) leaves central defect 0
+    (:meth:`CentralExtension.lift_reverser`), with (0, rho) as reverser.
+
+    No other reverser can do better.  A reversible element of a free
+    product of cyclic groups is elliptic or a product of two involutions
+    (Lyndon-Schupp, *Combinatorial Group Theory*, IV.1.6), and these are
+    conjugate into the finite factors c_i, where phi = +1.  So phi(q) = +1,
+    and the primitive root of q, again elliptic or a product of two
+    involutions, has phi = +1 too.  The quotient reversers form the coset
+    rho <root>; a lift of the root commutes with g, and so does any h^s as
+    phi(q) = +1, so every lift of every reverser leaves the same defect.
     """
     group = SeifertGroup(d)
     p = group.element(g) if isinstance(g, str) else g
@@ -517,95 +532,22 @@ def reversible_seifert(
         for name in d.handle_generators() + d.boundary_generators():
             if d.phi_of(name) == -1:
                 reverser = group.generator(name)
-                flipped = group.conjugated(p, reverser)
-                if flipped != group.inv(p):
+                if group.conjugated(p, reverser) != group.inv(p):
                     raise InvalidCertificate(f"{name} does not invert the fiber power")
-                return SeifertReversibility(
-                    True, reverser, f"phi({name}) = -1 inverts the fiber", p
-                )
-        return SeifertReversibility(
-            False,
-            None,
-            "phi is trivial, so conjugation preserves every power of the fiber",
-            p,
-        )
+                reason = f"phi({name}) = -1 inverts the fiber"
+                return SeifertReversibility(True, reverser, reason, p)
+        reason = "phi is trivial, so conjugation preserves every power of the fiber"
+        return SeifertReversibility(False, None, reason, p)
 
-    rho0 = conjugate_to_inverse(p.q)
-    if rho0 is None:
-        return SeifertReversibility(
-            False, None, "the image is not conjugate to its inverse in the quotient", p
-        )
-    p_inv = group.inv(p)
-    phi_q = group.phi_word(p.q)
-    root = primitive_root(p.q)
-
-    def finish(rho: Word, defect: int) -> Optional[SeifertReversibility]:
-        s = _lift_shift(defect, phi_q)
-        if s is None:
-            return None
-        reverser = SeifertPair(s, rho)
-        if group.conjugated(p, reverser) != p_inv:
-            raise InvalidCertificate("lifted reverser failed its check")
-        return SeifertReversibility(True, reverser, "zero-defect lifted reverser", p)
-
-    core, _ = cyclic_reduce(p.q)
-    core_order = (
-        group._order[core.syllables[0].gen] if len(core.syllables) == 1 else None
-    )
-    if core_order is not None:
-        # finite cyclic centralizer: scan it outright
-        defects = []
-        for j in range(core_order):
-            rho = rho0 * root ** j
-            t = _defect(group, p, rho, p_inv)
-            defects.append(t)
-            result = finish(rho, t)
-            if result is not None:
-                return result
-        return SeifertReversibility(
-            False,
-            None,
-            f"central defects {defects} over the reverser coset never admit a lift",
-            p,
-        )
-
-    phi_root = group.phi_word(root)
-    t0 = _defect(group, p, rho0, p_inv)
-    if phi_root == -1:
-        # conjugating twice by the root is the identity on p: period two
-        for j in (0, 1):
-            rho = rho0 * root ** j
-            t = _defect(group, p, rho, p_inv)
-            result = finish(rho, t)
-            if result is not None:
-                return result
-        return SeifertReversibility(
-            False, None, "both defect classes of the period-2 coset obstruct", p
-        )
-    t1 = _defect(group, p, rho0 * root, p_inv)
-    step = t1 - t0
-    if phi_q == 1:
-        if step == 0:
-            j = 0 if t0 == 0 else None
-        else:
-            j = -t0 // step if t0 % step == 0 else None
-    else:
-        if step % 2:
-            j = 0 if t0 % 2 == 0 else 1
-        else:
-            j = 0 if t0 % 2 == 0 else None
-    if j is not None:
-        rho = rho0 * root ** j
-        t = _defect(group, p, rho, p_inv)
-        result = finish(rho, t)
-        if result is not None:
-            return result
-    return SeifertReversibility(
-        False,
-        None,
-        f"the defect progression {t0} + j*{step} never reaches a liftable value",
-        p,
-    )
+    lift = group.lift_reverser(p.m, p.q)
+    if lift is None:
+        reason = "the image is not conjugate to its inverse in the quotient"
+        return SeifertReversibility(False, None, reason, p)
+    rho, defect = lift
+    if defect:
+        reason = f"every lifted reverser leaves the central defect h^{defect}"
+        return SeifertReversibility(False, None, reason, p)
+    return SeifertReversibility(True, SeifertPair(0, rho), "zero-defect lifted reverser", p)
 
 
 # -- symbolic families ------------------------------------------------

@@ -416,6 +416,19 @@ def abelian_image(w: Word) -> dict[str, int]:
     return sums
 
 
+def _period(sylls: tuple[Syllable, ...]) -> int:
+    """The least p > 0 with sylls a power of sylls[:p]; sylls nonempty.
+
+    That is the first offset above 0 of sylls in sylls + sylls, so one
+    ``str.find`` over the syllables' codes gives it.
+    """
+    codes: dict[tuple[str, int], int] = {}
+    p = [codes.setdefault((s.gen, s.exp), len(codes)) for s in sylls]
+    text = "".join(map(chr, p)) if len(codes) <= _MAX_CODE else _wide(p)
+    step = len(text) // len(p)
+    return (text + text).find(text, step) // step
+
+
 def primitive_root(w: Word) -> Word:
     """The generator of the centralizer of a nontrivial element.
 
@@ -430,15 +443,7 @@ def primitive_root(w: Word) -> Word:
     if len(sylls) == 1:
         root = Word(w.scheme, (Syllable(sylls[0].gen, 1),))
     else:
-        n = len(sylls)
-        root = Word(w.scheme, sylls)
-        for block_len in range(1, n):
-            if n % block_len:
-                continue
-            block = sylls[:block_len]
-            if block * (n // block_len) == sylls:
-                root = Word(w.scheme, block)
-                break
+        root = Word(w.scheme, sylls[:_period(sylls)])
     return p * root * invert(p)
 
 
@@ -493,7 +498,7 @@ def mirror_centres(core: CyclicWord, radius: int) -> list[int]:
         arm[q] = r
         if q + r > hi:
             lo, hi = q - r, q + r
-    period = len(primitive_root(Word(core.scheme, sylls)))
+    period = _period(sylls)
     # the window of centre c is centred at text[2c + radius + 1]
     return [c for c in range(period) if arm[2 * c + radius + 1] >= radius - 1]
 

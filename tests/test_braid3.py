@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gentorsion.braid3 import (
     B3Gen3Verdict,
@@ -19,6 +21,7 @@ from gentorsion.braid3 import (
 from gentorsion.braid3 import reversible_b3
 from gentorsion.errors import ParseError, TrivialElement
 from gentorsion.modular import Verdict
+from gentorsion.seifert import SeifertGroup, SeifertPair, parse_seifert, reversible_seifert
 from gentorsion.words import (
     PSL2Z,
     Syllable,
@@ -28,6 +31,7 @@ from gentorsion.words import (
     identity,
     is_conjugate,
     parse_word,
+    reduce,
 )
 
 
@@ -351,3 +355,55 @@ def test_reversible_b3_on_a_twenty_thousand_syllable_image():
     assert len(witness.q) == 9_999
     assert (x * witness * x.inverse() * witness.inverse()).conjugated_by(conjugator) == g
     assert g.conjugated_by(normal_form(rev.reverser)) == g.inverse()
+
+
+# -- B3 against the trefoil group it is ------------------------------------
+
+TREFOIL = parse_seifert("(O,o,0 | 0; (2,1),(3,1)); boundaries=1")
+TREFOIL_GROUP = SeifertGroup(TREFOIL)
+
+
+def _to_trefoil(g):
+    names = {"a": "c1", "b": "c2"}
+    q = Word(TREFOIL_GROUP.scheme, tuple(Syllable(names[s.gen], s.exp) for s in g.q.syllables))
+    return SeifertPair(g.m, q)
+
+
+def _to_b3(p):
+    names = {"c1": "a", "c2": "b"}
+    q = Word(PSL2Z, tuple(Syllable(names[s.gen], s.exp) for s in p.q.syllables))
+    return CentralElement(p.m, q)
+
+
+def _image_words(max_size):
+    raw = st.lists(st.tuples(st.sampled_from("ab"), st.integers(-2, 2)), max_size=max_size)
+    return raw.map(lambda pairs: reduce(pairs, PSL2Z))
+
+
+@st.composite
+def b3_elements(draw):
+    """(m, q) with m in [-3, 3] and q of at most 9 syllables, or a conjugated
+    commutator [x, k0], reversible in B3, times h^s with s in {0, 1, -2}."""
+    if draw(st.booleans()):
+        return CentralElement(draw(st.integers(-3, 3)), draw(_image_words(9)))
+    k0 = CentralElement(0, draw(_image_words(3)))
+    c = CentralElement(0, draw(_image_words(2)))
+    x = CentralElement(0, w("a"))
+    g = (x * k0 * x.inverse() * k0.inverse()).conjugated_by(c)
+    return CentralElement(g.m + draw(st.sampled_from((0, 0, 1, -2))), g.q)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(b3_elements())
+def test_reversible_b3_agrees_with_the_trefoil_group(g):
+    if g.is_identity:
+        return
+    p = _to_trefoil(g)
+    in_b3, in_trefoil = reversible_b3(g), reversible_seifert(p, TREFOIL)
+    assert (in_b3 is not None) == in_trefoil.reversible, str(g)
+    if in_b3 is None:
+        return
+    r = _to_trefoil(normal_form(in_b3.reverser))
+    assert TREFOIL_GROUP.conjugated(p, r) == TREFOIL_GROUP.inv(p)
+    r = _to_b3(in_trefoil.reverser)
+    assert g.conjugated_by(r) == g.inverse()

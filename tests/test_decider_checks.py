@@ -64,7 +64,7 @@ CASES = {
         "braid3.reversible_b3(braid3.parse_braid('s1 S2'))",
     ),
     "braid3.reversible_b3": (
-        "gentorsion.braid3.conjugate_to_inverse",
+        "gentorsion.seifert.conjugate_to_inverse",
         "parse_word(PSL2Z, 'b')",
         "braid3.reversible_b3(braid3.parse_braid('s1 S2'))",
     ),

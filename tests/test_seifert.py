@@ -4,6 +4,7 @@ import pytest
 
 from gentorsion.certificates import seifert_gen_n_certificate, verify_certificate
 from gentorsion.errors import (
+    InvalidCertificate,
     InvalidInvariant,
     MalformedCertificate,
     ParseError,
@@ -17,6 +18,7 @@ from gentorsion.seifert import (
     SeifertData,
     SeifertGroup,
     SeifertPair,
+    SeifertReversibility,
     SurfaceException,
     TwoHalfTwists,
     classify_reversible_families,
@@ -30,7 +32,14 @@ from gentorsion.seifert import (
     quotient_scheme,
     reversible_seifert,
 )
-from gentorsion.words import Word, enumerate_reduced, parse_word
+from gentorsion.words import (
+    Word,
+    conjugate_to_inverse,
+    cyclic_reduce,
+    enumerate_reduced,
+    parse_word,
+    primitive_root,
+)
 
 TREFOIL = "(O,o,0 | 1; (2,1),(3,1)); boundaries=1; phi: d1=+1"
 TWO_BOUNDARY = "(O,o,0 | 0; (4,1),(4,1)); boundaries=2; phi: d1=-1,d2=-1"
@@ -239,7 +248,7 @@ def test_half_twist_lift_alone_is_not_reversible():
     d = parse_seifert(TREFOIL)
     r = reversible_seifert("c1", d)
     assert not r.reversible
-    assert "never admit a lift" in r.reason
+    assert r.reason == "every lifted reverser leaves the central defect h^1"
     d2 = parse_seifert(TWO_BOUNDARY)
     assert not reversible_seifert("c1^2", d2).reversible
 
@@ -279,19 +288,18 @@ def test_fiber_shift_obstructs_reversibility():
     assert reversible_seifert("c1^2 c2^-2", d).reversible
     r = reversible_seifert("h c1^2 c2^-2", d)
     assert not r.reversible
-    assert "defect progression" in r.reason
+    assert r.reason == "every lifted reverser leaves the central defect h^2"
 
 
 def test_flipping_reverser_consumes_fiber_shift():
-    # phi(q) = -1 lets h^s absorb any even central defect
     d = parse_seifert(TWO_BOUNDARY)
     G = SeifertGroup(d)
     assert not reversible_seifert("d1^2", d).reversible
     g = G.element("c1^2 d1 h c1^2 d1^-1")
+    assert G.phi_word(g.q) == 1
     rr = reversible_seifert(g, d)
-    if rr.reversible:
-        assert G.conjugated(g, rr.reverser) == G.inv(g)
-        assert rr.reverser.m != 0 or G.phi_word(rr.reverser.q) == 1
+    assert not rr.reversible
+    assert rr.reason == "every lifted reverser leaves the central defect h^-2"
 
 
 def test_free_generator_not_reversible():
@@ -342,6 +350,136 @@ def test_reverser_is_validated_whenever_reported():
                 found += 1
                 assert G.conjugated(p, r.reverser) == G.inv(p)
     assert found >= 3
+
+
+# -- the one lift against the three-branch decider it replaced -------------
+
+
+def _reference_defect(group, p, rho, p_inv):
+    got = group.conjugated(p, SeifertPair(0, rho))
+    if got.q != p_inv.q:
+        raise InvalidCertificate(f"quotient reverser {rho} does not invert the image")
+    return got.m - p_inv.m
+
+
+def _reference_lift_shift(defect, phi_q):
+    if phi_q == 1:
+        return 0 if defect == 0 else None
+    return -defect // 2 if defect % 2 == 0 else None
+
+
+def reference_reversible_seifert(p, d):
+    """reversible_seifert as it was: three lifts through the reverser coset.
+
+    A single-syllable core had its finite centralizer scanned outright; a
+    root with phi = -1 gave a period-2 coset; otherwise the defect moved in
+    an arithmetic progression along rho0 root^j, solved for a zero.
+    """
+    group = SeifertGroup(d)
+    if p.q.is_identity:
+        return reversible_seifert(p, d)
+    rho0 = conjugate_to_inverse(p.q)
+    if rho0 is None:
+        return SeifertReversibility(
+            False, None, "the image is not conjugate to its inverse in the quotient", p
+        )
+    p_inv = group.inv(p)
+    phi_q = group.phi_word(p.q)
+    root = primitive_root(p.q)
+
+    def finish(rho, defect):
+        s = _reference_lift_shift(defect, phi_q)
+        if s is None:
+            return None
+        reverser = SeifertPair(s, rho)
+        assert group.conjugated(p, reverser) == p_inv
+        return SeifertReversibility(True, reverser, "zero-defect lifted reverser", p)
+
+    core, _ = cyclic_reduce(p.q)
+    if len(core) == 1:
+        for j in range(group.scheme.order(core.syllables[0].gen)):
+            rho = rho0 * root ** j
+            result = finish(rho, _reference_defect(group, p, rho, p_inv))
+            if result is not None:
+                return result
+        return SeifertReversibility(False, None, "finite centralizer", p)
+    if group.phi_word(root) == -1:
+        for j in (0, 1):
+            rho = rho0 * root ** j
+            result = finish(rho, _reference_defect(group, p, rho, p_inv))
+            if result is not None:
+                return result
+        return SeifertReversibility(False, None, "period two", p)
+    t0 = _reference_defect(group, p, rho0, p_inv)
+    step = _reference_defect(group, p, rho0 * root, p_inv) - t0
+    if phi_q == 1:
+        if step == 0:
+            j = 0 if t0 == 0 else None
+        else:
+            j = -t0 // step if t0 % step == 0 else None
+    else:
+        j = (0 if t0 % 2 == 0 else 1) if step % 2 else (0 if t0 % 2 == 0 else None)
+    if j is not None:
+        rho = rho0 * root ** j
+        result = finish(rho, _reference_defect(group, p, rho, p_inv))
+        if result is not None:
+            return result
+    return SeifertReversibility(False, None, "defect progression", p)
+
+
+# phi = -1 handles, boundaries and crosscaps, and three fibers
+REFERENCE_DATA = (
+    TREFOIL,
+    TWO_BOUNDARY,
+    "(O,o,1 | 0; (4,1),(4,1)); boundaries=1; phi: a1=-1,b1=+1",
+    "(N,1 | 0; (2,1),(4,1)); boundaries=1; phi: x1=-1",
+    "(O,o,0 | -1; (2,1),(4,1),(4,3)); boundaries=3; phi: d1=-1,d2=-1",
+)
+
+
+def _reference_grid(d, group):
+    """Every reduced word of at most 3 syllables, commutators and half-twists."""
+    words = list(enumerate_reduced(group.scheme, 3, max_exponent=2))
+    letters = [q for q in words if len(q) == 1]
+    for q in words:
+        for m in (-2, -1, 0, 1, 3):
+            yield SeifertPair(m, q)
+    one = [SeifertPair(0, q) for q in letters]
+    ks = [SeifertPair(0, q) for q in words if len(q) == 2][::7]
+    for u, v in itertools.product(one, one):
+        comm = group.mul(group.mul(u, v), group.inv(group.mul(v, u)))
+        for k in ks[:3]:
+            yield group.conjugated(comm, k)
+    halves = [group.pow(group.generator(c), mu // 2)
+              for c, (mu, _) in zip(d.exceptional_generators(), d.exceptional) if mu % 2 == 0]
+    for a, b in itertools.product(halves, halves):
+        for k in [group.one] + one:
+            for sign in (1, -1):
+                twist = group.mul(a, group.conjugated(group.pow(b, sign), k))
+                for m in (0, 1):
+                    yield group.mul(SeifertPair(m, group.one.q), twist)
+
+
+def test_one_lift_matches_the_three_branch_decider():
+    old_reasons = {"finite centralizer", "period two", "defect progression"}
+    images = answers = 0
+    for spec in REFERENCE_DATA:
+        d = parse_seifert(spec)
+        group = SeifertGroup(d)
+        for p in _reference_grid(d, group):
+            if p.is_identity:
+                continue
+            got, expected = reversible_seifert(p, d), reference_reversible_seifert(p, d)
+            assert (got.reversible, got.reverser, got.normal_form) == (
+                expected.reversible, expected.reverser, expected.normal_form), (spec, str(p))
+            if expected.reason in old_reasons:
+                assert got.reason.startswith("every lifted reverser leaves"), (spec, str(p))
+            else:
+                assert got.reason == expected.reason, (spec, str(p))
+            if not p.q.is_identity and conjugate_to_inverse(p.q) is not None:
+                images += 1
+                answers += got.reversible
+    assert images >= 1000 and answers >= 50, (images, answers)
 
 
 def test_classify_trefoil_single_family():

@@ -412,6 +412,31 @@ def test_is_conjugate_gives_the_oracle_conjugator(scheme):
     check()
 
 
+def old_primitive_root(w):
+    """primitive_root as it was: the first block length dividing the core."""
+    core, p = old_cyclic_core(w)
+    sylls, n = core.syllables, len(core)
+    if n == 1:
+        root = Word(w.scheme, (Syllable(sylls[0].gen, 1),))
+    else:
+        block_len = next(b for b in range(1, n + 1)
+                         if n % b == 0 and sylls[:b] * (n // b) == sylls)
+        root = Word(w.scheme, sylls[:block_len])
+    return old_mul(old_mul(p, root), old_invert(p))
+
+
+@pytest.mark.parametrize("scheme", [PSL2Z, MIXED], ids=["psl2z", "mixed"])
+def test_primitive_root_matches_the_divisor_loop(scheme):
+    @PROPERTY
+    @given(word_pairs(scheme))
+    def check(pair):
+        for w in pair:
+            if not w.is_identity:
+                assert primitive_root(w) == old_primitive_root(w)
+
+    check()
+
+
 def old_mirror_centres(core, radius):
     """Every centre of the first period, its mirror compared pair by pair."""
     sylls, n = core.syllables, len(core)
@@ -492,8 +517,11 @@ def test_rotation_search_encodes_huge_alphabets_in_two_code_points(monkeypatch):
     cases.append((u, invert(u)))
     expected = [is_conjugate(u, v) for u, v in cases]
     assert expected[-2] is not None and expected[-1] is None
+    powers = [g for u, _ in cases for g in (u, u ** 2, u ** 3) if not g.is_identity]
+    roots = [primitive_root(g) for g in powers]
     monkeypatch.setattr(words, "_MAX_CODE", 0)
     assert [is_conjugate(u, v) for u, v in cases] == expected
+    assert [primitive_root(g) for g in powers] == roots
 
 
 def test_scheme_lookup_tables_stay_out_of_equality():
