@@ -129,12 +129,10 @@ def _handle_classify(args):
     if kind != "pslz":
         raise GroupError("classify supports only --group pslz")
     word = parse_word(PSL2Z, _require_word(args))
-    matrix = to_matrix(word)
-    trace = matrix.m11 + matrix.m22
     result = {
         "verdict": classify(word).value,
         "normal_form": str(word),
-        "diagnostics": [f"absolute trace {abs(trace)}"],
+        "diagnostics": [f"absolute trace {abs(to_matrix(word).trace)}"],
     }
     return result, EXIT_DECIDED
 

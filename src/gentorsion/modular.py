@@ -1,10 +1,10 @@
 """The modular group PSL(2,Z) = <a, b | a^2, b^3>.
 
-Words over the scheme ``a:2, b:3`` are mapped to integer matrices of
-determinant one, taken up to sign.  The trace separates elements into
-elliptic (order 2 or 3), parabolic and hyperbolic classes; all decisions
-are made on words, and every positive certificate is re-multiplied before
-it is returned.
+The class of an element, elliptic (order 2 or 3), parabolic or
+hyperbolic, is read off its cyclic core.  Integer matrices of determinant
+one, taken up to sign, serve the geometry alone: axes and fixed points.
+All decisions are made on words, and every positive certificate is
+re-multiplied before it is returned.
 
 An element g is generalised 3-torsion when some product of three
 conjugates of g is trivial.  After conjugating the first factor to g
@@ -31,7 +31,9 @@ from .errors import (
 from .words import (
     PSL2Z,
     CyclicWord,
+    Syllable,
     Word,
+    _cyclic_core,
     conjugated,
     identity,
     invert,
@@ -129,7 +131,12 @@ def to_matrix(w: Word) -> IntMatrix2:
 
 
 def classify(w: Word) -> IsometryClass:
-    """Trace trichotomy, with the finite orders split by |trace|.
+    """The class read off the cyclic core of w.
+
+    A single syllable is elliptic of its generator's order.  A longer core
+    alternates a with b^e: with one exponent e it is a power of the
+    parabolic a b or a b^2, and with both it is a product of positive
+    powers of the two, whose trace exceeds 2.
 
     >>> classify(parse_word(PSL2Z, "a")).value
     'elliptic-order-2'
@@ -140,20 +147,20 @@ def classify(w: Word) -> IsometryClass:
     >>> classify(parse_word(PSL2Z, "a b a b^2")).value
     'hyperbolic'
     """
-    if w.is_identity:
+    if w.scheme is not PSL2Z and w.scheme != PSL2Z:
+        raise SchemeMismatch(f"{w} is not a word over the modular group a:2, b:3")
+    core = _cyclic_core(w)[0].syllables
+    if len(core) > 1:
+        return IsometryClass.PARABOLIC if _parabolic_exponent(core) else IsometryClass.HYPERBOLIC
+    if not core:
         return IsometryClass.IDENTITY
-    t = abs(to_matrix(w).trace)
-    if t == 0:
-        return IsometryClass.ELLIPTIC_ORDER_2
-    if t == 1:
-        return IsometryClass.ELLIPTIC_ORDER_3
-    if t == 2:
-        return IsometryClass.PARABOLIC
-    return IsometryClass.HYPERBOLIC
+    return IsometryClass.ELLIPTIC_ORDER_2 if core[0].gen == "a" else IsometryClass.ELLIPTIC_ORDER_3
 
 
-def _a_exponent_parity(w: Word) -> int:
-    return sum(s.exp for s in w.syllables if s.gen == "a") % 2
+def _parabolic_exponent(core: tuple[Syllable, ...]) -> int:
+    """n with a core of two or more syllables a rotation of (a b)^n or (a b^2)^-n, else 0."""
+    exps = {s.exp for s in core if s.gen == "b"}
+    return 0 if len(exps) > 1 else len(core) // 2 * (1 if exps == {1} else -1)
 
 
 @dataclass(frozen=True)
@@ -203,16 +210,11 @@ def parabolic_power(w: Word) -> tuple[int, Word]:
     """
     if classify(w) != IsometryClass.PARABOLIC:
         raise NotParabolic(f"{w} is not parabolic")
-    core = CyclicWord.from_word(w)
-    n_abs, rem = divmod(len(core), 2)
-    if rem:
-        raise NotParabolic(f"{w} has odd cyclic length, not a parabolic form")
-    t = parse_word(w.scheme, "a b")
-    for n in (n_abs, -n_abs):
-        c = is_conjugate(t ** n, w)
-        if c is not None:
-            return n, c
-    raise NotParabolic(f"{w} is not conjugate to a power of a*b")
+    n = _parabolic_exponent(_cyclic_core(w)[0].syllables)
+    c = is_conjugate(parse_word(w.scheme, "a b") ** n, w)
+    if c is None:
+        raise InvalidCertificate(f"{w} has the cyclic form of (a b)^{n} but no conjugator")
+    return n, c
 
 
 def gen3_product(g: Word, h1: Word, k: Word) -> Word:
@@ -277,14 +279,14 @@ def gen3_torsion(g: Word) -> Gen3Verdict:
     cyclic = CyclicWord.from_word(g)
     core, half = cyclic.syllables, len(cyclic) // 2
     if kind == IsometryClass.PARABOLIC:
-        # the core is a rotation of (a b)^n, or of (a b^2)^-n for n < 0
-        n = half if max(s.exp for s in core) == 1 else -half
+        n = _parabolic_exponent(core)
         if n % 2:
             return Gen3Verdict(
                 Verdict.NO,
                 reason=f"abelianization obstruction: parabolic power {n} is odd",
             )
-    elif _a_exponent_parity(g) == 1:
+    elif half % 2:
+        # the core has half a-syllables, and conjugation keeps the parity
         return odd_a_sum
 
     # the core alternates a and b, so an even a-exponent sum makes L divisible
@@ -385,7 +387,8 @@ class AxisResidual:
     """How far a reverser's fixed point sits from the axis it should lie on.
 
     The residual is (re - center)^2 + im_sq - radius_sq, computed in exact
-    rationals; the float mirror is for tolerance reporting.
+    rationals, so the fixed point is on the axis exactly when it is zero;
+    the float mirror is for display.
     """
 
     residual: Fraction
@@ -393,9 +396,7 @@ class AxisResidual:
     within_tolerance: bool
 
 
-def reverser_on_axis_check(
-    w: Word, reverser: Word, tolerance: float = 1e-9
-) -> AxisResidual:
+def reverser_on_axis_check(w: Word, reverser: Word) -> AxisResidual:
     """Check that the reverser's fixed point lies on the axis of w.
 
     A reverser of a hyperbolic element is an order-2 elliptic whose fixed
@@ -410,5 +411,5 @@ def reverser_on_axis_check(
     return AxisResidual(
         residual=residual,
         residual_float=float(residual),
-        within_tolerance=abs(float(residual)) < tolerance,
+        within_tolerance=residual == 0,
     )

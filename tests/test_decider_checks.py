@@ -48,6 +48,11 @@ CASES = {
         "None",
         "modular.gen3_torsion(parse_word(PSL2Z, 'a b^2 a b a b a b'))",
     ),
+    "modular.parabolic_power": (
+        "gentorsion.modular.is_conjugate",
+        "None",
+        "modular.parabolic_power(parse_word(PSL2Z, 'a b a b a b'))",
+    ),
     "modular.gen3_torsion.mirror_centres": (
         "gentorsion.modular.mirror_centres",
         "[1]",

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -334,6 +335,20 @@ def test_non_reverser_involution_misses_the_axis():
     assert not check.within_tolerance
 
 
+def test_an_involution_a_billionth_off_the_axis_misses_it():
+    # the exact residual is below any float tolerance one would pick
+    g = w("a b^2 a b^2 a b a b^2 a b^2 a b a b^2 a b^2 a b a b^2 a b a b a b^2 "
+          "a b a b a b^2 a b")
+    p = Word(PSL2Z, g.syllables[:32])
+    r = conjugated(w("a"), p)
+    assert classify(g) == IsometryClass.HYPERBOLIC
+    assert conjugated(g, r) != invert(g)
+    check = reverser_on_axis_check(g, r)
+    assert check.residual == Fraction(1, 1295128170)
+    assert 0 < check.residual_float < 1e-9
+    assert not check.within_tolerance
+
+
 def test_reverser_on_axis_check_input_validation():
     with pytest.raises(NotHyperbolic):
         reverser_on_axis_check(w("a"), w("a"))
@@ -491,3 +506,94 @@ def test_gen3_decides_twenty_thousand_syllable_words():
     assert max(arms) == n // 2 - 3 == arm(10_001)
     verdict = gen3_torsion(conjugated(Word(PSL2Z, core), c))
     assert verdict.tag == Verdict.NO and "mirror centre" in verdict.reason
+
+
+# -- the cyclic-core classifier against the trace it replaced ----------------
+
+
+def reference_classify(g: Word) -> IsometryClass:
+    """classify as the trace trichotomy decided it, the finite orders split by |trace|."""
+    if g.is_identity:
+        return IsometryClass.IDENTITY
+    t = abs(to_matrix(g).trace)
+    if t == 0:
+        return IsometryClass.ELLIPTIC_ORDER_2
+    if t == 1:
+        return IsometryClass.ELLIPTIC_ORDER_3
+    if t == 2:
+        return IsometryClass.PARABOLIC
+    return IsometryClass.HYPERBOLIC
+
+
+def reference_parabolic_power(g: Word) -> tuple[int, Word]:
+    """parabolic_power as it tried n = L/2, then -L/2, by conjugacy search."""
+    if reference_classify(g) != IsometryClass.PARABOLIC:
+        raise NotParabolic(f"{g} is not parabolic")
+    n_abs, rem = divmod(len(CyclicWord.from_word(g)), 2)
+    if rem:
+        raise NotParabolic(f"{g} has odd cyclic length, not a parabolic form")
+    for n in (n_abs, -n_abs):
+        c = is_conjugate(w("a b") ** n, g)
+        if c is not None:
+            return n, c
+    raise NotParabolic(f"{g} is not conjugate to a power of a*b")
+
+
+def _random_word(rng, syllables):
+    """A random reduced word: alternating, so as long as asked, from a or b."""
+    first = rng.randrange(2)
+    return Word(PSL2Z, tuple(
+        PSL2Z.syllable("a", 1) if (i + first) % 2 == 0
+        else PSL2Z.syllable("b", rng.choice((1, 2)))
+        for i in range(syllables)
+    ))
+
+
+def _random_cases(rng, count, max_syllables):
+    """Random words, and conjugates of random elliptic and parabolic ones."""
+    for _ in range(count):
+        k = _random_word(rng, rng.randrange(max_syllables // 4))
+        yield _random_word(rng, rng.randrange(1, max_syllables + 1))
+        yield conjugated(rng.choice((w("a"), w("b"), w("b^2"))), k)
+        yield conjugated(rng.choice((w("a b"), w("a b^2"))) ** rng.randrange(1, 100), k)
+
+
+def test_classify_matches_the_trace_on_every_short_word():
+    seen = set()
+    for g in enumerate_reduced(PSL2Z, 12):
+        kind = classify(g)
+        assert kind == reference_classify(g), str(g)
+        seen.add(kind)
+    assert seen == set(IsometryClass)
+
+
+def test_classify_matches_the_trace_on_random_long_words():
+    rng = random.Random(12)
+    for g in _random_cases(rng, 100, 400):
+        assert classify(g) == reference_classify(g), str(g)
+
+
+def test_parabolic_power_matches_the_two_sign_search():
+    rng = random.Random(13)
+    short = [g for g in enumerate_reduced(PSL2Z, 12) if classify(g) == IsometryClass.PARABOLIC]
+    cases = short + [g for g in _random_cases(rng, 60, 400)
+                     if classify(g) == IsometryClass.PARABOLIC]
+    assert len(short) > 50 and len(cases) > 100
+    for g in cases:
+        assert parabolic_power(g) == reference_parabolic_power(g), str(g)
+
+
+def test_no_decider_multiplies_matrices():
+    rng = random.Random(320)
+    long_hyperbolic = _random_word(rng, 320_000)
+    long_parabolic = conjugated(w("a b^2") ** 160_000, w("b a"))
+    words = [g for g in enumerate_reduced(PSL2Z, 10) if not g.is_identity]
+    with mock.patch("gentorsion.modular.to_matrix", side_effect=AssertionError):
+        for g in words + [long_hyperbolic, long_parabolic]:
+            kind = classify(g)
+            reversible(g)
+            gen3_torsion(g)
+            if kind == IsometryClass.PARABOLIC:
+                parabolic_power(g)
+    assert classify(long_hyperbolic) == IsometryClass.HYPERBOLIC
+    assert parabolic_power(long_parabolic)[0] == -160_000
