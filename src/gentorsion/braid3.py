@@ -22,7 +22,6 @@ g is generalised 3-torsion iff e(g) = 0 and its image is generalised
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterator, Optional, Union
@@ -35,11 +34,13 @@ from .words import (
     CyclicWord,
     Syllable,
     Word,
+    format_tokens,
     identity,
     invert,
     is_conjugate,
     mirror_centres,
     parse_word,
+    tokens,
 )
 
 _LETTERS = ("s1", "s2", "x", "y", "h")
@@ -65,39 +66,41 @@ class BraidWord:
         return BraidWord(tuple((name, -exp) for name, exp in reversed(self.letters)))
 
     def __str__(self) -> str:
-        if not self.letters:
-            return "1"
-        return " ".join(
-            name if exp == 1 else f"{name}^{exp}" for name, exp in self.letters
-        )
+        return format_tokens(self.letters)
 
 
-_TOKEN = re.compile(r"^([sS][12]|[xyhXYH])(?:\^(-?\d+))?$")
+#: each braid letter and its capital, the inverse, as (letter, sign)
+_SIGNED = {
+    name: (name.lower(), 1 if name.islower() else -1)
+    for name in _LETTERS + tuple(map(str.capitalize, _LETTERS))
+}
 
 
 def parse_braid(text: str) -> BraidWord:
-    """Parse tokens s1, s2, x, y, h (capitals invert) with optional ^k.
+    """Parse tokens s1, s2, x, y, h (capitals invert) with optional nonzero ^k.
 
     The token ``1`` denotes the empty braid.
     """
     letters: list[tuple[str, int]] = []
+    for i, (name, exp) in enumerate(tokens(text)):
+        if name not in _SIGNED:
+            raise ParseError(f"bad braid letter {name!r}", _start(text, i))
+        if exp == 0:
+            raise ParseError(f"zero exponent on {name!r}", _start(text, i))
+        letter, sign = _SIGNED[name]
+        letters.append((letter, sign * exp))
+    return BraidWord(tuple(letters))
+
+
+def _start(text: str, i: int) -> int:
+    """Where the i-th token of text other than ``1`` starts."""
     pos = 0
     for token in text.split():
         pos = text.index(token, pos)
-        if token == "1":
-            pos += len(token)
-            continue
-        m = _TOKEN.match(token)
-        if not m:
-            raise ParseError(f"bad braid token {token!r}", pos)
-        name, exp = m.group(1), int(m.group(2) or 1)
-        if exp == 0:
-            raise ParseError(f"zero exponent in {token!r}", pos)
-        if name[0].isupper():
-            name, exp = name.lower(), -exp
-        letters.append((name, exp))
+        if token != "1" and (i := i - 1) < 0:
+            return pos
         pos += len(token)
-    return BraidWord(tuple(letters))
+    raise ValueError("text has too few tokens")
 
 
 #: B3 as the trefoil group (O,o,0 | 0; (2,1),(3,1)); boundaries=1, with

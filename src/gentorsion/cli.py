@@ -129,10 +129,15 @@ def _handle_classify(args):
     if kind != "pslz":
         raise GroupError("classify supports only --group pslz")
     word = parse_word(PSL2Z, _require_word(args))
+    trace = abs(to_matrix(word).trace)
+    try:
+        diagnostic = f"absolute trace {trace}"
+    except ValueError:  # past the interpreter's int/str digit limit
+        diagnostic = f"absolute trace of {trace.bit_length()} bits"
     result = {
         "verdict": classify(word).value,
         "normal_form": str(word),
-        "diagnostics": [f"absolute trace {abs(to_matrix(word).trace)}"],
+        "diagnostics": [diagnostic],
     }
     return result, EXIT_DECIDED
 
@@ -319,7 +324,7 @@ def _handle_verify(args):
         text = sys.stdin.read()
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or a number past the int/str digit limit
         raise MalformedCertificate(f"certificate is not valid JSON: {exc}") from exc
     valid = certificates.verify_certificate(payload)
     result = {

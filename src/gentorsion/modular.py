@@ -276,16 +276,22 @@ def gen3_torsion(g: Word) -> Gen3Verdict:
     )
     if kind == IsometryClass.ELLIPTIC_ORDER_2:
         return odd_a_sum
-    cyclic = CyclicWord.from_word(g)
-    core, half = cyclic.syllables, len(cyclic) // 2
     if kind == IsometryClass.PARABOLIC:
-        n = _parabolic_exponent(core)
+        n = _parabolic_exponent(_cyclic_core(g)[0].syllables)
         if n % 2:
             return Gen3Verdict(
                 Verdict.NO,
                 reason=f"abelianization obstruction: parabolic power {n} is odd",
             )
-    elif half % 2:
+        if abs(n) != 2:
+            return Gen3Verdict(
+                Verdict.NO,
+                reason=f"parabolic of power {n}: only powers +2 and -2 are products "
+                "of two order-3 elements",
+            )
+    cyclic = CyclicWord.from_word(g)
+    core, half = cyclic.syllables, len(cyclic) // 2
+    if half % 2:
         # the core has half a-syllables, and conjugation keeps the parity
         return odd_a_sum
 
@@ -299,12 +305,6 @@ def gen3_torsion(g: Word) -> Gen3Verdict:
         if core[c].gen == "b"
     ]
     if not readings:
-        if kind == IsometryClass.PARABOLIC:
-            return Gen3Verdict(
-                Verdict.NO,
-                reason=f"parabolic of power {n}: only powers +2 and -2 are products "
-                "of two order-3 elements",
-            )
         return Gen3Verdict(
             Verdict.NO,
             reason="no b-syllable of the cyclic core of g is a mirror centre, so g "

@@ -231,11 +231,7 @@ def _sweep_seifert_reversible(budget: SearchBudget) -> SweepReport:
     group = SeifertGroup(data)
     length = max(1, budget.max_conjugator_syllables // 2)
     span = range(-budget.max_central_exponent, budget.max_central_exponent + 1)
-    reversers = [
-        SeifertPair(s, rho)
-        for rho in _candidates(group.scheme, budget, budget.max_conjugator_syllables)
-        for s in span
-    ]
+    rhos = list(_candidates(group.scheme, budget, budget.max_conjugator_syllables))
     for q in _candidates(group.scheme, budget, length):
         for m in span:
             g = SeifertPair(m, q)
@@ -243,7 +239,11 @@ def _sweep_seifert_reversible(budget: SearchBudget) -> SweepReport:
                 continue
             structural = "yes" if reversible_seifert(g, data).reversible else "no"
             target = group.inv(g)
-            oracle = any(group.conjugated(g, r) == target for r in reversers)
+            # h q = q h^phi(q): conjugating by h^s fixes g unless phi(g) = -1
+            shifts = span if group.phi_word(g.q) == -1 else (0,)
+            oracle = any(
+                group.conjugated(g, SeifertPair(s, rho)) == target for rho in rhos for s in shifts
+            )
             tally.record(group.spell(g), structural, oracle)
     return tally.report()
 

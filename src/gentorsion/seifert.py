@@ -45,9 +45,11 @@ from .words import (
     Syllable,
     Word,
     conjugate_to_inverse,
+    format_tokens,
     identity,
     invert,
     reduce,
+    tokens,
 )
 
 
@@ -164,7 +166,7 @@ def parse_seifert(text: str) -> SeifertData:
     b_match = re.match(r"-?\d+", after_bar)
     if not b_match:
         raise ParseError(f"bad b invariant {after_bar!r}", close)
-    b = int(b_match.group(0))
+    b = _integer(b_match.group(0), "b invariant", close)
     pairs_text = after_bar[b_match.end() :].lstrip()
     if pairs_text:
         # the fiber list follows after ';' or ','
@@ -182,10 +184,7 @@ def parse_seifert(text: str) -> SeifertData:
         orientable, count_text = False, fields[1]
     else:
         raise ParseError("base must start with O or N", 1)
-    try:
-        count = int(count_text)
-    except ValueError:
-        raise ParseError(f"bad genus/crosscap count {count_text!r}", 1) from None
+    count = _integer(count_text, "genus/crosscap count", 1)
 
     exceptional = []
     if pairs_text.strip():
@@ -195,7 +194,9 @@ def parse_seifert(text: str) -> SeifertData:
         leftover = _PAIR.sub("", pairs_text).replace(",", "").strip()
         if leftover:
             raise ParseError(f"unexpected text {leftover!r} in fiber list", close)
-        exceptional = [(int(m.group(1)), int(m.group(2))) for m in matches]
+        exceptional = [
+            tuple(_integer(v, "fiber pair", close) for v in m.groups()) for m in matches
+        ]
 
     boundaries = 0
     phi: list[tuple[str, int]] = []
@@ -207,10 +208,7 @@ def parse_seifert(text: str) -> SeifertData:
             _, eq, value = chunk.partition("=")
             if not eq:
                 raise ParseError("boundaries clause reads boundaries=<count>", s.index(chunk))
-            try:
-                boundaries = int(value.strip())
-            except ValueError:
-                raise ParseError(f"bad boundary count {value.strip()!r}", s.index(chunk)) from None
+            boundaries = _integer(value.strip(), "boundary count", s.index(chunk))
         elif chunk.startswith("phi"):
             _, colon, assigns = chunk.partition(":")
             if not colon:
@@ -235,8 +233,12 @@ def parse_seifert(text: str) -> SeifertData:
     )
 
 
-def _fmt(gen: str, exp: int) -> str:
-    return gen if exp == 1 else f"{gen}^{exp}"
+def _integer(text: str, what: str, pos: int) -> int:
+    """int(text), with a ParseError for non-integers and past the int/str digit limit."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"bad {what} {text[:20]!r}", pos) from None
 
 
 @dataclass(frozen=True)
@@ -252,25 +254,26 @@ def presentation(d: SeifertData) -> Presentation:
     ds = d.boundary_generators()
     generators = handles + cs + ds + ("h",)
     relations: list[tuple[str, str]] = []
-    for z in handles + ds:
-        rhs = "h" if d.phi_of(z) == 1 else "h^-1"
-        relations.append((f"{z} h {z}^-1", rhs))
-    for c in cs:
-        relations.append((f"{c} h {c}^-1", "h"))
+    for z in handles + ds + cs:
+        twist = format_tokens([("h", d.phi_of(z))])
+        relations.append((format_tokens([(z, 1), ("h", 1), (z, -1)]), twist))
     for c, (mu, beta) in zip(cs, d.exceptional):
-        relations.append((_fmt(c, mu), "1" if beta == 0 else _fmt("h", beta)))
-    long_parts: list[str] = []
-    if d.base_orientable:
-        for i in range(1, d.genus_or_crosscaps + 1):
-            long_parts.extend((f"a{i}", f"b{i}", f"a{i}^-1", f"b{i}^-1"))
-    else:
-        long_parts.extend(_fmt(x, 2) for x in handles)
-    long_parts.extend(cs)
-    long_parts.extend(ds)
-    if d.b:
-        long_parts.append(_fmt("h", d.b))
-    relations.append((" ".join(long_parts) if long_parts else "1", "1"))
+        fiber = format_tokens([("h", beta)] if beta else [])
+        relations.append((format_tokens([(c, mu)]), fiber))
+    long = _long_relation(d) + ([("h", d.b)] if d.b else [])
+    relations.append((format_tokens(long), "1"))
     return Presentation(generators=generators, relations=tuple(relations))
+
+
+def _long_relation(d: SeifertData) -> list[tuple[str, int]]:
+    """The long relation without its fiber power: commutators or squares, c_i, d_i."""
+    if d.base_orientable:
+        pairs = []
+        for i in range(1, d.genus_or_crosscaps + 1):
+            pairs += ((f"a{i}", 1), (f"b{i}", 1), (f"a{i}", -1), (f"b{i}", -1))
+    else:
+        pairs = [(x, 2) for x in d.handle_generators()]
+    return pairs + [(name, 1) for name in d.exceptional_generators() + d.boundary_generators()]
 
 
 @dataclass(frozen=True)
@@ -295,19 +298,11 @@ def quotient_scheme(d: SeifertData) -> Optional[QuotientMap]:
         gens.append((name, mu))
     for name in d.handle_generators():
         gens.append((name, None))
-    kept = d.boundary_generators()[:-1]
-    for name in kept:
+    for name in d.boundary_generators()[:-1]:
         gens.append((name, None))
     scheme = GroupScheme(tuple(gens))
-    prefix: list[tuple[str, int]] = []
-    if d.base_orientable:
-        for i in range(1, d.genus_or_crosscaps + 1):
-            prefix.extend(((f"a{i}", 1), (f"b{i}", 1), (f"a{i}", -1), (f"b{i}", -1)))
-    else:
-        prefix.extend((x, 2) for x in d.handle_generators())
-    prefix.extend((c, 1) for c in d.exceptional_generators())
-    prefix.extend((name, 1) for name in kept)
-    image = invert(reduce(prefix, scheme))
+    # the long relation solved for its last boundary generator
+    image = invert(reduce(_long_relation(d)[:-1], scheme))
     return QuotientMap(
         scheme=scheme,
         eliminated=d.boundary_generators()[-1],
@@ -329,8 +324,6 @@ class SeifertPair:
     def __str__(self) -> str:
         return f"(h^{self.m}, {self.q})"
 
-
-_ELEMENT_TOKEN = re.compile(r"^([A-Za-z][A-Za-z0-9]*)(?:\^(-?\d+))?$")
 
 #: a factor h^k * s_1 ... s_r of a product, as (k, syllables)
 Piece = tuple[int, Sequence[Syllable]]
@@ -466,16 +459,7 @@ class SeifertGroup(CentralExtension):
         return SeifertPair(*self.product(0, identity(self.scheme), self._pieces(text)))
 
     def _pieces(self, text: str) -> Iterator[Piece]:
-        pos = 0
-        for token in text.split():
-            pos = text.index(token, pos)
-            if token == "1":
-                pos += len(token)
-                continue
-            m = _ELEMENT_TOKEN.match(token)
-            if not m:
-                raise ParseError(f"bad token {token!r}", pos)
-            name, exp = m.group(1), int(m.group(2) or 1)
+        for name, exp in tokens(text):
             if name == "h":
                 yield exp, ()
             elif name == self.qmap.eliminated:
@@ -485,14 +469,10 @@ class SeifertGroup(CentralExtension):
                 yield 0, (Syllable(name, exp),)
             else:
                 raise UnknownGenerator(f"unknown generator {name!r}")
-            pos += len(token)
 
     def spell(self, p: SeifertPair) -> str:
-        parts = []
-        if p.m:
-            parts.append(_fmt("h", p.m))
-        parts.extend(_fmt(s.gen, s.exp) for s in p.q.syllables)
-        return " ".join(parts) if parts else "1"
+        fiber = [("h", p.m)] if p.m else []
+        return format_tokens(fiber + [(s.gen, s.exp) for s in p.q.syllables])
 
 
 @dataclass(frozen=True)
@@ -749,15 +729,12 @@ def gen_n_certificate(d: SeifertData, n: int) -> Optional[GenNCertificate]:
         x = -(m1 + m2) // n
         separating = _separating_letter(d, i, j)
 
-        def wrap(core: str) -> str:
-            if not separating:
-                return core
-            return f"{separating} {core} {separating}^-1"
+        def wrap(power: int) -> list[tuple[str, int]]:
+            core = [(f"c{j}", power)]
+            return [(separating, 1), *core, (separating, -1)] if separating else core
 
-        element = " ".join(
-            filter(None, (_fmt(f"c{i}", p), wrap(_fmt(f"c{j}", p_prime)), _fmt("h", x)))
-        )
-        conjugators = tuple(wrap(_fmt(f"c{j}", -l * p_prime)) for l in range(1, n))
+        element = format_tokens([(f"c{i}", p), *wrap(p_prime), ("h", x)])
+        conjugators = tuple(format_tokens(wrap(-l * p_prime)) for l in range(1, n))
         flipping = ""
     else:
         flips = _kept_letters(d, -1)
@@ -766,7 +743,7 @@ def gen_n_certificate(d: SeifertData, n: int) -> Optional[GenNCertificate]:
         i = j = p = p_prime = x = m1 = m2 = 0
         separating, flipping = "", flips[0]
         element = "h"
-        conjugators = tuple(_fmt(flipping, l) for l in range(1, n))
+        conjugators = tuple(format_tokens([(flipping, l)]) for l in range(1, n))
     cert = GenNCertificate(
         n=n,
         i=i,
@@ -808,24 +785,22 @@ def _shown_nontrivial(d: SeifertData, element: str) -> bool:
     two fixed points kept apart: i != j, a letter k that is a handle
     generator or another c_l, or else p + p' nonzero modulo mu_i.
     """
-    tokens = []
-    for token in element.split():
-        m = _ELEMENT_TOKEN.match(token)
-        if not m:
-            return False
-        tokens.append((m.group(1), int(m.group(2) or 1)))
-    if tokens and tokens[-1][0] == "h":
-        if len(tokens) == 1:
-            return tokens[0][1] != 0
-        tokens.pop()
+    try:
+        pairs = tokens(element)
+    except ParseError:
+        return False
+    if pairs and pairs[-1][0] == "h":
+        if len(pairs) == 1:
+            return pairs[0][1] != 0
+        pairs.pop()
     k = None
-    if len(tokens) == 4 and tokens[1] == (tokens[3][0], 1) and tokens[3][1] == -1:
-        k = tokens[1][0]
-        del tokens[1::2]
-    if len(tokens) != 2:
+    if len(pairs) == 4 and pairs[1] == (pairs[3][0], 1) and pairs[3][1] == -1:
+        k = pairs[1][0]
+        del pairs[1::2]
+    if len(pairs) != 2:
         return False
     orders = dict(zip(d.exceptional_generators(), (mu for mu, _ in d.exceptional)))
-    (ci, p), (cj, p_prime) = tokens
+    (ci, p), (cj, p_prime) = pairs
     if ci not in orders or cj not in orders or p % orders[ci] == 0 or p_prime % orders[cj] == 0:
         return False
     separated = k in d.handle_generators() or (k in orders and k != ci)
@@ -866,7 +841,7 @@ def gen_n_relation_holds(d: SeifertData, element: str, conjugators: Sequence[str
         group = SeifertGroup(replace(d, boundary_count=1))
         drilled = group.qmap.eliminated
         for text in (element, *conjugators):
-            if any(token.split("^")[0] == drilled for token in text.split()):
+            if any(name == drilled for name, _ in tokens(text)):
                 raise UnknownGenerator(f"unknown generator {drilled!r}")
     g = group.element(element)
     if g.is_identity:

@@ -544,44 +544,60 @@ def enumerate_reduced(
         level = next_level
 
 
-_TOKEN = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?")
-#: a whole word: whitespace-separated tokens, each ``1`` or a syllable
-_WORD = re.compile(r"(?:\s*(?:1|[A-Za-z][A-Za-z0-9_]*(?:\^-?\d+)?)(?!\S))*\s*")
+_SYLLABLE = r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?"
+_TOKEN = re.compile(_SYLLABLE)
+#: the first token that is neither ``1`` nor a syllable; unlike a fullmatch of
+#: the whole text, a search keeps no backtracking state per token
+_BAD_TOKEN = re.compile(rf"(?<!\S)(?!(?:1|{_SYLLABLE})(?!\S))\S+")
+
+
+def tokens(text: str) -> list[tuple[str, int]]:
+    """The (name, exponent) pairs of whitespace-separated tokens like ``a b^-2``.
+
+    The one grammar of element text in every group: a token is ``name`` or
+    ``name^k``, and ``1`` denotes the identity and is skipped.  The first
+    malformed token, or failing that the first exponent past the
+    interpreter's int/str digit limit, raises ParseError with its position.
+
+    >>> tokens("a b^-2 1 c")
+    [('a', 1), ('b', -2), ('c', 1)]
+    >>> tokens("a ^2")
+    Traceback (most recent call last):
+    ...
+    gentorsion.errors.ParseError: bad token '^2' (at position 2)
+    """
+    bad = _BAD_TOKEN.search(text)
+    if bad:
+        raise ParseError(f"bad token {bad.group()!r}", bad.start())
+    try:
+        return [(name, int(exp) if exp else 1) for name, exp in _TOKEN.findall(text)]
+    except ValueError:  # an exponent past the int/str digit limit
+        for m in _TOKEN.finditer(text):
+            try:
+                int(m[2] or 1)
+            except ValueError:
+                raise ParseError(f"exponent of {m[1]!r} is too long", m.start()) from None
+        raise
+
+
+def format_tokens(pairs: Iterable[tuple[str, int]]) -> str:
+    """Spell (name, exponent) pairs as :func:`tokens` reads them.
+
+    >>> format_tokens([("a", 1), ("b", -2)])
+    'a b^-2'
+    >>> format_tokens([])
+    '1'
+    """
+    return " ".join([name if exp == 1 else f"{name}^{exp}" for name, exp in pairs]) or "1"
 
 
 def parse_word(scheme: GroupScheme, text: str) -> Word:
-    """Parse whitespace-separated tokens like ``a b^2 a b^-1``.
-
-    The token ``1`` denotes the identity.  A well-formed text is split into
-    syllables by one regex pass; a malformed one is walked token by token,
-    to report the first bad token and its position.
-    """
-    if _WORD.fullmatch(text) is None:
-        _reject_word(scheme, text)
-    return reduce(
-        [(name, int(exp) if exp else 1) for name, exp in _TOKEN.findall(text)], scheme
-    )
-
-
-def _reject_word(scheme: GroupScheme, text: str) -> None:
-    for found in re.finditer(r"\S+", text):
-        token = found.group()
-        if token == "1":
-            continue
-        m = _TOKEN.fullmatch(token)
-        if not m:
-            raise ParseError(f"bad token {token!r}", found.start())
-        if m.group(1) not in scheme:
-            raise UnknownGenerator(f"unknown generator {m.group(1)!r}")
+    """Parse text like ``a b^2 a b^-1`` (see :func:`tokens`) into a reduced word."""
+    return reduce(tokens(text), scheme)
 
 
 def format_word(w: Word) -> str:
-    if not w.syllables:
-        return "1"
-    parts = []
-    for s in w.syllables:
-        parts.append(s.gen if s.exp == 1 else f"{s.gen}^{s.exp}")
-    return " ".join(parts)
+    return format_tokens([(s.gen, s.exp) for s in w.syllables])
 
 
 def parse_scheme(text: str) -> GroupScheme:

@@ -109,6 +109,12 @@ def test_classify_reports_isometry_class():
     assert data["diagnostics"] == ["absolute trace 3"]
 
 
+def test_classify_reports_the_size_of_a_trace_past_the_digit_limit():
+    data = run_json("classify", "--word", " ".join(["a b a b^2"] * 12000))
+    assert data["verdict"] == "hyperbolic"
+    assert data["diagnostics"] == ["absolute trace of 16662 bits"]
+
+
 def test_normalize_across_groups():
     assert run_json("normalize", "--word", "a a b^3 a")["normal_form"] == "a"
     braid = run_json("normalize", "--group", "b3", "--word", "s1 s2 s1 s2 s1 s2")

@@ -238,6 +238,21 @@ def test_gen3_other_parabolic_powers_fail():
     assert gen3_torsion(w("a b") ** -4).tag == Verdict.NO
 
 
+def test_gen3_even_parabolics_other_than_two_skip_the_mirror_scan():
+    """The verdict on (ab)^n for even n other than +-2 is fixed, so no scan runs."""
+    long = conjugated(w("a b^2") ** 160000, w("b a"))
+    cases = [(w("a b") ** n, n) for n in (4, -4, 6, -8, 10, 40)] + [(long, -160000)]
+    with mock.patch("gentorsion.modular.mirror_centres", side_effect=AssertionError):
+        for g, n in cases:
+            verdict = gen3_torsion(g)
+            assert verdict.tag == Verdict.NO, n
+            assert verdict.reason == (
+                f"parabolic of power {n}: only powers +2 and -2 are products "
+                "of two order-3 elements"
+            )
+    assert len(long) == 320000
+
+
 def test_gen3_hyperbolic_yes():
     g = w("a b a b^2")
     verdict = gen3_torsion(g)

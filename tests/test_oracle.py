@@ -10,12 +10,16 @@ from gentorsion.errors import TrivialElement, UnknownSuite
 from gentorsion.modular import gen3_product
 from gentorsion.oracle import (
     SUITES,
+    SWEEP_SEIFERT_DATA,
     SearchBudget,
+    _candidates,
+    _Tally,
     brute_conjugate_b3,
     brute_gen3,
     brute_reversible,
     sweep_agreement,
 )
+from gentorsion.seifert import SeifertGroup, SeifertPair, parse_seifert, reversible_seifert
 from gentorsion.words import PSL2Z, identity, parse_word
 
 
@@ -127,6 +131,37 @@ def test_sweep_seifert_reversible_agreement():
     assert report.checked == 26
     assert report.structural_yes == 2
     assert report.oracle_yes == 2
+
+
+def reference_sweep_seifert_reversible(budget):
+    """The sweep as it was, trying every h^s rho for every element."""
+    tally = _Tally("seifert-reversible", budget)
+    data = parse_seifert(SWEEP_SEIFERT_DATA)
+    group = SeifertGroup(data)
+    length = max(1, budget.max_conjugator_syllables // 2)
+    span = range(-budget.max_central_exponent, budget.max_central_exponent + 1)
+    reversers = [
+        SeifertPair(s, rho)
+        for rho in _candidates(group.scheme, budget, budget.max_conjugator_syllables)
+        for s in span
+    ]
+    for q in _candidates(group.scheme, budget, length):
+        for m in span:
+            g = SeifertPair(m, q)
+            if g.is_identity:
+                continue
+            structural = "yes" if reversible_seifert(g, data).reversible else "no"
+            target = group.inv(g)
+            oracle = any(group.conjugated(g, r) == target for r in reversers)
+            tally.record(group.spell(g), structural, oracle)
+    return tally.report()
+
+
+@pytest.mark.parametrize("budget", [SearchBudget(3, 1, 10**6), SearchBudget(3, 2, 10**6)])
+def test_seifert_sweep_drops_only_reversers_that_cannot_matter(budget):
+    """h^s rho and rho conjugate alike unless phi(g) = -1, so the report is unchanged."""
+    expected = reference_sweep_seifert_reversible(budget)
+    assert sweep_agreement("seifert-reversible", budget) == expected
 
 
 def test_sweep_report_serializes():
