@@ -22,9 +22,8 @@ g is generalised 3-torsion iff e(g) = 0 and its image is generalised
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .errors import InvalidCertificate, ParseError, TrivialElement
 from .modular import Verdict, gen3_torsion
@@ -34,6 +33,7 @@ from .words import (
     CyclicWord,
     Syllable,
     Word,
+    _Record,
     format_tokens,
     identity,
     invert,
@@ -46,18 +46,18 @@ from .words import (
 _LETTERS = ("s1", "s2", "x", "y", "h")
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(_Record):
     """A braid word: (letter, exponent) pairs with nonzero exponents."""
 
-    letters: tuple[tuple[str, int], ...]
+    __slots__ = _fields = ("letters",)
 
-    def __post_init__(self):
-        for name, exp in self.letters:
+    def __init__(self, letters: tuple[tuple[str, int], ...]):
+        for name, exp in letters:
             if name not in _LETTERS:
                 raise ValueError(f"unknown braid letter {name!r}")
             if exp == 0:
                 raise ValueError("braid letter exponents must be nonzero")
+        self.letters = letters
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         return BraidWord(self.letters + other.letters)
@@ -110,6 +110,8 @@ _B3 = CentralExtension(PSL2Z, beta={"a": 1, "b": 1}, phi={})
 
 class CentralElement(SeifertPair):
     """The normal form h^m * section(q) of a braid, with the B3 operators."""
+
+    __slots__ = ()
 
     def __mul__(self, other: "CentralElement") -> "CentralElement":
         return CentralElement(*_B3.product(self.m, self.q, ((other.m, other.q.syllables),)))
@@ -209,8 +211,7 @@ def conjugate_b3(
     return k.spell()
 
 
-@dataclass(frozen=True)
-class B3Reversibility:
+class B3Reversibility(NamedTuple):
     """A validated reverser and a commutator form of g.
 
     The witness exhibits g as conjugate to [x, k0] = x k0 x^-1 k0^-1 with
@@ -293,8 +294,7 @@ def _family_diagnostics(q: Word) -> tuple[str, ...]:
     )
 
 
-@dataclass(frozen=True)
-class B3Gen3Witness:
+class B3Gen3Witness(NamedTuple):
     """The form g = e1 * e2^2 * h^-1 with e1, e2 distinct lifted 3-torsions."""
 
     e1: CentralElement
@@ -302,8 +302,7 @@ class B3Gen3Witness:
     conjugator: CentralElement
 
 
-@dataclass(frozen=True)
-class B3Gen3Verdict:
+class B3Gen3Verdict(NamedTuple):
     tag: Verdict
     certificate: Optional[tuple[CentralElement, CentralElement]] = None
     reason: Optional[str] = None

@@ -9,17 +9,20 @@ inverse, a torsion certificate by expanding the full product, and so on.
 Well-formed certificates whose relation fails verify to ``False``; shape
 problems (missing fields, unknown kinds, unparseable words) raise
 :class:`~gentorsion.errors.MalformedCertificate` instead.
+
+Each checker imports the group modules of its own kind when it runs, so
+checking a PSL(2,Z) certificate loads neither the braid nor the Seifert code.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
-from .braid3 import CentralElement, gen3_relation, normal_form, parse_braid
 from .errors import GroupError, MalformedCertificate, UnsupportedBase
-from .modular import gen3_product
-from .seifert import SeifertGroup, gen_n_relation_holds, parse_seifert
-from .words import PSL2Z, Word, conjugated, invert, parse_word
+
+if TYPE_CHECKING:
+    from .braid3 import CentralElement
+    from .words import Word
 
 __all__ = [
     "CERTIFICATE_KINDS",
@@ -116,55 +119,52 @@ def _integer(payload: Mapping, key: str) -> int:
     return value
 
 
-def _pslz_word(payload: Mapping, key: str) -> Word:
-    return parse_word(PSL2Z, _text(payload, key))
+def _pslz_words(payload: Mapping, *keys: str) -> list[Word]:
+    from .words import PSL2Z, parse_word
+    return [parse_word(PSL2Z, _text(payload, key)) for key in keys]
 
 
-def _braid(payload: Mapping, key: str) -> CentralElement:
-    return normal_form(parse_braid(_text(payload, key)))
+def _braids(payload: Mapping, *keys: str) -> list[CentralElement]:
+    from .braid3 import normal_form, parse_braid
+    return [normal_form(parse_braid(_text(payload, key))) for key in keys]
 
 
 def _check_pslz_reverser(payload: Mapping) -> bool:
-    word = _pslz_word(payload, "word")
-    reverser = _pslz_word(payload, "reverser")
+    from .words import conjugated, invert
+    word, reverser = _pslz_words(payload, "word", "reverser")
     return conjugated(word, reverser) == invert(word)
 
 
 def _check_pslz_conjugacy(payload: Mapping) -> bool:
-    word = _pslz_word(payload, "word")
-    other = _pslz_word(payload, "other")
-    conjugator = _pslz_word(payload, "conjugator")
+    from .words import conjugated
+    word, other, conjugator = _pslz_words(payload, "word", "other", "conjugator")
     return conjugated(word, conjugator) == other
 
 
 def _check_pslz_gen3(payload: Mapping) -> bool:
-    word = _pslz_word(payload, "word")
-    h1 = _pslz_word(payload, "h1")
-    k = _pslz_word(payload, "k")
+    from .modular import gen3_product
+    word, h1, k = _pslz_words(payload, "word", "h1", "k")
     return len(gen3_product(word, h1, k).syllables) == 0
 
 
 def _check_b3_reverser(payload: Mapping) -> bool:
-    element = _braid(payload, "element")
-    reverser = _braid(payload, "reverser")
+    element, reverser = _braids(payload, "element", "reverser")
     return element.conjugated_by(reverser) == element.inverse()
 
 
 def _check_b3_conjugacy(payload: Mapping) -> bool:
-    element = _braid(payload, "element")
-    other = _braid(payload, "other")
-    conjugator = _braid(payload, "conjugator")
+    element, other, conjugator = _braids(payload, "element", "other", "conjugator")
     return element.conjugated_by(conjugator) == other
 
 
 def _check_b3_gen3(payload: Mapping) -> bool:
-    element = _braid(payload, "element")
-    h1 = _braid(payload, "h1")
-    k = _braid(payload, "k")
+    from .braid3 import gen3_relation
+    element, h1, k = _braids(payload, "element", "h1", "k")
     return gen3_relation(element, h1, k).is_identity
 
 
 def _check_seifert_reverser(payload: Mapping) -> bool:
+    from .seifert import SeifertGroup, parse_seifert
     data = parse_seifert(_text(payload, "data"))
     group = SeifertGroup(data)
     element = group.element(_text(payload, "element"))
@@ -173,6 +173,7 @@ def _check_seifert_reverser(payload: Mapping) -> bool:
 
 
 def _check_seifert_gen_n(payload: Mapping) -> bool:
+    from .seifert import gen_n_relation_holds, parse_seifert
     data = parse_seifert(_text(payload, "data"))
     n = _integer(payload, "n")
     _shape(n >= 2, "field 'n' must be at least 2")

@@ -9,6 +9,8 @@ Every subcommand prints one deterministic result object (JSON by default,
 
 Certificates embedded in results are self-contained and can be piped back
 into ``gentorsion verify``.
+
+Each handler imports the modules it runs, so a call pays only for those.
 """
 
 from __future__ import annotations
@@ -16,29 +18,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 from . import certificates
-from .braid3 import exponent_sum, gen3_torsion_b3, normal_form, parse_braid, reversible_b3
-from .braid3 import conjugate_b3
 from .errors import GroupError, InvalidCertificate, MalformedCertificate
-from .modular import classify, gen3_torsion, reversible, to_matrix
-from .oracle import SUITES, SearchBudget, sweep_agreement
-from .seifert import (
-    PowersOfH,
-    SeifertGroup,
-    SurfaceException,
-    TwoHalfTwists,
-    classify_reversible_families,
-    gen_n_absent_reason,
-    gen_n_certificate,
-    parse_seifert,
-    presentation,
-    quotient_scheme,
-    reversible_seifert,
-)
-from .words import PSL2Z, is_conjugate, parse_word
 
 __all__ = ["main"]
 
@@ -46,6 +29,10 @@ EXIT_DECIDED = 0
 EXIT_ERROR = 1
 
 _SEIFERT_PREFIX = "seifert:"
+
+#: ``gentorsion.oracle.SUITES``, spelled out so that building the parser
+#: does not load the oracles; tests/test_imports.py keeps the two equal
+_SUITES = ("pslz-reversible", "pslz-gen3", "b3-reversible", "b3-conjugacy", "seifert-reversible")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,11 +100,14 @@ def _handle_normalize(args):
     word = _require_word(args)
     diagnostics: list = []
     if kind == "pslz":
+        from .words import PSL2Z, parse_word
         normal = str(parse_word(PSL2Z, word))
     elif kind == "b3":
+        from .braid3 import normal_form, parse_braid
         nf = normal_form(parse_braid(word))
         normal = {"m": nf.m, "q": str(nf.q), "spelled": str(nf.spell())}
     else:
+        from .seifert import SeifertGroup, parse_seifert
         group = SeifertGroup(parse_seifert(spec))
         pair = group.element(word)
         normal = {"m": pair.m, "q": str(pair.q), "spelled": group.spell(pair)}
@@ -128,6 +118,8 @@ def _handle_classify(args):
     kind, _ = _split_group(args.group)
     if kind != "pslz":
         raise GroupError("classify supports only --group pslz")
+    from .modular import classify, to_matrix
+    from .words import PSL2Z, parse_word
     word = parse_word(PSL2Z, _require_word(args))
     trace = abs(to_matrix(word).trace)
     try:
@@ -148,6 +140,7 @@ def _handle_conjugate(args):
     if not args.other:
         raise GroupError("conjugate requires --other")
     if kind == "pslz":
+        from .words import PSL2Z, is_conjugate, parse_word
         u = parse_word(PSL2Z, word)
         v = parse_word(PSL2Z, args.other)
         conjugator = is_conjugate(u, v)
@@ -155,6 +148,7 @@ def _handle_conjugate(args):
             return {"verdict": "no", "diagnostics": []}, EXIT_DECIDED
         cert = certificates.pslz_conjugacy_certificate(u, v, conjugator)
     elif kind == "b3":
+        from .braid3 import conjugate_b3, parse_braid
         g1 = parse_braid(word)
         g2 = parse_braid(args.other)
         braid_conjugator = conjugate_b3(g1, g2)
@@ -172,6 +166,8 @@ def _handle_reversible(args):
     kind, spec = _split_group(args.group)
     word = _require_word(args)
     if kind == "pslz":
+        from .modular import classify, reversible
+        from .words import PSL2Z, parse_word
         parsed = parse_word(PSL2Z, word)
         verdict = reversible(parsed)
         diagnostics = [f"isometry class {classify(parsed).value}"]
@@ -182,6 +178,7 @@ def _handle_reversible(args):
         diagnostics.append(f"involution pair u = {u}, v = {v}")
         cert = certificates.pslz_reverser_certificate(parsed, verdict.reverser)
     elif kind == "b3":
+        from .braid3 import parse_braid, reversible_b3
         outcome = reversible_b3(parse_braid(word))
         if outcome is None:
             return {"verdict": "no", "diagnostics": []}, EXIT_DECIDED
@@ -191,6 +188,7 @@ def _handle_reversible(args):
         ]
         cert = certificates.b3_reverser_certificate(word, str(outcome.reverser))
     else:
+        from .seifert import SeifertGroup, parse_seifert, reversible_seifert
         data = parse_seifert(spec)
         report = reversible_seifert(word, data)
         diagnostics = [report.reason]
@@ -214,6 +212,7 @@ def _handle_reversible(args):
 def _handle_gen_torsion(args):
     kind, spec = _split_group(args.group)
     if kind == "seifert":
+        from .seifert import gen_n_absent_reason, gen_n_certificate, parse_seifert
         if args.word:
             raise GroupError(
                 "gen-torsion over a seifert group is a property of the fibration "
@@ -238,10 +237,13 @@ def _handle_gen_torsion(args):
         )
     word = _require_word(args)
     if kind == "pslz":
+        from .modular import gen3_torsion
+        from .words import PSL2Z, parse_word
         element = parse_word(PSL2Z, word)
         verdict = gen3_torsion(element)
         build = certificates.pslz_gen3_certificate
     else:
+        from .braid3 import gen3_torsion_b3, parse_braid
         element = word
         verdict = gen3_torsion_b3(parse_braid(word))
         build = certificates.b3_gen3_certificate
@@ -255,6 +257,7 @@ def _handle_gen_torsion(args):
 
 
 def _handle_braid(args):
+    from .braid3 import exponent_sum, normal_form, parse_braid
     word = parse_braid(_require_word(args))
     nf = normal_form(word)
     result = {
@@ -266,6 +269,7 @@ def _handle_braid(args):
 
 
 def _family_payload(descriptor):
+    from .seifert import PowersOfH, SurfaceException, TwoHalfTwists
     if isinstance(descriptor, PowersOfH):
         return {"family": "powers-of-h"}
     if isinstance(descriptor, TwoHalfTwists):
@@ -282,6 +286,7 @@ def _family_payload(descriptor):
 
 
 def _handle_seifert(args):
+    from .seifert import classify_reversible_families, parse_seifert, presentation, quotient_scheme
     data = parse_seifert(args.spec)
     if args.action == "families":
         report = classify_reversible_families(data)
@@ -317,7 +322,8 @@ def _handle_seifert(args):
 
 def _handle_verify(args):
     if args.file:
-        text = Path(args.file).read_text(encoding="utf-8")
+        with open(args.file, encoding="utf-8") as fh:
+            text = fh.read()
     elif args.certificate:
         text = args.certificate
     else:
@@ -336,6 +342,7 @@ def _handle_verify(args):
 
 
 def _handle_sweep(args):
+    from .oracle import SearchBudget, sweep_agreement
     budget = SearchBudget(
         max_conjugator_syllables=args.max_conjugator_syllables,
         max_central_exponent=args.max_central_exponent,
@@ -419,7 +426,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_handle_verify)
 
     p = sub.add_parser("sweep", help="compare structural deciders against brute oracles")
-    p.add_argument("--suite", required=True, choices=SUITES)
+    p.add_argument("--suite", required=True, choices=_SUITES)
     p.add_argument("--max-conjugator-syllables", type=int, default=6)
     p.add_argument("--max-central-exponent", type=int, default=2)
     p.add_argument("--max-candidates", type=int, default=1_000_000)

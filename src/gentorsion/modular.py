@@ -16,9 +16,7 @@ itself this reads
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import (
     InvalidCertificate,
@@ -34,6 +32,7 @@ from .words import (
     Syllable,
     Word,
     _cyclic_core,
+    _Record,
     conjugated,
     identity,
     invert,
@@ -41,6 +40,9 @@ from .words import (
     mirror_centres,
     parse_word,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class Verdict(enum.Enum):
@@ -56,18 +58,17 @@ class IsometryClass(enum.Enum):
     HYPERBOLIC = "hyperbolic"
 
 
-@dataclass(frozen=True)
-class IntMatrix2:
+class IntMatrix2(_Record):
     """An integer matrix of determinant 1, normalised up to overall sign.
 
     The sign is fixed by making the first nonzero entry among
     (m11, m12, m21) positive, so equal group elements compare equal.
     """
 
-    m11: int
-    m12: int
-    m21: int
-    m22: int
+    __slots__ = _fields = ("m11", "m12", "m21", "m22")
+
+    def __init__(self, m11: int, m12: int, m21: int, m22: int):
+        self.m11, self.m12, self.m21, self.m22 = m11, m12, m21, m22
 
     @classmethod
     def of(cls, m11: int, m12: int, m21: int, m22: int) -> "IntMatrix2":
@@ -163,8 +164,7 @@ def _parabolic_exponent(core: tuple[Syllable, ...]) -> int:
     return 0 if len(exps) > 1 else len(core) // 2 * (1 if exps == {1} else -1)
 
 
-@dataclass(frozen=True)
-class Reversibility:
+class Reversibility(NamedTuple):
     """A reverser r with r g r^-1 = g^-1 and an involution pair (u, v).
 
     The pair satisfies u * v = g and u^2 = v^2 = 1, exhibiting strong
@@ -222,8 +222,7 @@ def gen3_product(g: Word, h1: Word, k: Word) -> Word:
     return g * conjugated(g, h1) * conjugated(g, k)
 
 
-@dataclass(frozen=True)
-class Gen3Witness:
+class Gen3Witness(NamedTuple):
     """How a hyperbolic instance was found: g = c (z b^e1 z^-1 b^e2) c^-1."""
 
     z: Word
@@ -232,8 +231,7 @@ class Gen3Witness:
     conjugator: Word
 
 
-@dataclass(frozen=True)
-class Gen3Verdict:
+class Gen3Verdict(NamedTuple):
     tag: Verdict
     certificate: Optional[tuple[Word, Word]] = None
     reason: Optional[str] = None
@@ -327,8 +325,7 @@ def gen3_torsion(g: Word) -> Gen3Verdict:
     )
 
 
-@dataclass(frozen=True)
-class Axis:
+class Axis(NamedTuple):
     """The translation axis of a hyperbolic element.
 
     Endpoints on the real line are (p - sqrt(disc)) / q and
@@ -344,6 +341,8 @@ class Axis:
 
 
 def axis(w: Word) -> Axis:
+    from fractions import Fraction
+
     if classify(w) != IsometryClass.HYPERBOLIC:
         raise NotHyperbolic(f"{w} has no axis")
     m = to_matrix(w)
@@ -360,8 +359,7 @@ def axis(w: Word) -> Axis:
     )
 
 
-@dataclass(frozen=True)
-class EllipticFixedPoint:
+class EllipticFixedPoint(NamedTuple):
     """The fixed point re + i*sqrt(im_sq) of an elliptic element."""
 
     re: Fraction
@@ -369,6 +367,8 @@ class EllipticFixedPoint:
 
 
 def elliptic_fixed_point(w: Word) -> EllipticFixedPoint:
+    from fractions import Fraction
+
     if classify(w) not in (
         IsometryClass.ELLIPTIC_ORDER_2,
         IsometryClass.ELLIPTIC_ORDER_3,
@@ -382,8 +382,7 @@ def elliptic_fixed_point(w: Word) -> EllipticFixedPoint:
     )
 
 
-@dataclass(frozen=True)
-class AxisResidual:
+class AxisResidual(NamedTuple):
     """How far a reverser's fixed point sits from the axis it should lie on.
 
     The residual is (re - center)^2 + im_sq - radius_sq, computed in exact

@@ -10,14 +10,13 @@ brute search misses only means the witness lies outside the budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .braid3 import CentralElement, conjugate_b3, reversible_b3
 from .errors import TrivialElement, UnknownSuite
 from .modular import gen3_torsion, reversible
 from .seifert import SeifertGroup, SeifertPair, parse_seifert, reversible_seifert
-from .words import PSL2Z, Word, conjugated, enumerate_reduced, invert
+from .words import PSL2Z, Word, _Record, conjugated, enumerate_reduced, invert
 
 SUITES = (
     "pslz-reversible",
@@ -30,19 +29,20 @@ SUITES = (
 SWEEP_SEIFERT_DATA = "(O,o,0 | 0; (4,1),(4,1)); boundaries=2; phi: d1=-1,d2=-1"
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    max_conjugator_syllables: int = 6
-    max_central_exponent: int = 2
-    max_candidates: int = 10**6
+class SearchBudget(_Record):
+    __slots__ = _fields = ("max_conjugator_syllables", "max_central_exponent", "max_candidates")
 
-    def __post_init__(self):
-        if min(
-            self.max_conjugator_syllables,
-            self.max_central_exponent,
-            self.max_candidates,
-        ) <= 0:
+    def __init__(
+        self,
+        max_conjugator_syllables: int = 6,
+        max_central_exponent: int = 2,
+        max_candidates: int = 10**6,
+    ):
+        if min(max_conjugator_syllables, max_central_exponent, max_candidates) <= 0:
             raise ValueError("budget fields must be positive")
+        self.max_conjugator_syllables = max_conjugator_syllables
+        self.max_central_exponent = max_central_exponent
+        self.max_candidates = max_candidates
 
     def to_dict(self) -> dict:
         return {
@@ -110,8 +110,7 @@ def brute_conjugate_b3(
     return None
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     suite: str
     budget: SearchBudget
     checked: int

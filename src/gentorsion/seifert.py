@@ -26,11 +26,9 @@ h^t g^-1, and g is reversible exactly when t = 0.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     InvalidCertificate,
@@ -44,6 +42,7 @@ from .words import (
     GroupScheme,
     Syllable,
     Word,
+    _Record,
     conjugate_to_inverse,
     format_tokens,
     identity,
@@ -53,8 +52,7 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class SeifertData:
+class SeifertData(_Record):
     """Seifert invariants plus the orientation character phi.
 
     phi holds explicit assignments for handle/crosscap and boundary
@@ -65,14 +63,22 @@ class SeifertData:
     to order two.
     """
 
-    base_orientable: bool
-    genus_or_crosscaps: int
-    boundary_count: int
-    b: int
-    exceptional: tuple[tuple[int, int], ...] = ()
-    phi: tuple[tuple[str, int], ...] = ()
+    __slots__ = _fields = (
+        "base_orientable", "genus_or_crosscaps", "boundary_count", "b", "exceptional", "phi"
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        base_orientable: bool,
+        genus_or_crosscaps: int,
+        boundary_count: int,
+        b: int,
+        exceptional: tuple[tuple[int, int], ...] = (),
+        phi: tuple[tuple[str, int], ...] = (),
+    ):
+        self.base_orientable, self.genus_or_crosscaps = base_orientable, genus_or_crosscaps
+        self.boundary_count, self.b = boundary_count, b
+        self.exceptional, self.phi = exceptional, phi
         if self.genus_or_crosscaps < 0:
             raise InvalidInvariant("genus / crosscap count must be nonnegative")
         if self.boundary_count < 0:
@@ -241,8 +247,7 @@ def _integer(text: str, what: str, pos: int) -> int:
         raise ParseError(f"bad {what} {text[:20]!r}", pos) from None
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     generators: tuple[str, ...]
     relations: tuple[tuple[str, str], ...]
 
@@ -276,8 +281,7 @@ def _long_relation(d: SeifertData) -> list[tuple[str, int]]:
     return pairs + [(name, 1) for name in d.exceptional_generators() + d.boundary_generators()]
 
 
-@dataclass(frozen=True)
-class QuotientMap:
+class QuotientMap(NamedTuple):
     """The quotient by <h> with the last boundary generator eliminated."""
 
     scheme: GroupScheme
@@ -310,12 +314,14 @@ def quotient_scheme(d: SeifertData) -> Optional[QuotientMap]:
     )
 
 
-@dataclass(frozen=True)
-class SeifertPair:
+class SeifertPair(_Record):
     """The central form h^m * section(q) of a group element."""
 
-    m: int
-    q: Word
+    __slots__ = _fields = ("m", "q")
+
+    def __init__(self, m: int, q: Word):
+        self.m = m
+        self.q = q
 
     @property
     def is_identity(self) -> bool:
@@ -456,10 +462,14 @@ class SeifertGroup(CentralExtension):
 
     def element(self, text: str) -> SeifertPair:
         """Parse a word over the presentation alphabet into central form."""
-        return SeifertPair(*self.product(0, identity(self.scheme), self._pieces(text)))
+        return self._element(tokens(text))
 
-    def _pieces(self, text: str) -> Iterator[Piece]:
-        for name, exp in tokens(text):
+    def _element(self, pairs: Iterable[tuple[str, int]]) -> SeifertPair:
+        """The central form of the (name, exponent) pairs of a text."""
+        return SeifertPair(*self.product(0, identity(self.scheme), self._pieces(pairs)))
+
+    def _pieces(self, pairs: Iterable[tuple[str, int]]) -> Iterator[Piece]:
+        for name, exp in pairs:
             if name == "h":
                 yield exp, ()
             elif name == self.qmap.eliminated:
@@ -475,8 +485,7 @@ class SeifertGroup(CentralExtension):
         return format_tokens(fiber + [(s.gen, s.exp) for s in p.q.syllables])
 
 
-@dataclass(frozen=True)
-class SeifertReversibility:
+class SeifertReversibility(NamedTuple):
     reversible: bool
     reverser: Optional[SeifertPair]
     reason: str
@@ -531,31 +540,31 @@ def reversible_seifert(
 
 
 # -- symbolic families ------------------------------------------------
+# The family descriptors share one tuple, so they are plain records, each
+# equal only to its own kind, and not NamedTuples.
 
 
-@dataclass(frozen=True)
-class PowersOfH:
-    pass
+class PowersOfH(_Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TwoHalfTwists:
+class TwoHalfTwists(_Record):
     """Conjugates of c_i^(mu_i/2) k c_j^(sign * mu_j/2) k^-1, phi(k) fixed."""
 
-    i: int
-    j: int
-    second_sign: int
-    phi_k: int
-    beta: int
+    __slots__ = _fields = ("i", "j", "second_sign", "phi_k", "beta")
+
+    def __init__(self, i: int, j: int, second_sign: int, phi_k: int, beta: int):
+        self.i, self.j, self.second_sign, self.phi_k, self.beta = i, j, second_sign, phi_k, beta
 
 
-@dataclass(frozen=True)
-class SurfaceException:
-    surface: str
+class SurfaceException(_Record):
+    __slots__ = _fields = ("surface",)
+
+    def __init__(self, surface: str):
+        self.surface = surface
 
 
-@dataclass(frozen=True)
-class ReversibleFamilyReport:
+class ReversibleFamilyReport(NamedTuple):
     families: tuple
     notes: tuple[str, ...]
 
@@ -607,8 +616,7 @@ def classify_reversible_families(d: SeifertData) -> ReversibleFamilyReport:
 # -- generalised n-torsion certificates --------------------------------
 
 
-@dataclass(frozen=True)
-class GenNCertificate:
+class GenNCertificate(NamedTuple):
     """An element c_i^p (k c_j^p' k^-1) h^x with n x + M1 + M2 = 0.
 
     The powers satisfy c_i^(n p) = h^M1 and c_j^(n p') = h^M2, so the
@@ -664,6 +672,8 @@ def _require_gen_n_base(d: SeifertData) -> None:
     chi_base = 2 - (2 if d.base_orientable else 1) * d.genus_or_crosscaps
     chi_orb = chi_base * scale - sum(scale - scale // mu for mu, _ in d.exceptional)
     if chi_orb > 0:
+        from fractions import Fraction
+
         raise UnsupportedBase(
             "gen-n answers on a closed base need orbifold Euler characteristic "
             f"<= 0, got {Fraction(chi_orb, scale)}"
@@ -837,18 +847,25 @@ def gen_n_relation_holds(d: SeifertData, element: str, conjugators: Sequence[str
     _require_gen_n_base(d)
     if d.boundary_count:
         group = SeifertGroup(d)
+        elements = map(group.element, (element, *conjugators))
     else:
-        group = SeifertGroup(replace(d, boundary_count=1))
+        group = SeifertGroup(SeifertData(
+            d.base_orientable, d.genus_or_crosscaps, 1, d.b, d.exceptional, d.phi
+        ))
         drilled = group.qmap.eliminated
+        # every text is read once, for this check and for its element
+        texts = []
         for text in (element, *conjugators):
-            if any(name == drilled for name, _ in tokens(text)):
+            texts.append(pairs := tokens(text))
+            if any(name == drilled for name, _ in pairs):
                 raise UnknownGenerator(f"unknown generator {drilled!r}")
-    g = group.element(element)
+        elements = map(group._element, texts)
+    g = next(elements)
     if g.is_identity:
         return False
     total = g
-    for text in conjugators:
-        total = group.mul(total, group.conjugated(g, group.element(text)))
+    for k in elements:
+        total = group.mul(total, group.conjugated(g, k))
     if not total.is_identity:
         return False
     if not d.boundary_count and not _shown_nontrivial(d, element):

@@ -21,7 +21,6 @@ itself to its inverse are found by Manacher's algorithm.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 from .errors import (
@@ -33,8 +32,35 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class GroupScheme:
+class _Record:
+    """Equality with a record of the same class and fields, hashing, and a repr.
+
+    A subclass stores its fields in ``__slots__`` and names the ones that
+    make up its value in ``_fields``.  This is what ``dataclass(frozen=True)``
+    provides, without that decorator's set-up cost when the module loads;
+    assignment is not blocked, and no code assigns a field after ``__init__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class GroupScheme(_Record):
     """A free product of cyclic groups, one (name, order) pair per factor.
 
     order None means an infinite cyclic factor.
@@ -43,26 +69,23 @@ class GroupScheme:
     3
     """
 
-    generators: tuple[tuple[str, Optional[int]], ...]
-    # name -> order and name -> index, derived from ``generators``
-    orders: dict[str, Optional[int]] = field(init=False, repr=False, compare=False)
-    indices: dict[str, int] = field(init=False, repr=False, compare=False)
-    # the shared syllables of finite-order generators, filled on first use
-    interned: dict[tuple[str, int], "Syllable"] = field(
-        init=False, repr=False, compare=False
-    )
+    __slots__ = ("generators", "orders", "indices", "interned")
+    _fields = ("generators",)
 
-    def __post_init__(self):
+    def __init__(self, generators: tuple[tuple[str, Optional[int]], ...]):
         orders: dict[str, Optional[int]] = {}
-        for name, order in self.generators:
+        for name, order in generators:
             if name in orders:
                 raise ValueError(f"duplicate generator {name!r}")
             if order is not None and order < 2:
                 raise ValueError(f"order of {name!r} must be >= 2 or None")
             orders[name] = order
-        object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "indices", {name: i for i, name in enumerate(orders)})
-        object.__setattr__(self, "interned", {})
+        self.generators = generators
+        # name -> order and name -> index, derived from ``generators``
+        self.orders = orders
+        self.indices = {name: i for i, name in enumerate(orders)}
+        # the shared syllables of finite-order generators, filled on first use
+        self.interned: dict[tuple[str, int], Syllable] = {}
 
     def names(self) -> tuple[str, ...]:
         return tuple(self.orders)
@@ -101,14 +124,22 @@ class GroupScheme:
 PSL2Z = GroupScheme((("a", 2), ("b", 3)))
 
 
-@dataclass(frozen=True)
-class Syllable:
-    gen: str
-    exp: int
+class Syllable(_Record):
+    __slots__ = _fields = ("gen", "exp")
+
+    def __init__(self, gen: str, exp: int):
+        self.gen = gen
+        self.exp = exp
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.gen == other.gen and self.exp == other.exp
+
+    __hash__ = _Record.__hash__
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Record):
     """A reduced word.  Build with :func:`reduce` or :func:`parse_word`.
 
     >>> w = parse_word(PSL2Z, "a b a b^2")
@@ -116,8 +147,18 @@ class Word:
     '1'
     """
 
-    scheme: GroupScheme
-    syllables: tuple[Syllable, ...]
+    __slots__ = _fields = ("scheme", "syllables")
+
+    def __init__(self, scheme: GroupScheme, syllables: tuple[Syllable, ...]):
+        self.scheme = scheme
+        self.syllables = syllables
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.scheme, self.syllables) == (other.scheme, other.syllables)
+
+    __hash__ = _Record.__hash__
 
     def __len__(self) -> int:
         return len(self.syllables)
@@ -328,16 +369,18 @@ def _wide(codes: list[int]) -> str:
     return "".join([chr(0x100000 | c >> 16) + chr(c & 0xFFFF) for c in codes])
 
 
-@dataclass(frozen=True)
-class CyclicWord:
+class CyclicWord(_Record):
     """A conjugacy-class representative: the least rotation of a cyclic core.
 
     Rotations are ordered lexicographically by (generator index, exponent);
     Booth's algorithm finds the least one in linear time.
     """
 
-    scheme: GroupScheme
-    syllables: tuple[Syllable, ...]
+    __slots__ = _fields = ("scheme", "syllables")
+
+    def __init__(self, scheme: GroupScheme, syllables: tuple[Syllable, ...]):
+        self.scheme = scheme
+        self.syllables = syllables
 
     @classmethod
     def from_word(cls, w: Word) -> "CyclicWord":
@@ -597,7 +640,8 @@ def parse_word(scheme: GroupScheme, text: str) -> Word:
 
 
 def format_word(w: Word) -> str:
-    return format_tokens([(s.gen, s.exp) for s in w.syllables])
+    """Spell w as :func:`format_tokens` spells its pairs, without building them."""
+    return " ".join([s.gen if s.exp == 1 else f"{s.gen}^{s.exp}" for s in w.syllables]) or "1"
 
 
 def parse_scheme(text: str) -> GroupScheme:

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import pytest
 
@@ -39,6 +40,7 @@ from gentorsion.words import (
     enumerate_reduced,
     parse_word,
     primitive_root,
+    tokens,
 )
 
 TREFOIL = "(O,o,0 | 1; (2,1),(3,1)); boundaries=1; phi: d1=+1"
@@ -780,3 +782,17 @@ def test_shapes_shown_nontrivial_on_a_closed_base():
         ("c1 c2^-4", False), ("a1 c2", False), ("c1 c2 c1", False), ("1", False),
     ):
         assert _shown_nontrivial(d, element) is shown, element
+
+
+def test_closed_base_gen_n_check_reads_each_text_once():
+    d = parse_seifert(GENUS_ONE)
+    cert = gen_n_certificate(d, 40)
+    texts = 1 + len(cert.conjugators)
+    with mock.patch("gentorsion.seifert.tokens", wraps=tokens) as read:
+        assert gen_n_relation_holds(d, cert.element, cert.conjugators)
+    # one reading per text, and one more of the element for its shape
+    assert read.call_count == texts + 1
+    with mock.patch("gentorsion.seifert.tokens", wraps=tokens) as read:
+        with pytest.raises(UnknownGenerator):
+            gen_n_relation_holds(d, cert.element, [*cert.conjugators[:3], "d1", "c1 ^"])
+    assert read.call_count == 5

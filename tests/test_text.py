@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gentorsion import cli
+from gentorsion import cli, words
 from gentorsion.braid3 import BraidWord, parse_braid
 from gentorsion.certificates import CERTIFICATE_KINDS, verify_certificate
 from gentorsion.errors import MalformedCertificate, ParseError, UnknownGenerator
@@ -289,3 +289,12 @@ def test_seifert_data_past_the_digit_limit_is_a_parse_error():
             "element": "c1", "reverser": "c1"}
     with pytest.raises(MalformedCertificate):
         verify_certificate(cert)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.sampled_from(("a", "b", "t", "u_1")), st.integers(-10**6, 10**6))))
+def test_format_word_spells_what_format_tokens_spells(pairs):
+    scheme = words.parse_scheme("a:2, b:3, t:inf, u_1:inf")
+    w = reduce(pairs, scheme)
+    assert words.format_word(w) == str(w) == format_tokens(w.pairs())
+    assert reduce(tokens(str(w)), scheme) == w
