@@ -22,7 +22,6 @@ g is generalised 3-torsion iff e(g) = 0 and its image is generalised
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Iterator, NamedTuple, Optional, Union
 
 from .errors import InvalidCertificate, ParseError, TrivialElement
@@ -60,13 +59,20 @@ class BraidWord(_Record):
         self.letters = letters
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
-        return BraidWord(self.letters + other.letters)
+        return _checked(self.letters + other.letters)
 
     def inverse(self) -> "BraidWord":
-        return BraidWord(tuple((name, -exp) for name, exp in reversed(self.letters)))
+        return _checked(tuple((name, -exp) for name, exp in reversed(self.letters)))
 
     def __str__(self) -> str:
         return format_tokens(self.letters)
+
+
+def _checked(letters: tuple[tuple[str, int], ...]) -> BraidWord:
+    """A BraidWord of letters that are known to be valid, not checked again."""
+    w = object.__new__(BraidWord)
+    w.letters = letters
+    return w
 
 
 #: each braid letter and its capital, the inverse, as (letter, sign)
@@ -89,7 +95,7 @@ def parse_braid(text: str) -> BraidWord:
             raise ParseError(f"zero exponent on {name!r}", _start(text, i))
         letter, sign = _SIGNED[name]
         letters.append((letter, sign * exp))
-    return BraidWord(tuple(letters))
+    return _checked(tuple(letters))
 
 
 def _start(text: str, i: int) -> int:
@@ -139,7 +145,7 @@ class CentralElement(SeifertPair):
             letters.append(("h", self.m))
         for s in self.q.syllables:
             letters.append(("x", 1) if s.gen == "a" else ("y", s.exp))
-        return BraidWord(tuple(letters))
+        return _checked(tuple(letters))
 
 
 def _word(text: str) -> Word:
@@ -148,10 +154,10 @@ def _word(text: str) -> Word:
 
 #: the lifts h^m * section(q) of s1, s1^-1, s2 and s2^-1
 _LIFT = {
-    ("s1", 1): (-1, _word("b^2 a").syllables),
-    ("s1", -1): (-1, _word("a b").syllables),
-    ("s2", 1): (-1, _word("a b^2").syllables),
-    ("s2", -1): (-1, _word("b a").syllables),
+    ("s1", 1): (-1, _word("b^2 a")),
+    ("s1", -1): (-1, _word("a b")),
+    ("s2", 1): (-1, _word("a b^2")),
+    ("s2", -1): (-1, _word("b a")),
 }
 
 
@@ -162,11 +168,12 @@ def _pieces(w: BraidWord) -> Iterator[Piece]:
         elif name in ("x", "y"):
             yield 0, (Syllable("a" if name == "x" else "b", exp),)
         else:
-            yield from repeat(_LIFT[name, 1 if exp > 0 else -1], abs(exp))
+            m, q = _LIFT[name, exp] if exp in (1, -1) else _B3.power(*_LIFT[name, 1], exp)
+            yield m, q.syllables
 
 
 def normal_form(w: Union[BraidWord, CentralElement]) -> CentralElement:
-    """Fold the letters through the extension cocycle in one stack pass.
+    """Fold the letters through the extension cocycle, s_i^k as one power.
 
     A CentralElement is already in normal form and passes through.
 

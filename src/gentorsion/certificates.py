@@ -164,9 +164,8 @@ def _check_b3_gen3(payload: Mapping) -> bool:
 
 
 def _check_seifert_reverser(payload: Mapping) -> bool:
-    from .seifert import SeifertGroup, parse_seifert
-    data = parse_seifert(_text(payload, "data"))
-    group = SeifertGroup(data)
+    from .seifert import parse_seifert, seifert_group
+    group = seifert_group(parse_seifert(_text(payload, "data")))
     element = group.element(_text(payload, "element"))
     reverser = group.element(_text(payload, "reverser"))
     return group.conjugated(element, reverser) == group.inv(element)

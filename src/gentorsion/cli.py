@@ -188,7 +188,7 @@ def _handle_reversible(args):
         ]
         cert = certificates.b3_reverser_certificate(word, str(outcome.reverser))
     else:
-        from .seifert import SeifertGroup, parse_seifert, reversible_seifert
+        from .seifert import parse_seifert, reversible_seifert, seifert_group
         data = parse_seifert(spec)
         report = reversible_seifert(word, data)
         diagnostics = [report.reason]
@@ -199,9 +199,8 @@ def _handle_reversible(args):
         if not report.reversible:
             result["verdict"] = "no"
             return result, EXIT_DECIDED
-        group = SeifertGroup(data)
         cert = certificates.seifert_reverser_certificate(
-            spec, word, group.spell(report.reverser)
+            spec, word, seifert_group(data).spell(report.reverser)
         )
         result.update({"verdict": "yes", "certificate": _verified(cert)})
         return result, EXIT_DECIDED

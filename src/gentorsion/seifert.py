@@ -16,6 +16,8 @@ h^m * section(q).  Since h is only phi-twisted central, pushing the fiber
 through a word flips its exponent by the product of the phi values it
 crosses; merging c-syllables spills beta-weighted fiber powers.  That
 arithmetic is :class:`CentralExtension`, which the braid group B3 shares.
+Its products cancel only at the seams between reduced pieces, and its
+powers repeat the cyclic core, so both take time linear in their output.
 
 Reversibility is found in the quotient and lifted once, for B3 as well: a
 reversible image is elliptic or a product of two involutions (Lyndon-Schupp
@@ -26,7 +28,7 @@ h^t g^-1, and g is reversible exactly when t = 0.
 from __future__ import annotations
 
 import re
-from itertools import repeat
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -42,6 +44,7 @@ from .words import (
     GroupScheme,
     Syllable,
     Word,
+    _cyclic_core,
     _Record,
     conjugate_to_inverse,
     format_tokens,
@@ -323,6 +326,13 @@ class SeifertPair(_Record):
         self.m = m
         self.q = q
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.m == other.m and self.q == other.q
+
+    __hash__ = _Record.__hash__
+
     @property
     def is_identity(self) -> bool:
         return self.m == 0 and self.q.is_identity
@@ -356,17 +366,17 @@ class CentralExtension:
         return -1 if odd % 2 else 1
 
     def product(self, m: int, q: Word, pieces: Iterable[Piece]) -> tuple[int, Word]:
-        """(m, q) times every piece in turn, in one stack pass.
+        """(m, q) times every piece in turn, cancelling only at the seams.
 
-        Piece syllables need not be normalised: a finite-order exponent
-        outside [1, order) wraps into the fiber on the way in.
+        A piece is a reduced, normalised word, or one syllable of any exponent, which
+        wraps; once one of its syllables is pushed, the rest go on as they are.
         """
-        order, beta, flips = self._order, self._beta, self._flips
+        order, beta, flips, syllable = self._order, self._beta, self._flips, self.scheme.syllable
         stack = list(q.syllables)
         pend = 0  # the fiber power sitting to the right of the stack
         for k, syllables in pieces:
             pend += k
-            for s in syllables:
+            for i, s in enumerate(syllables):
                 gen, exp = s.gen, s.exp
                 # h^pend * g^e = g^e * h^(pend * phi(g)^e)
                 if flips and exp % 2 and gen in flips:
@@ -378,7 +388,11 @@ class CentralExtension:
                     wraps, exp = divmod(exp, n)
                     pend += beta[gen] * wraps
                 if exp:
-                    stack.append(self.scheme.syllable(gen, exp))
+                    stack.append(syllable(gen, exp))
+                    stack += (rest := syllables[i + 1:])
+                    if flips and pend and sum(r.exp % 2 for r in rest if r.gen in flips) % 2:
+                        pend = -pend
+                    break
         q = Word(self.scheme, tuple(stack))
         if flips and pend:
             pend *= self.phi_word(q)
@@ -390,9 +404,22 @@ class CentralExtension:
         return -drift, q_inv
 
     def power(self, m: int, q: Word, n: int) -> tuple[int, Word]:
+        """(m, q)^n = P (m_c, c)^n P^-1 with P = (0, p) and c = p^-1 q p the cyclic core of q.
+
+        Copies of (m_c, c) = P^-1 (m, q) P do not cancel, so (m_c, c)^n is h^(m_c n), or
+        h^(m_c (n % 2)) when phi(c) = -1, times c repeated, or its one syllable raised.
+        """
         if n < 0:
             (m, q), n = self.inverse(m, q), -n
-        return self.product(0, identity(self.scheme), repeat((m, q.syllables), n))
+        p = _cyclic_core(q)[1]
+        p_m, p_inv = self.inverse(0, p)
+        m, c = self.product(p_m, p_inv, ((m, q.syllables), (0, p.syllables)))
+        fiber = m * (n if self.phi_word(c) == 1 else n % 2)
+        s = c.syllables
+        core = (Syllable(s[0].gen, s[0].exp * n),) if len(s) == 1 else s * n
+        if p or len(s) == 1:
+            return self.product(0, p, ((fiber, core), (p_m, p_inv.syllables)))
+        return fiber, Word(self.scheme, core)
 
     def lift_reverser(self, m: int, q: Word) -> Optional[tuple[Word, int]]:
         """A quotient reverser rho of q and the central defect of its lift.
@@ -438,13 +465,7 @@ class SeifertGroup(CentralExtension):
         return SeifertPair(0, identity(self.scheme))
 
     def generator(self, name: str) -> SeifertPair:
-        if name == "h":
-            return SeifertPair(1, identity(self.scheme))
-        if name == self.qmap.eliminated:
-            return self._dm
-        if name in self.scheme:
-            return SeifertPair(0, reduce([(name, 1)], self.scheme))
-        raise UnknownGenerator(f"unknown generator {name!r}")
+        return self._element(((name, 1),))
 
     def mul(self, p1: SeifertPair, p2: SeifertPair) -> SeifertPair:
         return SeifertPair(*self.product(p1.m, p1.q, ((p2.m, p2.q.syllables),)))
@@ -473,8 +494,8 @@ class SeifertGroup(CentralExtension):
             if name == "h":
                 yield exp, ()
             elif name == self.qmap.eliminated:
-                dm = self._dm if exp > 0 else self.inv(self._dm)
-                yield from repeat((dm.m, dm.q.syllables), abs(exp))
+                dm = self._dm if exp == 1 else self.pow(self._dm, exp)
+                yield dm.m, dm.q.syllables
             elif name in self.scheme:
                 yield 0, (Syllable(name, exp),)
             else:
@@ -483,6 +504,10 @@ class SeifertGroup(CentralExtension):
     def spell(self, p: SeifertPair) -> str:
         fiber = [("h", p.m)] if p.m else []
         return format_tokens(fiber + [(s.gen, s.exp) for s in p.q.syllables])
+
+
+#: the one SeifertGroup of each data, built on first use
+seifert_group = lru_cache(maxsize=16)(SeifertGroup)
 
 
 class SeifertReversibility(NamedTuple):
@@ -512,7 +537,7 @@ def reversible_seifert(
     rho <root>; a lift of the root commutes with g, and so does any h^s as
     phi(q) = +1, so every lift of every reverser leaves the same defect.
     """
-    group = SeifertGroup(d)
+    group = seifert_group(d)
     p = group.element(g) if isinstance(g, str) else g
     if p.is_identity:
         raise TrivialElement("reversibility is considered for nontrivial elements")
@@ -846,10 +871,10 @@ def gen_n_relation_holds(d: SeifertData, element: str, conjugators: Sequence[str
     """
     _require_gen_n_base(d)
     if d.boundary_count:
-        group = SeifertGroup(d)
+        group = seifert_group(d)
         elements = map(group.element, (element, *conjugators))
     else:
-        group = SeifertGroup(SeifertData(
+        group = seifert_group(SeifertData(
             d.base_orientable, d.genus_or_crosscaps, 1, d.b, d.exceptional, d.phi
         ))
         drilled = group.qmap.eliminated

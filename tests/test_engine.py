@@ -1,17 +1,27 @@
 """The shared central-extension engine behind B3 and the Seifert groups.
 
-Hostile exponents must fold in one stack pass, and products, inverses and
-powers are checked against representations computed independently here:
-B3 through the faithful pair (matrix in SL(2,Z), exponent sum), and the
-Seifert groups through a naive one-generator-at-a-time multiply loop.
+Hostile exponents must fold at once, and products, inverses and powers are
+checked against representations computed independently here: B3 through
+the faithful pair (matrix in SL(2,Z), exponent sum), the Seifert groups
+through a naive one-generator-at-a-time multiply loop, and both through the
+per-syllable fold that merges every syllable of every factor on its own.
 """
 
+import sys
+from itertools import repeat
+from pathlib import Path
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gentorsion.braid3 import BraidWord, CentralElement, normal_form, parse_braid
-from gentorsion.seifert import SeifertGroup, SeifertPair, parse_seifert
-from gentorsion.words import PSL2Z, identity, parse_word, reduce
+from gentorsion.seifert import CentralExtension, SeifertGroup, SeifertPair, parse_seifert
+from gentorsion.words import PSL2Z, Syllable, Word, identity, invert, parse_word, reduce
+
+sys.path[:0] = [str(Path(__file__).resolve().parents[1] / "benchmark")]
+
+import workloads  # noqa: E402
 
 TREFOIL = "(O,o,0 | 1; (2,1),(3,1)); boundaries=1; phi: d1=+1"
 TWO_BOUNDARY = "(O,o,0 | 0; (4,1),(4,1)); boundaries=2; phi: d1=-1,d2=-1"
@@ -206,3 +216,178 @@ def test_word_power_matches_a_naive_loop(pairs, n):
     for _ in range(abs(n)):
         out = out * base
     assert w ** n == out
+
+
+# -- against the per-syllable fold ----------------------------------------
+
+
+def reference_product(E, m, q, pieces):
+    """(m, q) times the pieces, merging and wrapping every syllable on its own."""
+    stack, pend = list(q.syllables), 0
+    for k, syllables in pieces:
+        pend += k
+        for s in syllables:
+            gen, exp = s.gen, s.exp
+            if exp % 2 and gen in E._flips:
+                pend = -pend
+            if stack and stack[-1].gen == gen:
+                exp += stack.pop().exp
+            if E._order[gen] is not None:
+                wraps, exp = divmod(exp, E._order[gen])
+                pend += E._beta[gen] * wraps
+            if exp:
+                stack.append(E.scheme.syllable(gen, exp))
+    q = Word(E.scheme, tuple(stack))
+    return m + pend * E.phi_word(q), q
+
+
+def reference_inverse(E, m, q):
+    q_inv = invert(q)
+    return -reference_product(E, 0, q_inv, ((m, q.syllables),))[0], q_inv
+
+
+def reference_power(E, m, q, n):
+    """n copies of (m, q), or of its inverse, folded syllable by syllable."""
+    if n < 0:
+        (m, q), n = reference_inverse(E, m, q), -n
+    return reference_product(E, 0, identity(E.scheme), repeat((m, q.syllables), n))
+
+
+def reference_element(G, letters):
+    """The central form of the letters, with d_m^k as abs(k) copies of d_m^+-1."""
+    dm = G.generator(G.qmap.eliminated)
+    pieces = []
+    for name, exp in letters:
+        if name == "h":
+            pieces.append((exp, ()))
+        elif name == G.qmap.eliminated:
+            m, q = (dm.m, dm.q) if exp > 0 else reference_inverse(G, dm.m, dm.q)
+            pieces += [(m, q.syllables)] * abs(exp)
+        else:
+            pieces.append((0, (Syllable(name, exp),)))
+    return SeifertPair(*reference_product(G, 0, identity(G.scheme), pieces))
+
+
+B3 = CentralExtension(PSL2Z, beta={"a": 1, "b": 1}, phi={})
+LIFT = {("s1", 1): "b^2 a", ("s1", -1): "a b", ("s2", 1): "a b^2", ("s2", -1): "b a"}
+
+
+def reference_normal_form(w):
+    """The braid folded letter by letter, with s_i^k as abs(k) lifts of s_i^+-1."""
+    pieces = []
+    for name, exp in w.letters:
+        if name == "h":
+            pieces.append((exp, ()))
+        elif name in ("x", "y"):
+            pieces.append((0, (Syllable("a" if name == "x" else "b", exp),)))
+        else:
+            lift = parse_word(PSL2Z, LIFT[name, 1 if exp > 0 else -1])
+            pieces += [(-1, lift.syllables)] * abs(exp)
+    return CentralElement(*reference_product(B3, 0, identity(PSL2Z), pieces))
+
+
+FIBRATIONS = {spec: SeifertGroup(parse_seifert(spec)) for spec in workloads.FIBER_ORDERS}
+
+
+def _letters(G):
+    names = [name for name, _ in G.scheme.generators] + [G.qmap.eliminated, "h"]
+    return st.lists(st.tuples(st.sampled_from(names), st.integers(-9, 9)), max_size=6)
+
+
+@st.composite
+def fibred(draw, count=1):
+    """A fibration data set of the benchmark and count letter lists over its alphabet."""
+    G = FIBRATIONS[draw(st.sampled_from(sorted(FIBRATIONS)))]
+    return (G, *(draw(_letters(G)) for _ in range(count)))
+
+
+@PROPERTY
+@given(fibred())
+def test_element_matches_the_per_syllable_fold(case):
+    G, letters = case
+    assert G.element(_spell(letters)) == reference_element(G, letters)
+
+
+@PROPERTY
+@given(fibred(count=2), st.lists(st.integers(0, 5), max_size=6), st.integers(-30, 30))
+def test_product_matches_the_per_syllable_fold(case, picks, raw):
+    G, left, right = case
+    p, r = G.element(_spell(left)), G.element(_spell(right))
+    gen = G.scheme.generators[raw % len(G.scheme.generators)][0]
+    # p^-1 after p, or r^-1 after r, cancels across the whole seam
+    pool = [p, r, G.inv(p), G.inv(r), G.generator("h"), SeifertPair(raw, identity(G.scheme))]
+    pieces = [(x.m, x.q.syllables) for x in (pool[i] for i in picks)]
+    pieces.insert(len(pieces) // 2, (0, (Syllable(gen, raw),)))
+    got = G.product(p.m, p.q, pieces)
+    assert got == reference_product(G, p.m, p.q, pieces)
+
+
+@PROPERTY
+@given(fibred(), st.integers(-12, 12))
+def test_power_matches_the_per_syllable_fold(case, n):
+    G, letters = case
+    p = G.element(_spell(letters))
+    assert G.power(p.m, p.q, n) == reference_power(G, p.m, p.q, n)
+
+
+@PROPERTY
+@given(braids)
+def test_normal_form_matches_the_per_syllable_fold(w):
+    assert normal_form(w) == reference_normal_form(w)
+
+
+@PROPERTY
+@given(braids, st.integers(-12, 12))
+def test_braid_power_matches_the_per_syllable_fold(w, n):
+    nf = normal_form(w)
+    assert nf ** n == CentralElement(*reference_power(B3, nf.m, nf.q, n))
+
+
+@pytest.mark.parametrize(
+    "spec, text, phi",
+    [
+        # crosscap x1 flips the fiber: a one-syllable core, and longer ones
+        (workloads.CROSSCAP, "h^3 x1", -1),
+        (workloads.CROSSCAP, "x1^2 h^-2", 1),
+        (workloads.CROSSCAP, "c1 h^2 x1 c2", -1),
+        (workloads.CROSSCAP, "x1 c1 h^5 x1^2 c2 x1^-1", 1),
+        (workloads.TWO_BOUNDARY, "c2 d1 c1^3 h^-4 c2^-1", -1),
+        (workloads.TWO_BOUNDARY, "d2^3 h", -1),
+        # genus one: a commutator, and a one-syllable core conjugated twice
+        (workloads.GENUS_ONE, "a1 b1 a1^-1 b1^-1 h^2", 1),
+        (workloads.GENUS_ONE, "a1 c2 c1 h^-3 c1^-1 a1^-1", 1),
+        (workloads.THREE_FIBERS, "c3^2 d2^3 h^7 c3^-2", 1),
+        (workloads.TREFOIL, "d1^-2 c2 h", 1),
+    ],
+)
+def test_powers_of_conjugated_cores_match_the_per_syllable_fold(spec, text, phi):
+    G = FIBRATIONS[spec]
+    p = G.element(text)
+    assert G.phi_word(p.q) == phi
+    for n in range(-7, 8):
+        assert G.power(p.m, p.q, n) == reference_power(G, p.m, p.q, n), n
+
+
+def test_raw_syllables_outside_the_order_wrap_into_the_fiber():
+    G = FIBRATIONS[workloads.THREE_FIBERS]
+    p = G.element("c3^2 c1")
+    for exp in (-11, -5, 0, 5, 7, 12):
+        pieces = ((3, (Syllable("c1", exp),)), (-1, (Syllable("c3", exp),)))
+        assert G.product(p.m, p.q, pieces) == reference_product(G, p.m, p.q, pieces)
+    for exp in (-7, 3, 10):
+        pieces = ((2, (Syllable("b", exp),)), (0, parse_word(PSL2Z, "b a").syllables))
+        assert B3.product(0, parse_word(PSL2Z, "a b"), pieces) == reference_product(
+            B3, 0, parse_word(PSL2Z, "a b"), pieces
+        )
+
+
+def test_powers_repeat_the_cyclic_core_at_once():
+    aba = CentralElement(0, parse_word(PSL2Z, "a b a"))
+    assert aba ** 10**9 == CentralElement(1333333332, parse_word(PSL2Z, "a b a"))
+    assert aba ** 999 == CentralElement(1332, identity(PSL2Z))
+
+
+def test_letter_powers_fold_as_one_power():
+    nf = normal_form(parse_braid("s1^100000"))
+    assert nf == CentralElement(-100000, Word(PSL2Z, parse_word(PSL2Z, "b^2 a").syllables * 100000))
+    assert TWO.element("d2^10000") == TWO.pow(TWO.generator("d2"), 10000)
