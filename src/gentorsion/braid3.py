@@ -29,10 +29,9 @@ from .modular import Verdict, gen3_torsion
 from .seifert import CentralExtension, Piece, SeifertPair
 from .words import (
     PSL2Z,
-    CyclicWord,
-    Syllable,
     Word,
     _Record,
+    _cyclic_core,
     format_tokens,
     identity,
     invert,
@@ -134,8 +133,8 @@ class CentralElement(SeifertPair):
     @property
     def exponent_sum(self) -> int:
         total = 6 * self.m
-        for s in self.q.syllables:
-            total += 3 if s.gen == "a" else 2 * s.exp
+        for gen, exp in self.q.syllables:
+            total += 3 if gen == "a" else 2 * exp
         return total
 
     def spell(self) -> BraidWord:
@@ -143,8 +142,8 @@ class CentralElement(SeifertPair):
         letters: list[tuple[str, int]] = []
         if self.m:
             letters.append(("h", self.m))
-        for s in self.q.syllables:
-            letters.append(("x", 1) if s.gen == "a" else ("y", s.exp))
+        for gen, exp in self.q.syllables:
+            letters.append(("x", 1) if gen == "a" else ("y", exp))
         return _checked(tuple(letters))
 
 
@@ -166,7 +165,7 @@ def _pieces(w: BraidWord) -> Iterator[Piece]:
         if name == "h":
             yield exp, ()
         elif name in ("x", "y"):
-            yield 0, (Syllable("a" if name == "x" else "b", exp),)
+            yield 0, (("a" if name == "x" else "b", exp),)
         else:
             m, q = _LIFT[name, exp] if exp in (1, -1) else _B3.power(*_LIFT[name, 1], exp)
             yield m, q.syllables
@@ -255,15 +254,15 @@ def reversible_b3(g: Union[BraidWord, CentralElement]) -> Optional[B3Reversibili
         return None
     r = CentralElement(0, lift[0])
 
-    cyclic = CyclicWord.from_word(n.q)
+    cyclic = _cyclic_core(n.q)[0]
     core, half = cyclic.syllables, len(cyclic) // 2
     ring = core + core
-    readings = [ring[c + 1:c + half] for c in mirror_centres(cyclic, half) if core[c].gen == "a"]
+    readings = [ring[c + 1:c + half] for c in mirror_centres(cyclic, half) if core[c][0] == "a"]
     if not readings:
         raise InvalidCertificate(f"reversible image {n.q} has no commutator form")
     # every such k0 alternates from b, so its exponents order it as
     # enumerate_reduced does
-    k0 = CentralElement(0, Word(PSL2Z, min(readings, key=lambda k: [s.exp for s in k])))
+    k0 = CentralElement(0, Word(PSL2Z, min(readings, key=lambda k: [exp for _, exp in k])))
     x = CentralElement(0, _word("a"))
     conjugator = conjugate_b3(x * k0 * x.inverse() * k0.inverse(), n)
     if conjugator is None:
@@ -274,7 +273,7 @@ def reversible_b3(g: Union[BraidWord, CentralElement]) -> Optional[B3Reversibili
 
 
 def _b_exponent_sum(q: Word) -> int:
-    return sum(s.exp for s in q.syllables if s.gen == "b") % 3
+    return sum(exp for gen, exp in q.syllables if gen == "b") % 3
 
 
 def _family_diagnostics(q: Word) -> tuple[str, ...]:

@@ -107,8 +107,8 @@ def _handle_normalize(args):
         nf = normal_form(parse_braid(word))
         normal = {"m": nf.m, "q": str(nf.q), "spelled": str(nf.spell())}
     else:
-        from .seifert import SeifertGroup, parse_seifert
-        group = SeifertGroup(parse_seifert(spec))
+        from .seifert import parse_seifert, seifert_group
+        group = seifert_group(parse_seifert(spec))
         pair = group.element(word)
         normal = {"m": pair.m, "q": str(pair.q), "spelled": group.spell(pair)}
     return {"verdict": "ok", "normal_form": normal, "diagnostics": diagnostics}, EXIT_DECIDED

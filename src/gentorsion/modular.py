@@ -28,7 +28,6 @@ from .errors import (
 )
 from .words import (
     PSL2Z,
-    CyclicWord,
     Syllable,
     Word,
     _cyclic_core,
@@ -118,12 +117,12 @@ def to_matrix(w: Word) -> IntMatrix2:
     if w.scheme is not PSL2Z and w.scheme != PSL2Z:
         raise SchemeMismatch(f"{w} is not a word over the modular group a:2, b:3")
     p, q, r, t = 1, 0, 0, 1
-    for s in w.syllables:
-        if s.gen == "a":
-            if s.exp % 2:
+    for gen, exp in w.syllables:
+        if gen == "a":
+            if exp % 2:
                 p, q, r, t = q, -p, t, -r
         else:
-            e = s.exp % 3
+            e = exp % 3
             if e == 1:
                 p, q, r, t = -q, p - q, -t, r - t
             elif e == 2:
@@ -155,12 +154,12 @@ def classify(w: Word) -> IsometryClass:
         return IsometryClass.PARABOLIC if _parabolic_exponent(core) else IsometryClass.HYPERBOLIC
     if not core:
         return IsometryClass.IDENTITY
-    return IsometryClass.ELLIPTIC_ORDER_2 if core[0].gen == "a" else IsometryClass.ELLIPTIC_ORDER_3
+    return IsometryClass.ELLIPTIC_ORDER_2 if core[0][0] == "a" else IsometryClass.ELLIPTIC_ORDER_3
 
 
 def _parabolic_exponent(core: tuple[Syllable, ...]) -> int:
     """n with a core of two or more syllables a rotation of (a b)^n or (a b^2)^-n, else 0."""
-    exps = {s.exp for s in core if s.gen == "b"}
+    exps = {exp for gen, exp in core if gen == "b"}
     return 0 if len(exps) > 1 else len(core) // 2 * (1 if exps == {1} else -1)
 
 
@@ -274,8 +273,10 @@ def gen3_torsion(g: Word) -> Gen3Verdict:
     )
     if kind == IsometryClass.ELLIPTIC_ORDER_2:
         return odd_a_sum
+    cyclic = _cyclic_core(g)[0]
+    core, half = cyclic.syllables, len(cyclic) // 2
     if kind == IsometryClass.PARABOLIC:
-        n = _parabolic_exponent(_cyclic_core(g)[0].syllables)
+        n = _parabolic_exponent(core)
         if n % 2:
             return Gen3Verdict(
                 Verdict.NO,
@@ -287,8 +288,6 @@ def gen3_torsion(g: Word) -> Gen3Verdict:
                 reason=f"parabolic of power {n}: only powers +2 and -2 are products "
                 "of two order-3 elements",
             )
-    cyclic = CyclicWord.from_word(g)
-    core, half = cyclic.syllables, len(cyclic) // 2
     if half % 2:
         # the core has half a-syllables, and conjugation keeps the parity
         return odd_a_sum
@@ -298,9 +297,9 @@ def gen3_torsion(g: Word) -> Gen3Verdict:
     # exponents order it as enumerate_reduced does
     ring = core + core
     readings = [
-        ([s.exp for s in ring[c + half + 1:c + 2 * half]], core[c].exp, core[c - half].exp, c)
+        ([exp for _, exp in ring[c + half + 1:c + 2 * half]], core[c][1], core[c - half][1], c)
         for c in mirror_centres(cyclic, half - 1)
-        if core[c].gen == "b"
+        if core[c][0] == "b"
     ]
     if not readings:
         return Gen3Verdict(

@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 from .braid3 import CentralElement, conjugate_b3, reversible_b3
 from .errors import TrivialElement, UnknownSuite
 from .modular import gen3_torsion, reversible
-from .seifert import SeifertGroup, SeifertPair, parse_seifert, reversible_seifert
+from .seifert import SeifertPair, parse_seifert, reversible_seifert, seifert_group
 from .words import PSL2Z, Word, _Record, conjugated, enumerate_reduced, invert
 
 SUITES = (
@@ -227,7 +227,7 @@ def _sweep_b3_conjugacy(budget: SearchBudget) -> SweepReport:
 def _sweep_seifert_reversible(budget: SearchBudget) -> SweepReport:
     tally = _Tally("seifert-reversible", budget)
     data = parse_seifert(SWEEP_SEIFERT_DATA)
-    group = SeifertGroup(data)
+    group = seifert_group(data)
     length = max(1, budget.max_conjugator_syllables // 2)
     span = range(-budget.max_central_exponent, budget.max_central_exponent + 1)
     rhos = list(_candidates(group.scheme, budget, budget.max_conjugator_syllables))

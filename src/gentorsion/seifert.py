@@ -362,7 +362,7 @@ class CentralExtension:
         self._flips = frozenset(name for name, value in phi.items() if value == -1)
 
     def phi_word(self, q: Word) -> int:
-        odd = sum(s.exp % 2 for s in q.syllables if s.gen in self._flips)
+        odd = sum(exp % 2 for gen, exp in q.syllables if gen in self._flips)
         return -1 if odd % 2 else 1
 
     def product(self, m: int, q: Word, pieces: Iterable[Piece]) -> tuple[int, Word]:
@@ -371,26 +371,26 @@ class CentralExtension:
         A piece is a reduced, normalised word, or one syllable of any exponent, which
         wraps; once one of its syllables is pushed, the rest go on as they are.
         """
-        order, beta, flips, syllable = self._order, self._beta, self._flips, self.scheme.syllable
+        order, beta, flips = self._order, self._beta, self._flips
+        interned, syllable = self.scheme.interned, self.scheme.syllable
         stack = list(q.syllables)
         pend = 0  # the fiber power sitting to the right of the stack
         for k, syllables in pieces:
             pend += k
-            for i, s in enumerate(syllables):
-                gen, exp = s.gen, s.exp
+            for i, (gen, exp) in enumerate(syllables):
                 # h^pend * g^e = g^e * h^(pend * phi(g)^e)
                 if flips and exp % 2 and gen in flips:
                     pend = -pend
-                if stack and stack[-1].gen == gen:
-                    exp += stack.pop().exp
+                if stack and stack[-1][0] == gen:
+                    exp += stack.pop()[1]
                 n = order[gen]
                 if n is not None:
                     wraps, exp = divmod(exp, n)
                     pend += beta[gen] * wraps
                 if exp:
-                    stack.append(syllable(gen, exp))
+                    stack.append(interned.get((gen, exp)) or syllable(gen, exp))
                     stack += (rest := syllables[i + 1:])
-                    if flips and pend and sum(r.exp % 2 for r in rest if r.gen in flips) % 2:
+                    if flips and pend and sum(e % 2 for g, e in rest if g in flips) % 2:
                         pend = -pend
                     break
         q = Word(self.scheme, tuple(stack))
@@ -416,7 +416,7 @@ class CentralExtension:
         m, c = self.product(p_m, p_inv, ((m, q.syllables), (0, p.syllables)))
         fiber = m * (n if self.phi_word(c) == 1 else n % 2)
         s = c.syllables
-        core = (Syllable(s[0].gen, s[0].exp * n),) if len(s) == 1 else s * n
+        core = ((s[0][0], s[0][1] * n),) if len(s) == 1 else s * n
         if p or len(s) == 1:
             return self.product(0, p, ((fiber, core), (p_m, p_inv.syllables)))
         return fiber, Word(self.scheme, core)
@@ -497,13 +497,13 @@ class SeifertGroup(CentralExtension):
                 dm = self._dm if exp == 1 else self.pow(self._dm, exp)
                 yield dm.m, dm.q.syllables
             elif name in self.scheme:
-                yield 0, (Syllable(name, exp),)
+                yield 0, ((name, exp),)
             else:
                 raise UnknownGenerator(f"unknown generator {name!r}")
 
     def spell(self, p: SeifertPair) -> str:
-        fiber = [("h", p.m)] if p.m else []
-        return format_tokens(fiber + [(s.gen, s.exp) for s in p.q.syllables])
+        fiber = (("h", p.m),) if p.m else ()
+        return format_tokens(fiber + p.q.syllables)
 
 
 #: the one SeifertGroup of each data, built on first use

@@ -1,7 +1,8 @@
 """Words in free products of cyclic groups.
 
-Elements are stored as reduced syllable sequences.  A syllable is a pair
-(generator, exponent); in a reduced word adjacent syllables use distinct
+Elements are stored as reduced syllable sequences.  A syllable is the pair
+(generator, exponent) itself, the plain tuple that :func:`tokens` reads and
+:func:`format_tokens` spells; in a reduced word adjacent syllables use distinct
 generators and no exponent is a multiple of its generator's order.  Exponents
 of finite-order generators are normalised into [1, order - 1], so equality of
 reduced words is equality of group elements.
@@ -32,6 +33,10 @@ from .errors import (
 )
 
 
+#: a syllable: the pair (generator, exponent)
+Syllable = tuple[str, int]
+
+
 class _Record:
     """Equality with a record of the same class and fields, hashing, and a repr.
 
@@ -39,6 +44,7 @@ class _Record:
     make up its value in ``_fields``.  This is what ``dataclass(frozen=True)``
     provides, without that decorator's set-up cost when the module loads;
     assignment is not blocked, and no code assigns a field after ``__init__``.
+    A syllable is no record: it is the pair (generator, exponent) itself.
     """
 
     __slots__ = ()
@@ -85,7 +91,7 @@ class GroupScheme(_Record):
         self.orders = orders
         self.indices = {name: i for i, name in enumerate(orders)}
         # the shared syllables of finite-order generators, filled on first use
-        self.interned: dict[tuple[str, int], Syllable] = {}
+        self.interned: dict[Syllable, Syllable] = {}
 
     def names(self) -> tuple[str, ...]:
         return tuple(self.orders)
@@ -105,8 +111,8 @@ class GroupScheme(_Record):
     def __contains__(self, name: str) -> bool:
         return name in self.orders
 
-    def syllable(self, gen: str, exp: int) -> "Syllable":
-        """Syllable(gen, exp), exp normalised; one shared object per finite-order syllable.
+    def syllable(self, gen: str, exp: int) -> Syllable:
+        """The pair (gen, exp), exp normalised; one shared tuple per finite-order syllable.
 
         Shared syllables make equal reduced words equal element by element
         by identity, and spare an allocation per syllable.  A finite factor
@@ -114,29 +120,14 @@ class GroupScheme(_Record):
         """
         s = self.interned.get((gen, exp))
         if s is None:
-            s = Syllable(gen, exp)
+            s = (gen, exp)
             if self.orders[gen] is not None:
-                self.interned[gen, exp] = s
+                self.interned[s] = s
         return s
 
 
 #: The modular group PSL(2,Z) as C2 * C3.
 PSL2Z = GroupScheme((("a", 2), ("b", 3)))
-
-
-class Syllable(_Record):
-    __slots__ = _fields = ("gen", "exp")
-
-    def __init__(self, gen: str, exp: int):
-        self.gen = gen
-        self.exp = exp
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.gen == other.gen and self.exp == other.exp
-
-    __hash__ = _Record.__hash__
 
 
 class Word(_Record):
@@ -183,15 +174,16 @@ class Word(_Record):
         orders = scheme.orders
         i, j, n = len(left), 0, len(right)
         while i and j < n:
-            x, y = left[i - 1], right[j]
-            if x.gen != y.gen:
+            gen, x = left[i - 1]
+            other_gen, y = right[j]
+            if gen != other_gen:
                 break
             i -= 1
             j += 1
-            order = orders[x.gen]
-            exp = x.exp + y.exp if order is None else (x.exp + y.exp) % order
+            order = orders[gen]
+            exp = x + y if order is None else (x + y) % order
             if exp:
-                return Word(scheme, left[:i] + (scheme.syllable(x.gen, exp),) + right[j:])
+                return Word(scheme, left[:i] + (scheme.syllable(gen, exp),) + right[j:])
         return Word(scheme, left[:i] + right[j:])
 
     def __invert__(self) -> "Word":
@@ -208,17 +200,15 @@ class Word(_Record):
         sylls = core.syllables
         if len(sylls) == 1:
             # a single syllable: multiply its exponent
-            power = reduce(((sylls[0].gen, sylls[0].exp * n),), self.scheme)
+            gen, exp = sylls[0]
+            power = reduce(((gen, exp * n),), self.scheme)
         else:
             # a cyclically reduced core repeats without cancelling
             power = Word(self.scheme, sylls * n)
         return p * power * invert(p) if p else power
 
     def __str__(self) -> str:
-        return format_word(self)
-
-    def pairs(self) -> tuple[tuple[str, int], ...]:
-        return tuple((s.gen, s.exp) for s in self.syllables)
+        return format_tokens(self.syllables)
 
 
 def identity(scheme: GroupScheme) -> Word:
@@ -244,8 +234,8 @@ def reduce(raw: Iterable[tuple[str, int]], scheme: GroupScheme) -> Word:
             order = orders[gen]
         except KeyError:
             raise UnknownGenerator(f"unknown generator {gen!r}") from None
-        if stack and stack[-1].gen == gen:
-            exp += pop().exp
+        if stack and stack[-1][0] == gen:
+            exp += pop()[1]
         # finite orders keep exponents in [0, order); 0 marks a vanished syllable
         if order is not None:
             exp %= order
@@ -265,10 +255,9 @@ def invert(w: Word) -> Word:
     """
     orders, interned, syllable = w.scheme.orders, w.scheme.interned, w.scheme.syllable
     out = []
-    for s in reversed(w.syllables):
-        gen = s.gen
+    for gen, exp in reversed(w.syllables):
         order = orders[gen]
-        exp = -s.exp if order is None else order - s.exp
+        exp = -exp if order is None else order - exp
         out.append(interned.get((gen, exp)) or syllable(gen, exp))
     return Word(w.scheme, tuple(out))
 
@@ -291,17 +280,18 @@ def _cyclic_core(w: Word) -> tuple[Word, Word]:
     i, j = 0, len(sylls)
     tail: tuple[Syllable, ...] = ()
     while j - i >= 2:
-        first, last = sylls[i], sylls[j - 1]
-        if first.gen != last.gen:
+        gen, first = sylls[i]
+        last_gen, last = sylls[j - 1]
+        if gen != last_gen:
             break
         i += 1
         j -= 1
-        order = orders[first.gen]
-        exp = last.exp + first.exp
+        order = orders[gen]
+        exp = last + first
         if order is not None:
             exp %= order
         if exp:
-            tail = (w.scheme.syllable(first.gen, exp),)
+            tail = (w.scheme.syllable(gen, exp),)
             break
     return Word(w.scheme, sylls[i:j] + tail), Word(w.scheme, sylls[:i])
 
@@ -336,7 +326,7 @@ def _canonical_rotation(scheme: GroupScheme, sylls: tuple[Syllable, ...]) -> tup
     if len(sylls) <= 1:
         return sylls
     indices = scheme.indices
-    k = _least_rotation([(indices[s.gen], s.exp) for s in sylls])
+    k = _least_rotation([(indices[gen], exp) for gen, exp in sylls])
     return sylls[k:] + sylls[:k]
 
 
@@ -348,12 +338,10 @@ def _rotation_offset(text: tuple[Syllable, ...], pattern: tuple[Syllable, ...]) 
     point, or for an alphabet too large for that two code points from
     disjoint ranges, so that every match starts on a syllable.
     """
-    codes: dict[tuple[str, int], int] = {}
-    for s in pattern:
-        codes.setdefault((s.gen, s.exp), len(codes))
+    codes: dict[Syllable, int] = {}
+    p = [codes.setdefault(s, len(codes)) for s in pattern]
     other = len(codes)
-    p = [codes[s.gen, s.exp] for s in pattern]
-    t = [codes.get((s.gen, s.exp), other) for s in text]
+    t = [codes.get(s, other) for s in text]
     t += t[:-1]
     if other <= _MAX_CODE:
         return "".join(map(chr, t)).find("".join(map(chr, p)))
@@ -391,7 +379,7 @@ class CyclicWord(_Record):
         return len(self.syllables)
 
     def __str__(self) -> str:
-        return format_word(Word(self.scheme, self.syllables))
+        return format_tokens(self.syllables)
 
 
 def cyclic_reduce(w: Word) -> tuple[CyclicWord, Word]:
@@ -451,8 +439,8 @@ def abelian_image(w: Word) -> dict[str, int]:
     {'a': 1, 'b': 1}
     """
     sums = {name: 0 for name in w.scheme.names()}
-    for s in w.syllables:
-        sums[s.gen] += s.exp
+    for gen, exp in w.syllables:
+        sums[gen] += exp
     for name, order in w.scheme.generators:
         if order is not None:
             sums[name] %= order
@@ -465,8 +453,8 @@ def _period(sylls: tuple[Syllable, ...]) -> int:
     That is the first offset above 0 of sylls in sylls + sylls, so one
     ``str.find`` over the syllables' codes gives it.
     """
-    codes: dict[tuple[str, int], int] = {}
-    p = [codes.setdefault((s.gen, s.exp), len(codes)) for s in sylls]
+    codes: dict[Syllable, int] = {}
+    p = [codes.setdefault(s, len(codes)) for s in sylls]
     text = "".join(map(chr, p)) if len(codes) <= _MAX_CODE else _wide(p)
     step = len(text) // len(p)
     return (text + text).find(text, step) // step
@@ -484,17 +472,19 @@ def primitive_root(w: Word) -> Word:
     core, p = _cyclic_core(w)
     sylls = core.syllables
     if len(sylls) == 1:
-        root = Word(w.scheme, (Syllable(sylls[0].gen, 1),))
+        root = Word(w.scheme, (w.scheme.syllable(sylls[0][0], 1),))
     else:
         root = Word(w.scheme, sylls[:_period(sylls)])
     return p * root * invert(p)
 
 
-def mirror_centres(core: CyclicWord, radius: int) -> list[int]:
+def mirror_centres(core: Word, radius: int) -> list[int]:
     """The centres c < period with core[c + d] = core[c - d]^-1 for d = 1 .. radius.
 
-    Indices are taken mod len(core), 0 <= radius <= len(core) / 2, and the
-    centres of a proper power repeat with the length of its primitive root.
+    core is a cyclically reduced word, in any rotation; the centres index
+    its syllables.  Indices are taken mod len(core), 0 <= radius <=
+    len(core) / 2, and the centres of a proper power repeat with the
+    length of its primitive root.
 
     The syllable at c is free, and a mirror around a syllable that is not
     its own inverse carries no mirror across its centre, so Manacher's
@@ -504,7 +494,7 @@ def mirror_centres(core: CyclicWord, radius: int) -> list[int]:
     t + 1 from c, so c is a centre when that window is its own mirror image.
     Time is O(len(core)).
 
-    >>> mirror_centres(CyclicWord.from_word(parse_word(PSL2Z, "a b a b^2")), 2)
+    >>> mirror_centres(parse_word(PSL2Z, "a b a b^2"), 2)
     [0, 2]
     """
     sylls = core.syllables
@@ -513,13 +503,10 @@ def mirror_centres(core: CyclicWord, radius: int) -> list[int]:
         raise ValueError(f"radius {radius} is outside [0, {n // 2}]")
     if not n:
         return []
-    codes: dict[tuple[str, int], int] = {}
-    code = [codes.setdefault((s.gen, s.exp), len(codes)) for s in sylls]
+    codes: dict[Syllable, int] = {}
+    code = [codes.setdefault(s, len(codes)) for s in sylls]
     width = len(codes) + 1  # code len(codes): an inverse absent from the core
-    inverse = [
-        codes.get((s.gen, s.exp), width - 1)
-        for s in reversed(invert(Word(core.scheme, sylls)).syllables)
-    ]
+    inverse = [codes.get(s, width - 1) for s in reversed(invert(core).syllables)]
     # the pairs, each followed by a separator -1, between end sentinels -2 and
     # -3 that match nothing; text[q] must equal mirror[q'] for q, q' to mirror
     text, mirror = [-2, -1], [-3, -1]
@@ -576,12 +563,12 @@ def enumerate_reduced(
     for _ in range(max_syllables):
         next_level: list[tuple[Syllable, ...]] = []
         for sylls in level:
-            last = sylls[-1].gen if sylls else None
+            last = sylls[-1][0] if sylls else None
             for name, order in scheme.generators:
                 if name == last:
                     continue
                 for e in exps(order):
-                    grown = sylls + (Syllable(name, e),)
+                    grown = sylls + ((name, e),)
                     next_level.append(grown)
                     yield Word(scheme, grown)
         level = next_level
@@ -635,13 +622,12 @@ def format_tokens(pairs: Iterable[tuple[str, int]]) -> str:
 
 
 def parse_word(scheme: GroupScheme, text: str) -> Word:
-    """Parse text like ``a b^2 a b^-1`` (see :func:`tokens`) into a reduced word."""
+    """Parse text like ``a b^2 a b^-1`` (see :func:`tokens`) into a reduced word.
+
+    >>> parse_word(PSL2Z, "a b^2").syllables == (("a", 1), ("b", 2))
+    True
+    """
     return reduce(tokens(text), scheme)
-
-
-def format_word(w: Word) -> str:
-    """Spell w as :func:`format_tokens` spells its pairs, without building them."""
-    return " ".join([s.gen if s.exp == 1 else f"{s.gen}^{s.exp}" for s in w.syllables]) or "1"
 
 
 def parse_scheme(text: str) -> GroupScheme:

@@ -24,7 +24,6 @@ from gentorsion.modular import Verdict
 from gentorsion.seifert import SeifertGroup, SeifertPair, parse_seifert, reversible_seifert
 from gentorsion.words import (
     PSL2Z,
-    Syllable,
     Word,
     conjugate_to_inverse,
     enumerate_reduced,
@@ -341,12 +340,12 @@ def test_reversible_b3_matches_the_witness_search():
 def test_reversible_b3_on_a_twenty_thousand_syllable_image():
     rng = random.Random(7)
     k0 = CentralElement(0, Word(PSL2Z, tuple(
-        Syllable("a", 1) if i % 2 else Syllable("b", rng.choice((1, 2)))
+        ("a", 1) if i % 2 else ("b", rng.choice((1, 2)))
         for i in range(9_999)
     )))
     x = nf("x")
     c = CentralElement(3, Word(PSL2Z, tuple(
-        Syllable("b", rng.choice((1, 2))) if i % 2 else Syllable("a", 1) for i in range(301)
+        ("b", rng.choice((1, 2))) if i % 2 else ("a", 1) for i in range(301)
     )))
     g = (x * k0 * x.inverse() * k0.inverse()).conjugated_by(c)
     assert len(g.q) >= 20_000
@@ -365,13 +364,13 @@ TREFOIL_GROUP = SeifertGroup(TREFOIL)
 
 def _to_trefoil(g):
     names = {"a": "c1", "b": "c2"}
-    q = Word(TREFOIL_GROUP.scheme, tuple(Syllable(names[s.gen], s.exp) for s in g.q.syllables))
+    q = Word(TREFOIL_GROUP.scheme, tuple((names[gen], exp) for gen, exp in g.q.syllables))
     return SeifertPair(g.m, q)
 
 
 def _to_b3(p):
     names = {"c1": "a", "c2": "b"}
-    q = Word(PSL2Z, tuple(Syllable(names[s.gen], s.exp) for s in p.q.syllables))
+    q = Word(PSL2Z, tuple((names[gen], exp) for gen, exp in p.q.syllables))
     return CentralElement(p.m, q)
 
 

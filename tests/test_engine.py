@@ -5,6 +5,8 @@ checked against representations computed independently here: B3 through
 the faithful pair (matrix in SL(2,Z), exponent sum), the Seifert groups
 through a naive one-generator-at-a-time multiply loop, and both through the
 per-syllable fold that merges every syllable of every factor on its own.
+Every syllable that the words kernel and the engine hand out is a
+normalised (name, exponent) pair, and one shared tuple when finite.
 """
 
 import sys
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 from gentorsion.braid3 import BraidWord, CentralElement, normal_form, parse_braid
 from gentorsion.seifert import CentralExtension, SeifertGroup, SeifertPair, parse_seifert
-from gentorsion.words import PSL2Z, Syllable, Word, identity, invert, parse_word, reduce
+from gentorsion.words import PSL2Z, Word, identity, invert, parse_scheme, parse_word, reduce
 
 sys.path[:0] = [str(Path(__file__).resolve().parents[1] / "benchmark")]
 
@@ -65,8 +67,8 @@ def test_products_push_the_shared_syllables_of_the_words_kernel():
     G = SeifertGroup(parse_seifert(TWO_BOUNDARY))
     pair = G.element("c1^3 d1^2 c2 c1^-5 d1^-1 c2^2")
     for q in (nf.q, pair.q):
-        finite = [s for s in q.syllables if q.scheme.order(s.gen) is not None]
-        assert finite and all(s is q.scheme.syllable(s.gen, s.exp) for s in finite)
+        finite = [s for s in q.syllables if q.scheme.order(s[0]) is not None]
+        assert finite and all(s is q.scheme.syllable(*s) for s in finite)
 
 
 # -- B3 against the faithful pair ---------------------------------------
@@ -111,9 +113,9 @@ def faithful(w: BraidWord):
 
 def faithful_nf(e: CentralElement):
     mat, total = _mat_pow(MINUS_ONE, e.m), 6 * e.m
-    for s in e.q.syllables:
-        image, weight = (X, 3) if s.gen == "a" else (Y, 2)
-        mat, total = _mat_mul(mat, _mat_pow(image, s.exp)), total + weight * s.exp
+    for gen, exp in e.q.syllables:
+        image, weight = (X, 3) if gen == "a" else (Y, 2)
+        mat, total = _mat_mul(mat, _mat_pow(image, exp)), total + weight * exp
     return mat, total
 
 
@@ -133,7 +135,7 @@ braids = st.lists(letter, max_size=8).map(lambda letters: BraidWord(tuple(letter
 def test_normal_form_matches_the_faithful_pair(w):
     nf = normal_form(w)
     assert faithful_nf(nf) == faithful(w)
-    assert reduce(nf.q.pairs(), PSL2Z) == nf.q
+    assert reduce(nf.q.syllables, PSL2Z) == nf.q
     assert normal_form(nf.spell()) == nf
 
 
@@ -226,12 +228,11 @@ def reference_product(E, m, q, pieces):
     stack, pend = list(q.syllables), 0
     for k, syllables in pieces:
         pend += k
-        for s in syllables:
-            gen, exp = s.gen, s.exp
+        for gen, exp in syllables:
             if exp % 2 and gen in E._flips:
                 pend = -pend
-            if stack and stack[-1].gen == gen:
-                exp += stack.pop().exp
+            if stack and stack[-1][0] == gen:
+                exp += stack.pop()[1]
             if E._order[gen] is not None:
                 wraps, exp = divmod(exp, E._order[gen])
                 pend += E._beta[gen] * wraps
@@ -264,7 +265,7 @@ def reference_element(G, letters):
             m, q = (dm.m, dm.q) if exp > 0 else reference_inverse(G, dm.m, dm.q)
             pieces += [(m, q.syllables)] * abs(exp)
         else:
-            pieces.append((0, (Syllable(name, exp),)))
+            pieces.append((0, ((name, exp),)))
     return SeifertPair(*reference_product(G, 0, identity(G.scheme), pieces))
 
 
@@ -279,7 +280,7 @@ def reference_normal_form(w):
         if name == "h":
             pieces.append((exp, ()))
         elif name in ("x", "y"):
-            pieces.append((0, (Syllable("a" if name == "x" else "b", exp),)))
+            pieces.append((0, (("a" if name == "x" else "b", exp),)))
         else:
             lift = parse_word(PSL2Z, LIFT[name, 1 if exp > 0 else -1])
             pieces += [(-1, lift.syllables)] * abs(exp)
@@ -317,7 +318,7 @@ def test_product_matches_the_per_syllable_fold(case, picks, raw):
     # p^-1 after p, or r^-1 after r, cancels across the whole seam
     pool = [p, r, G.inv(p), G.inv(r), G.generator("h"), SeifertPair(raw, identity(G.scheme))]
     pieces = [(x.m, x.q.syllables) for x in (pool[i] for i in picks)]
-    pieces.insert(len(pieces) // 2, (0, (Syllable(gen, raw),)))
+    pieces.insert(len(pieces) // 2, (0, ((gen, raw),)))
     got = G.product(p.m, p.q, pieces)
     assert got == reference_product(G, p.m, p.q, pieces)
 
@@ -341,6 +342,58 @@ def test_normal_form_matches_the_per_syllable_fold(w):
 def test_braid_power_matches_the_per_syllable_fold(w, n):
     nf = normal_form(w)
     assert nf ** n == CentralElement(*reference_power(B3, nf.m, nf.q, n))
+
+
+# -- every syllable a normalised pair, every finite one shared ----------
+
+
+def assert_shared_pairs(w):
+    """Each syllable of w is a (str, int) pair in normal form, shared when finite."""
+    for s in w.syllables:
+        assert type(s) is tuple and len(s) == 2
+        gen, exp = s
+        assert type(gen) is str and type(exp) is int
+        order = w.scheme.order(gen)
+        if order is None:
+            assert exp != 0
+        else:
+            assert 0 < exp < order and s is w.scheme.syllable(*s)
+
+
+FREE = parse_scheme("a:2, b:3, t:inf")
+free_pairs = st.lists(st.tuples(st.sampled_from("abt"), st.integers(-7, 7)), max_size=10)
+
+
+@PROPERTY
+@given(free_pairs, free_pairs, st.integers(-6, 6))
+def test_word_results_hold_normalised_shared_pairs(left, right, n):
+    u, v = reduce(left, FREE), reduce(right, FREE)
+    for w in (u, v, invert(u), u * v, u * invert(v), v * invert(v) * u, u ** n, (u * v) ** n):
+        assert_shared_pairs(w)
+
+
+@PROPERTY
+@given(fibred(count=2), st.integers(-12, 12), st.integers(-30, 30))
+def test_engine_results_hold_normalised_shared_pairs(case, n, raw):
+    G, left, right = case
+    p, r = G.element(_spell(left)), G.element(_spell(right))
+    gen = G.scheme.generators[raw % len(G.scheme.generators)][0]
+    results = (
+        G.product(p.m, p.q, ((r.m, r.q.syllables), (0, ((gen, raw),)))),
+        G.product(p.m, p.q, ((0, invert(p.q).syllables),)),
+        G.power(p.m, p.q, n),
+        G.inverse(p.m, p.q),
+    )
+    for q in (p.q, r.q, *(q for _, q in results)):
+        assert_shared_pairs(q)
+
+
+@PROPERTY
+@given(braids, braids, st.integers(-12, 12))
+def test_normal_forms_hold_normalised_shared_pairs(u, v, n):
+    nu, nv = normal_form(u), normal_form(v)
+    for e in (nu, nv, nu * nv, nu.inverse(), nu ** n):
+        assert_shared_pairs(e.q)
 
 
 @pytest.mark.parametrize(
@@ -372,10 +425,10 @@ def test_raw_syllables_outside_the_order_wrap_into_the_fiber():
     G = FIBRATIONS[workloads.THREE_FIBERS]
     p = G.element("c3^2 c1")
     for exp in (-11, -5, 0, 5, 7, 12):
-        pieces = ((3, (Syllable("c1", exp),)), (-1, (Syllable("c3", exp),)))
+        pieces = ((3, (("c1", exp),)), (-1, (("c3", exp),)))
         assert G.product(p.m, p.q, pieces) == reference_product(G, p.m, p.q, pieces)
     for exp in (-7, 3, 10):
-        pieces = ((2, (Syllable("b", exp),)), (0, parse_word(PSL2Z, "b a").syllables))
+        pieces = ((2, (("b", exp),)), (0, parse_word(PSL2Z, "b a").syllables))
         assert B3.product(0, parse_word(PSL2Z, "a b"), pieces) == reference_product(
             B3, 0, parse_word(PSL2Z, "a b"), pieces
         )

@@ -37,7 +37,6 @@ from gentorsion.oracle import SearchBudget, brute_gen3
 from gentorsion.words import (
     PSL2Z,
     CyclicWord,
-    Syllable,
     Word,
     conjugated,
     cyclic_reduce,
@@ -425,12 +424,12 @@ def reference_gen3(g: Word):
                       "of two order-3 elements")
         return Gen3Verdict(Verdict.NO, reason=reason)
     if kind != IsometryClass.HYPERBOLIC or sum(
-        s.exp for s in g.syllables if s.gen == "a"
+        exp for gen, exp in g.syllables if gen == "a"
     ) % 2:
         return gen3_torsion(g)  # decided before any search, then as now
     core, _ = cyclic_reduce(g)
     for z in enumerate_reduced(PSL2Z, -(-len(core) // 2) + 3):
-        if z.syllables and z.syllables[-1].gen == "b":
+        if z.syllables and z.syllables[-1][0] == "b":
             continue
         for e1, e2 in itertools.product((1, 2), repeat=2):
             t = z * b ** e1 * invert(z) * b ** e2
@@ -484,7 +483,7 @@ def _alternating(rng, syllables, first):
     """A reduced word alternating a and b^(1|2), starting with ``first``."""
     gens = ("a", "b") if first == "a" else ("b", "a")
     return Word(PSL2Z, tuple(
-        Syllable("a", 1) if gens[i % 2] == "a" else Syllable("b", rng.choice((1, 2)))
+        ("a", 1) if gens[i % 2] == "a" else ("b", rng.choice((1, 2)))
         for i in range(syllables)
     ))
 
@@ -504,12 +503,13 @@ def test_gen3_decides_twenty_thousand_syllable_words():
     # flip the b-syllable next to the end of z^-1: the mirror around the
     # first b now breaks three syllables short of full radius
     zi = invert(z).syllables
-    zi = zi[:-2] + (Syllable("b", 3 - zi[-2].exp),) + zi[-1:]
-    core = z.syllables + (Syllable("b", 1),) + zi + (Syllable("b", 2),)
+    zi = zi[:-2] + (("b", 3 - zi[-2][1]),) + zi[-1:]
+    core = z.syllables + (("b", 1),) + zi + (("b", 2),)
     n = len(core)
 
     def mirrored(x, y):
-        return x.gen == y.gen and (x.exp + y.exp) % PSL2Z.order(x.gen) == 0
+        (gen, x_exp), (y_gen, y_exp) = x, y
+        return gen == y_gen and (x_exp + y_exp) % PSL2Z.order(gen) == 0
 
     def arm(centre):
         d = 1
@@ -517,7 +517,7 @@ def test_gen3_decides_twenty_thousand_syllable_words():
             d += 1
         return d - 1
 
-    arms = [arm(i) for i in range(n) if core[i].gen == "b"]
+    arms = [arm(i) for i in range(n) if core[i][0] == "b"]
     assert max(arms) == n // 2 - 3 == arm(10_001)
     verdict = gen3_torsion(conjugated(Word(PSL2Z, core), c))
     assert verdict.tag == Verdict.NO and "mirror centre" in verdict.reason

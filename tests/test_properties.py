@@ -2,21 +2,25 @@
 
 The isometry class and the reversibility verdicts in PSL(2,Z), B3 and the
 trefoil group are class functions: conjugating or inverting the input
-leaves them alone.  Each of the three word syntaxes reads back what it
-writes.  Hypothesis runs derandomized, so every run draws the same
-examples.
+leaves them alone.  The mirror scans of gen-3 torsion and B3
+reversibility read the cyclic core in any rotation.  Each of the three
+word syntaxes reads back what it writes.  Hypothesis runs derandomized,
+so every run draws the same examples.
 """
+
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gentorsion.braid3 import BraidWord, CentralElement, normal_form, parse_braid, reversible_b3
-from gentorsion.modular import classify, reversible
+from gentorsion.modular import classify, gen3_torsion, reversible
 from gentorsion.seifert import SeifertGroup, parse_seifert, reversible_seifert
 from gentorsion.words import (
     PSL2Z,
+    Word,
+    _cyclic_core,
     conjugated,
-    format_word,
     invert,
     parse_scheme,
     parse_word,
@@ -127,13 +131,61 @@ def test_trefoil_reversibility_is_a_class_function(p, k):
         assert reversible_seifert(other, TREFOIL).reversible == rev, (str(p), str(k))
 
 
+# -- the mirror scans read any rotation of the core --------------------------
+
+
+def _rotating(shift):
+    """_cyclic_core with its core rotated by shift syllables, and the conjugator to match."""
+
+    def rotated(w):
+        core, p = _cyclic_core(w)
+        sylls = core.syllables
+        k = shift % len(sylls) if sylls else 0
+        core, p = Word(w.scheme, sylls[k:] + sylls[:k]), p * Word(w.scheme, sylls[:k])
+        assert invert(p) * w * p == core
+        return core, p
+
+    return rotated
+
+
+@st.composite
+def gen3_elements(draw):
+    """A word of up to 12 syllables, or a conjugated product z b^e1 z^-1 b^e2."""
+    if draw(st.booleans()):
+        return draw(_words(PSL2Z, 12))
+    z, k = draw(_words(PSL2Z, 8)), draw(_words(PSL2Z, 4))
+    b = parse_word(PSL2Z, "b")
+    e1, e2 = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    return conjugated(z * b ** e1 * invert(z) * b ** e2, k)
+
+
+@PROPERTY
+@given(gen3_elements(), st.integers(0, 10**6))
+def test_gen3_verdicts_read_any_rotation_of_the_core(g, shift):
+    if g.is_identity:
+        return
+    with mock.patch("gentorsion.modular._cyclic_core", _rotating(shift)):
+        rotated = gen3_torsion(g)
+    assert rotated == gen3_torsion(g), (str(g), shift)
+
+
+@PROPERTY
+@given(b3_elements(), st.integers(0, 10**6))
+def test_b3_reversibility_reads_any_rotation_of_the_core(g, shift):
+    if g.is_identity:
+        return
+    with mock.patch("gentorsion.braid3._cyclic_core", _rotating(shift)):
+        rotated = reversible_b3(g)
+    assert rotated == reversible_b3(g), (str(g), shift)
+
+
 # -- parse . format round trips ------------------------------------------------
 
 
 @PROPERTY
 @given(st.one_of(_words(PSL2Z, 12), _words(MIXED, 12, max_exponent=10**9)))
-def test_format_word_reads_back(w):
-    assert parse_word(w.scheme, format_word(w)) == w
+def test_word_text_reads_back(w):
+    assert parse_word(w.scheme, str(w)) == w
 
 
 braid_letters = st.one_of(

@@ -399,7 +399,7 @@ def reference_reversible_seifert(p, d):
 
     core, _ = cyclic_reduce(p.q)
     if len(core) == 1:
-        for j in range(group.scheme.order(core.syllables[0].gen)):
+        for j in range(group.scheme.order(core.syllables[0][0])):
             rho = rho0 * root ** j
             result = finish(rho, _reference_defect(group, p, rho, p_inv))
             if result is not None:

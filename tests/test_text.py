@@ -28,7 +28,6 @@ from gentorsion.errors import MalformedCertificate, ParseError, UnknownGenerator
 from gentorsion.seifert import SeifertGroup, SeifertPair, _shown_nontrivial, parse_seifert
 from gentorsion.words import (
     PSL2Z,
-    Syllable,
     format_tokens,
     identity,
     parse_word,
@@ -110,7 +109,7 @@ def reference_seifert_element(group, text):
                 dm = group._dm if exp > 0 else group.inv(group._dm)
                 yield from repeat((dm.m, dm.q.syllables), abs(exp))
             elif name in group.scheme:
-                yield 0, (Syllable(name, exp),)
+                yield 0, ((name, exp),)
             else:
                 raise UnknownGenerator(f"unknown generator {name!r}")
             pos += len(token)
@@ -293,8 +292,8 @@ def test_seifert_data_past_the_digit_limit_is_a_parse_error():
 
 @PROPERTY
 @given(st.lists(st.tuples(st.sampled_from(("a", "b", "t", "u_1")), st.integers(-10**6, 10**6))))
-def test_format_word_spells_what_format_tokens_spells(pairs):
+def test_str_spells_what_format_tokens_spells(pairs):
     scheme = words.parse_scheme("a:2, b:3, t:inf, u_1:inf")
     w = reduce(pairs, scheme)
-    assert words.format_word(w) == str(w) == format_tokens(w.pairs())
+    assert str(w) == str(words.CyclicWord(scheme, w.syllables)) == format_tokens(w.syllables)
     assert reduce(tokens(str(w)), scheme) == w

@@ -12,7 +12,6 @@ from gentorsion.words import (
     PSL2Z,
     CyclicWord,
     GroupScheme,
-    Syllable,
     Word,
     abelian_image,
     conjugate_to_inverse,
@@ -44,7 +43,7 @@ def test_reduce_merges_and_normalises():
 
 def test_reduce_is_idempotent_on_reduced_words():
     for word in enumerate_reduced(PSL2Z, 4):
-        assert reduce(word.pairs(), PSL2Z) == word
+        assert reduce(word.syllables, PSL2Z) == word
 
 
 def test_parse_and_format_round_trip():
@@ -213,7 +212,7 @@ def test_enumeration_yields_distinct_reduced_words():
     for word in enumerate_reduced(PSL2Z, 5):
         assert word not in seen
         seen.add(word)
-        assert reduce(word.pairs(), PSL2Z) == word
+        assert reduce(word.syllables, PSL2Z) == word
 
 
 def test_enumeration_of_infinite_factor_needs_cap():
@@ -245,11 +244,11 @@ def test_mixed_scheme_words():
 
 def test_syllable_exponent_normalisation_bounds():
     for word in enumerate_reduced(PSL2Z, 6):
-        for s in word.syllables:
-            order = PSL2Z.order(s.gen)
-            assert 1 <= s.exp < order
+        for gen, exp in word.syllables:
+            order = PSL2Z.order(gen)
+            assert 1 <= exp < order
         for x, y in zip(word.syllables, word.syllables[1:]):
-            assert x.gen != y.gen
+            assert x[0] != y[0]
 
 
 # -- the quadratic kernel, kept as oracles --------------------------------
@@ -265,36 +264,36 @@ def old_reduce(raw, scheme):
     stack = []
     for gen, exp in raw:
         order = dict(scheme.generators)[gen]
-        if stack and stack[-1].gen == gen:
-            exp += stack.pop().exp
+        if stack and stack[-1][0] == gen:
+            exp += stack.pop()[1]
         if order is not None:
             exp %= order
         if exp:
-            stack.append(Syllable(gen, exp))
+            stack.append((gen, exp))
     return Word(scheme, tuple(stack))
 
 
 def old_mul(u, v):
-    return old_reduce(u.pairs() + v.pairs(), u.scheme)
+    return old_reduce(u.syllables + v.syllables, u.scheme)
 
 
 def old_invert(w):
-    return old_reduce([(g, -e) for g, e in reversed(w.pairs())], w.scheme)
+    return old_reduce([(g, -e) for g, e in reversed(w.syllables)], w.scheme)
 
 
 def old_pow(w, n):
     if n < 0:
         return old_pow(old_invert(w), -n)
-    return old_reduce(w.pairs() * n, w.scheme)
+    return old_reduce(w.syllables * n, w.scheme)
 
 
 def old_cyclic_core(w):
     core = list(w.syllables)
     conj = []
-    while len(core) >= 2 and core[0].gen == core[-1].gen:
-        first = core[0]
-        conj.append((first.gen, first.exp))
-        merged = old_reduce([(first.gen, core[-1].exp + first.exp)], w.scheme)
+    while len(core) >= 2 and core[0][0] == core[-1][0]:
+        gen, exp = core[0]
+        conj.append((gen, exp))
+        merged = old_reduce([(gen, core[-1][1] + exp)], w.scheme)
         core = core[1:-1] + list(merged.syllables)
     return Word(w.scheme, tuple(core)), old_reduce(conj, w.scheme)
 
@@ -304,7 +303,7 @@ def old_canonical_rotation(scheme, sylls):
         return sylls
     names = scheme.names()
     rotations = [sylls[i:] + sylls[:i] for i in range(len(sylls))]
-    return min(rotations, key=lambda r: [(names.index(s.gen), s.exp) for s in r])
+    return min(rotations, key=lambda r: [(names.index(gen), exp) for gen, exp in r])
 
 
 def old_is_conjugate(u, v):
@@ -324,10 +323,10 @@ def old_is_conjugate(u, v):
 def old_to_matrix(w):
     base = {"a": IntMatrix2.of(0, -1, 1, 0), "b": IntMatrix2.of(0, 1, -1, -1)}
     out = IntMatrix2.identity()
-    for s in w.syllables:
-        step = base[s.gen]
-        for _ in range(s.exp - 1):
-            step = step * base[s.gen]
+    for gen, exp in w.syllables:
+        step = base[gen]
+        for _ in range(exp - 1):
+            step = step * base[gen]
         out = out * step
     return out
 
@@ -417,7 +416,7 @@ def old_primitive_root(w):
     core, p = old_cyclic_core(w)
     sylls, n = core.syllables, len(core)
     if n == 1:
-        root = Word(w.scheme, (Syllable(sylls[0].gen, 1),))
+        root = Word(w.scheme, ((sylls[0][0], 1),))
     else:
         block_len = next(b for b in range(1, n + 1)
                          if n % b == 0 and sylls[:b] * (n // b) == sylls)
@@ -553,7 +552,7 @@ def test_twenty_thousand_syllable_cyclic_words_and_conjugacy():
     k = is_conjugate(u, rotated)
     assert conjugated(u, k) == rotated
     flipped = u.syllables[0]
-    other = Word(PSL2Z, (Syllable("b", 3 - flipped.exp),) + u.syllables[1:])
+    other = Word(PSL2Z, (("b", 3 - flipped[1]),) + u.syllables[1:])
     assert is_conjugate(u, other) is None
 
 
