@@ -22,7 +22,7 @@ g is generalised 3-torsion iff e(g) = 0 and its image is generalised
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .errors import InvalidCertificate, ParseError, TrivialElement
 from .modular import Verdict, gen3_torsion
@@ -217,16 +217,14 @@ def conjugate_b3(
     return k.spell()
 
 
-class B3Reversibility(NamedTuple):
-    """A validated reverser and a commutator form of g.
+class B3Reversibility(_Record):
+    """A validated reverser and a commutator form of g, all three braid words.
 
     The witness exhibits g as conjugate to [x, k0] = x k0 x^-1 k0^-1 with
     x = s1 s2 s1: witness_conjugator * [x, k0] * witness_conjugator^-1 = g.
     """
 
-    reverser: BraidWord
-    commutator_witness: BraidWord
-    witness_conjugator: BraidWord
+    __slots__ = _fields = ("reverser", "commutator_witness", "witness_conjugator")
 
 
 def reversible_b3(g: Union[BraidWord, CentralElement]) -> Optional[B3Reversibility]:
@@ -300,20 +298,17 @@ def _family_diagnostics(q: Word) -> tuple[str, ...]:
     )
 
 
-class B3Gen3Witness(NamedTuple):
+class B3Gen3Witness(_Record):
     """The form g = e1 * e2^2 * h^-1 with e1, e2 distinct lifted 3-torsions."""
 
-    e1: CentralElement
-    e2: CentralElement
-    conjugator: CentralElement
+    __slots__ = _fields = ("e1", "e2", "conjugator")
 
 
-class B3Gen3Verdict(NamedTuple):
-    tag: Verdict
-    certificate: Optional[tuple[CentralElement, CentralElement]] = None
-    reason: Optional[str] = None
-    form_witness: Optional[B3Gen3Witness] = None
-    diagnostics: tuple[str, ...] = ()
+class B3Gen3Verdict(_Record):
+    """A tag, and for a yes the certificate (h1, k) and a form witness; notes on the families."""
+
+    __slots__ = _fields = ("tag", "certificate", "reason", "form_witness", "diagnostics")
+    _defaults = {"certificate": None, "reason": None, "form_witness": None, "diagnostics": ()}
 
 
 def gen3_relation(g: CentralElement, h1: CentralElement, k: CentralElement) -> CentralElement:

@@ -267,23 +267,6 @@ def _handle_braid(args):
     return result, EXIT_DECIDED
 
 
-def _family_payload(descriptor):
-    from .seifert import PowersOfH, SurfaceException, TwoHalfTwists
-    if isinstance(descriptor, PowersOfH):
-        return {"family": "powers-of-h"}
-    if isinstance(descriptor, TwoHalfTwists):
-        return {
-            "family": "two-half-twists",
-            "i": descriptor.i,
-            "j": descriptor.j,
-            "second_sign": descriptor.second_sign,
-            "phi_k": descriptor.phi_k,
-            "beta": descriptor.beta,
-        }
-    assert isinstance(descriptor, SurfaceException)
-    return {"family": "surface-exception", "surface": descriptor.surface}
-
-
 def _handle_seifert(args):
     from .seifert import classify_reversible_families, parse_seifert, presentation, quotient_scheme
     data = parse_seifert(args.spec)
@@ -291,19 +274,13 @@ def _handle_seifert(args):
         report = classify_reversible_families(data)
         result = {
             "verdict": "ok",
-            "families": [_family_payload(f) for f in report.families],
+            "families": [{"family": f.family, **f.to_dict()} for f in report.families],
             "notes": list(report.notes),
             "diagnostics": [],
         }
         return result, EXIT_DECIDED
     if args.action == "presentation":
-        pres = presentation(data)
-        result = {
-            "verdict": "ok",
-            "generators": list(pres.generators),
-            "relations": [[lhs, rhs] for lhs, rhs in pres.relations],
-            "diagnostics": [],
-        }
+        result = {"verdict": "ok", **presentation(data).to_dict(), "diagnostics": []}
         return result, EXIT_DECIDED
     mapping = quotient_scheme(data)
     if mapping is None:

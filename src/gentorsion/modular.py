@@ -16,7 +16,7 @@ itself this reads
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import Optional
 
 from .errors import (
     InvalidCertificate,
@@ -40,9 +40,6 @@ from .words import (
     parse_word,
 )
 
-if TYPE_CHECKING:
-    from fractions import Fraction
-
 
 class Verdict(enum.Enum):
     YES = "yes"
@@ -65,9 +62,6 @@ class IntMatrix2(_Record):
     """
 
     __slots__ = _fields = ("m11", "m12", "m21", "m22")
-
-    def __init__(self, m11: int, m12: int, m21: int, m22: int):
-        self.m11, self.m12, self.m21, self.m22 = m11, m12, m21, m22
 
     @classmethod
     def of(cls, m11: int, m12: int, m21: int, m22: int) -> "IntMatrix2":
@@ -163,15 +157,14 @@ def _parabolic_exponent(core: tuple[Syllable, ...]) -> int:
     return 0 if len(exps) > 1 else len(core) // 2 * (1 if exps == {1} else -1)
 
 
-class Reversibility(NamedTuple):
-    """A reverser r with r g r^-1 = g^-1 and an involution pair (u, v).
+class Reversibility(_Record):
+    """A reverser r with r g r^-1 = g^-1 and an involution pair (u, v) of words.
 
     The pair satisfies u * v = g and u^2 = v^2 = 1, exhibiting strong
     reversibility; v is trivial exactly when g itself is an involution.
     """
 
-    reverser: Word
-    involution_pair: tuple[Word, Word]
+    __slots__ = _fields = ("reverser", "involution_pair")
 
 
 def reversible(g: Word) -> Optional[Reversibility]:
@@ -221,20 +214,25 @@ def gen3_product(g: Word, h1: Word, k: Word) -> Word:
     return g * conjugated(g, h1) * conjugated(g, k)
 
 
-class Gen3Witness(NamedTuple):
-    """How a hyperbolic instance was found: g = c (z b^e1 z^-1 b^e2) c^-1."""
+class Gen3Witness(_Record):
+    """How a hyperbolic instance was found: g = c (z b^e1 z^-1 b^e2) c^-1, c the conjugator."""
 
-    z: Word
-    e1: int
-    e2: int
-    conjugator: Word
+    __slots__ = _fields = ("z", "e1", "e2", "conjugator")
 
 
-class Gen3Verdict(NamedTuple):
-    tag: Verdict
-    certificate: Optional[tuple[Word, Word]] = None
-    reason: Optional[str] = None
-    witness: Optional[Gen3Witness] = None
+class Gen3Verdict(_Record):
+    """A tag, and for a yes the certificate (h1, k) and, off the finite orders, a witness."""
+
+    __slots__ = _fields = ("tag", "certificate", "reason", "witness")
+    _defaults = {"certificate": None, "reason": None, "witness": None}
+
+
+#: the verdict on every element whose a-exponent sum is odd
+_ODD_A_SUM = Gen3Verdict(
+    Verdict.NO,
+    reason="abelianization obstruction: the a-exponent sum of g is odd, "
+    "so no product of three conjugates of g can be trivial",
+)
 
 
 def _checked(g: Word, h1: Word, k: Word) -> tuple[Word, Word]:
@@ -266,13 +264,8 @@ def gen3_torsion(g: Word) -> Gen3Verdict:
             certificate=_checked(g, e, e),
             reason="order-3 torsion: the cube of g is already trivial",
         )
-    odd_a_sum = Gen3Verdict(
-        Verdict.NO,
-        reason="abelianization obstruction: the a-exponent sum of g is odd, "
-        "so no product of three conjugates of g can be trivial",
-    )
     if kind == IsometryClass.ELLIPTIC_ORDER_2:
-        return odd_a_sum
+        return _ODD_A_SUM
     cyclic = _cyclic_core(g)[0]
     core, half = cyclic.syllables, len(cyclic) // 2
     if kind == IsometryClass.PARABOLIC:
@@ -290,7 +283,7 @@ def gen3_torsion(g: Word) -> Gen3Verdict:
             )
     if half % 2:
         # the core has half a-syllables, and conjugation keeps the parity
-        return odd_a_sum
+        return _ODD_A_SUM
 
     # the core alternates a and b, so an even a-exponent sum makes L divisible
     # by four; each z, read before a b-centre c, alternates from a, so its
@@ -324,19 +317,15 @@ def gen3_torsion(g: Word) -> Gen3Verdict:
     )
 
 
-class Axis(NamedTuple):
+class Axis(_Record):
     """The translation axis of a hyperbolic element.
 
     Endpoints on the real line are (p - sqrt(disc)) / q and
     (p + sqrt(disc)) / q; as a half-circle in the upper half-plane the
-    axis has the given exact center and squared radius.
+    axis has the given exact center and squared radius, both Fractions.
     """
 
-    p: int
-    q: int
-    disc: int
-    center: Fraction
-    radius_sq: Fraction
+    __slots__ = _fields = ("p", "q", "disc", "center", "radius_sq")
 
 
 def axis(w: Word) -> Axis:
@@ -349,20 +338,13 @@ def axis(w: Word) -> Axis:
     if q < 0:
         p, q = -p, -q
     disc = m.trace * m.trace - 4
-    return Axis(
-        p=p,
-        q=q,
-        disc=disc,
-        center=Fraction(p, q),
-        radius_sq=Fraction(disc, q * q),
-    )
+    return Axis(p, q, disc, center=Fraction(p, q), radius_sq=Fraction(disc, q * q))
 
 
-class EllipticFixedPoint(NamedTuple):
-    """The fixed point re + i*sqrt(im_sq) of an elliptic element."""
+class EllipticFixedPoint(_Record):
+    """The fixed point re + i*sqrt(im_sq) of an elliptic element, re and im_sq Fractions."""
 
-    re: Fraction
-    im_sq: Fraction
+    __slots__ = _fields = ("re", "im_sq")
 
 
 def elliptic_fixed_point(w: Word) -> EllipticFixedPoint:
@@ -381,7 +363,7 @@ def elliptic_fixed_point(w: Word) -> EllipticFixedPoint:
     )
 
 
-class AxisResidual(NamedTuple):
+class AxisResidual(_Record):
     """How far a reverser's fixed point sits from the axis it should lie on.
 
     The residual is (re - center)^2 + im_sq - radius_sq, computed in exact
@@ -389,9 +371,7 @@ class AxisResidual(NamedTuple):
     the float mirror is for display.
     """
 
-    residual: Fraction
-    residual_float: float
-    within_tolerance: bool
+    __slots__ = _fields = ("residual", "residual_float", "within_tolerance")
 
 
 def reverser_on_axis_check(w: Word, reverser: Word) -> AxisResidual:
@@ -406,8 +386,4 @@ def reverser_on_axis_check(w: Word, reverser: Word) -> AxisResidual:
         raise NotElliptic(f"reverser {reverser} is not an order-2 elliptic")
     fp = elliptic_fixed_point(reverser)
     residual = (fp.re - ax.center) ** 2 + fp.im_sq - ax.radius_sq
-    return AxisResidual(
-        residual=residual,
-        residual_float=float(residual),
-        within_tolerance=residual == 0,
-    )
+    return AxisResidual(residual, float(residual), within_tolerance=residual == 0)

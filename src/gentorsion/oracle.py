@@ -10,7 +10,7 @@ brute search misses only means the witness lies outside the budget.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .braid3 import CentralElement, conjugate_b3, reversible_b3
 from .errors import TrivialElement, UnknownSuite
@@ -43,13 +43,6 @@ class SearchBudget(_Record):
         self.max_conjugator_syllables = max_conjugator_syllables
         self.max_central_exponent = max_central_exponent
         self.max_candidates = max_candidates
-
-    def to_dict(self) -> dict:
-        return {
-            "max_conjugator_syllables": self.max_conjugator_syllables,
-            "max_central_exponent": self.max_central_exponent,
-            "max_candidates": self.max_candidates,
-        }
 
 
 def _candidates(scheme, budget: SearchBudget, syllables: int):
@@ -110,25 +103,12 @@ def brute_conjugate_b3(
     return None
 
 
-class SweepReport(NamedTuple):
-    suite: str
-    budget: SearchBudget
-    checked: int
-    structural_yes: int
-    oracle_yes: int
-    oracle_missed: int
-    mismatches: tuple[dict, ...]
+class SweepReport(_Record):
+    """The counts of one sweep, and its mismatches as JSON-safe dicts."""
 
-    def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "budget": self.budget.to_dict(),
-            "checked": self.checked,
-            "structural_yes": self.structural_yes,
-            "oracle_yes": self.oracle_yes,
-            "oracle_missed": self.oracle_missed,
-            "mismatches": list(self.mismatches),
-        }
+    __slots__ = _fields = (
+        "suite", "budget", "checked", "structural_yes", "oracle_yes", "oracle_missed", "mismatches"
+    )
 
 
 class _Tally:
@@ -156,13 +136,8 @@ class _Tally:
 
     def report(self) -> SweepReport:
         return SweepReport(
-            suite=self.suite,
-            budget=self.budget,
-            checked=self.checked,
-            structural_yes=self.structural_yes,
-            oracle_yes=self.oracle_yes,
-            oracle_missed=self.oracle_missed,
-            mismatches=tuple(self.mismatches),
+            self.suite, self.budget, self.checked, self.structural_yes, self.oracle_yes,
+            self.oracle_missed, tuple(self.mismatches),
         )
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     InvalidCertificate,
@@ -250,9 +250,10 @@ def _integer(text: str, what: str, pos: int) -> int:
         raise ParseError(f"bad {what} {text[:20]!r}", pos) from None
 
 
-class Presentation(NamedTuple):
-    generators: tuple[str, ...]
-    relations: tuple[tuple[str, str], ...]
+class Presentation(_Record):
+    """Generator names, and relations as (left, right) pairs of element text."""
+
+    __slots__ = _fields = ("generators", "relations")
 
 
 def presentation(d: SeifertData) -> Presentation:
@@ -284,12 +285,10 @@ def _long_relation(d: SeifertData) -> list[tuple[str, int]]:
     return pairs + [(name, 1) for name in d.exceptional_generators() + d.boundary_generators()]
 
 
-class QuotientMap(NamedTuple):
+class QuotientMap(_Record):
     """The quotient by <h> with the last boundary generator eliminated."""
 
-    scheme: GroupScheme
-    eliminated: str
-    elimination_image: Word
+    __slots__ = _fields = ("scheme", "eliminated", "elimination_image")
 
 
 def quotient_scheme(d: SeifertData) -> Optional[QuotientMap]:
@@ -310,11 +309,7 @@ def quotient_scheme(d: SeifertData) -> Optional[QuotientMap]:
     scheme = GroupScheme(tuple(gens))
     # the long relation solved for its last boundary generator
     image = invert(reduce(_long_relation(d)[:-1], scheme))
-    return QuotientMap(
-        scheme=scheme,
-        eliminated=d.boundary_generators()[-1],
-        elimination_image=image,
-    )
+    return QuotientMap(scheme, d.boundary_generators()[-1], image)
 
 
 class SeifertPair(_Record):
@@ -510,11 +505,10 @@ class SeifertGroup(CentralExtension):
 seifert_group = lru_cache(maxsize=16)(SeifertGroup)
 
 
-class SeifertReversibility(NamedTuple):
-    reversible: bool
-    reverser: Optional[SeifertPair]
-    reason: str
-    normal_form: SeifertPair
+class SeifertReversibility(_Record):
+    """The verdict, a reverser or None, the reason and the input's central form."""
+
+    __slots__ = _fields = ("reversible", "reverser", "reason", "normal_form")
 
 
 def reversible_seifert(
@@ -565,33 +559,29 @@ def reversible_seifert(
 
 
 # -- symbolic families ------------------------------------------------
-# The family descriptors share one tuple, so they are plain records, each
-# equal only to its own kind, and not NamedTuples.
 
 
 class PowersOfH(_Record):
     __slots__ = ()
+    family = "powers-of-h"
 
 
 class TwoHalfTwists(_Record):
     """Conjugates of c_i^(mu_i/2) k c_j^(sign * mu_j/2) k^-1, phi(k) fixed."""
 
     __slots__ = _fields = ("i", "j", "second_sign", "phi_k", "beta")
-
-    def __init__(self, i: int, j: int, second_sign: int, phi_k: int, beta: int):
-        self.i, self.j, self.second_sign, self.phi_k, self.beta = i, j, second_sign, phi_k, beta
+    family = "two-half-twists"
 
 
 class SurfaceException(_Record):
     __slots__ = _fields = ("surface",)
-
-    def __init__(self, surface: str):
-        self.surface = surface
+    family = "surface-exception"
 
 
-class ReversibleFamilyReport(NamedTuple):
-    families: tuple
-    notes: tuple[str, ...]
+class ReversibleFamilyReport(_Record):
+    """The family descriptors, each with its ``family`` name, and notes."""
+
+    __slots__ = _fields = ("families", "notes")
 
 
 def classify_reversible_families(d: SeifertData) -> ReversibleFamilyReport:
@@ -641,7 +631,7 @@ def classify_reversible_families(d: SeifertData) -> ReversibleFamilyReport:
 # -- generalised n-torsion certificates --------------------------------
 
 
-class GenNCertificate(NamedTuple):
+class GenNCertificate(_Record):
     """An element c_i^p (k c_j^p' k^-1) h^x with n x + M1 + M2 = 0.
 
     The powers satisfy c_i^(n p) = h^M1 and c_j^(n p') = h^M2, so the
@@ -650,21 +640,15 @@ class GenNCertificate(NamedTuple):
 
     A nonempty ``flipping`` names a letter f with phi(f) = -1 and n is even:
     the element is h, its conjugates by f, f^2, ..., f^(n-1) alternate
-    h^-1, h, ..., h^-1, and i, j, p, p', x, M1 and M2 are 0.
+    h^-1, h, ..., h^-1, and i, j, p, p', x, M1 and M2 are 0.  The element
+    and the conjugators are element text.
     """
 
-    n: int
-    i: int
-    j: int
-    p: int
-    p_prime: int
-    x: int
-    m1: int
-    m2: int
-    separating: str
-    element: str
-    conjugators: tuple[str, ...]
-    flipping: str = ""
+    __slots__ = _fields = (
+        "n", "i", "j", "p", "p_prime", "x", "m1", "m2", "separating", "element", "conjugators",
+        "flipping",
+    )
+    _defaults = {"flipping": ""}
 
 
 def _kept_letters(d: SeifertData, phi: int) -> list[str]:
@@ -780,18 +764,7 @@ def gen_n_certificate(d: SeifertData, n: int) -> Optional[GenNCertificate]:
         element = "h"
         conjugators = tuple(format_tokens([(flipping, l)]) for l in range(1, n))
     cert = GenNCertificate(
-        n=n,
-        i=i,
-        j=j,
-        p=p,
-        p_prime=p_prime,
-        x=x,
-        m1=m1,
-        m2=m2,
-        separating=separating,
-        element=element,
-        conjugators=conjugators,
-        flipping=flipping,
+        n, i, j, p, p_prime, x, m1, m2, separating, element, conjugators, flipping
     )
     if n * cert.x + cert.m1 + cert.m2 != 0:
         raise InvalidCertificate(f"fiber exponents fail n x + m1 + m2 = 0 for n = {n}")

@@ -19,8 +19,9 @@ from gentorsion.braid3 import (
     section,
 )
 from gentorsion.braid3 import reversible_b3
+from gentorsion.certificates import b3_gen3_certificate, verify_certificate
 from gentorsion.errors import ParseError, TrivialElement
-from gentorsion.modular import Verdict
+from gentorsion.modular import Verdict, gen3_torsion
 from gentorsion.seifert import SeifertGroup, SeifertPair, parse_seifert, reversible_seifert
 from gentorsion.words import (
     PSL2Z,
@@ -232,6 +233,26 @@ def test_gen3_spec_instance():
     h1, k = verdict.certificate
     assert (h1, k) == (wit.e2 ** -2, wit.e2 ** 2)
     assert gen3_relation(n, h1, k).is_identity
+
+
+#: a braid of exponent sum 0 whose image witness z b^2 z^-1 b has (e1, e2) = (2, 1);
+#: such images first appear among alternating cores of 16 syllables
+ROTATED_WITNESS = "h^-8 x y x y x y x y^2 x y^2 x y x y^2 x y^2"
+
+
+def test_gen3_rotates_a_two_one_image_witness_into_form():
+    n = nf(ROTATED_WITNESS)
+    assert n.exponent_sum == 0
+    image = gen3_torsion(n.q).witness
+    assert (image.e1, image.e2, image.z) == (2, 1, w("a b a b a b^2 a"))
+    verdict = gen3_torsion_b3(parse_braid(ROTATED_WITNESS))
+    assert verdict.tag == Verdict.YES
+    wit = verdict.form_witness
+    assert wit.e1 == CentralElement(0, w("b")).conjugated_by(wit.conjugator)
+    assert wit.e1 * wit.e2 ** 2 * CentralElement(-1, w("1")) == n
+    h1, k = verdict.certificate
+    assert gen3_relation(n, h1, k).is_identity
+    assert verify_certificate(b3_gen3_certificate(ROTATED_WITNESS, h1, k))
 
 
 def test_gen3_rejects_nonzero_exponent_sum():

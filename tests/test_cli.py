@@ -214,6 +214,8 @@ def test_every_emitted_certificate_passes_verify():
         ("reversible", "--group", f"seifert:{TWO_BOUNDARY}", "--word", "h"),
         ("gen-torsion", "--group", "pslz", "--word", "a b a b"),
         ("gen-torsion", "--group", "b3", "--word", "y s1 y s1^-1 s1 y s1^-1 H"),
+        # an image witness of exponents (2, 1), rotated into the form e1 e2^2 h^-1
+        ("gen-torsion", "--group", "b3", "--word", "h^-8 x y x y x y x y^2 x y^2 x y x y^2 x y^2"),
         ("gen-torsion", "--group", f"seifert:{TREFOIL}", "--n", "3"),
         ("gen-torsion", "--group", f"seifert:{THREE_BOUNDARY}", "--n", "4"),
         ("conjugate", "--group", "pslz", "--word", "a b", "--other", "b a"),

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import json
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from gentorsion.oracle import (
     sweep_agreement,
 )
 from gentorsion.seifert import SeifertGroup, SeifertPair, parse_seifert, reversible_seifert
-from gentorsion.words import PSL2Z, identity, parse_word
+from gentorsion.words import PSL2Z, _Record, identity, parse_word
 
 
 def w(text):
@@ -201,3 +202,30 @@ def test_only_the_oracle_enumerates_words():
                 imports.add(path.name)
     assert calls == {"words.py", "oracle.py"}
     assert imports == {"__init__.py", "oracle.py"}
+
+
+def test_every_record_is_a_words_record():
+    """One record idiom: no NamedTuple, and every class with _fields derives from _Record."""
+    package = Path(gentorsion.__file__).parent
+    named_tuples, loose = set(), set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.alias) and "NamedTuple" in node.name:
+                named_tuples.add(path.name)
+            elif isinstance(node, ast.ClassDef) and "NamedTuple" in map(ast.unparse, node.bases):
+                named_tuples.add(path.name)
+            elif isinstance(node, ast.Attribute) and node.attr == "NamedTuple":
+                named_tuples.add(path.name)
+        if path.stem.startswith("__"):
+            continue
+        module = importlib.import_module(f"gentorsion.{path.stem}")
+        for name, value in vars(module).items():
+            if (
+                isinstance(value, type)
+                and value.__module__ == module.__name__
+                and hasattr(value, "_fields")
+                and not issubclass(value, _Record)
+            ):
+                loose.add(f"{path.stem}.{name}")
+    assert named_tuples == set()
+    assert loose == set()

@@ -1,7 +1,7 @@
 """Properties every decider and every word syntax must have.
 
-The isometry class and the reversibility verdicts in PSL(2,Z), B3 and the
-trefoil group are class functions: conjugating or inverting the input
+The isometry class and the reversibility verdicts in PSL(2,Z), B3 and
+Seifert groups are class functions: conjugating or inverting the input
 leaves them alone.  The mirror scans of gen-3 torsion and B3
 reversibility read the cyclic core in any rotation.  Each of the three
 word syntaxes reads back what it writes.  Hypothesis runs derandomized,
@@ -10,6 +10,7 @@ so every run draws the same examples.
 
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -83,15 +84,20 @@ def _seifert_elements(group, names, max_size):
 
 
 @st.composite
-def trefoil_elements(draw):
-    """A word in c1, c2, h, or a conjugated commutator [c1, k0] times h^s."""
-    words = _seifert_elements(TREFOIL_GROUP, ("c1", "c2", "h"), 8)
-    if draw(st.booleans()):
+def seifert_elements(draw, G):
+    """A word in the presentation letters, or a conjugated product of two half
+    twists c_i^(mu_i/2) k c_j^(+-mu_j/2) k^-1 times h^s, often reversible; on
+    the trefoil, with the minus sign, that product is the commutator [c1, k]."""
+    d = G.data
+    letters = d.handle_generators() + d.exceptional_generators() + d.boundary_generators()
+    words = _seifert_elements(G, letters + ("h",), 8)
+    halves = [(f"c{i}", mu // 2) for i, (mu, _) in enumerate(d.exceptional, 1) if mu % 2 == 0]
+    if not draw(st.integers(0, 2)):
         return draw(words)
-    G = TREFOIL_GROUP
-    k0, c = draw(words), draw(words)
-    x = G.generator("c1")
-    g = G.conjugated(G.mul(G.mul(G.mul(x, k0), G.inv(x)), G.inv(k0)), c)
+    (ci, p), (cj, q) = draw(st.sampled_from(halves)), draw(st.sampled_from(halves))
+    k, c = draw(words), draw(words)
+    second = G.pow(G.generator(cj), q * draw(st.sampled_from((-1, -1, 1))))
+    g = G.conjugated(G.mul(G.pow(G.generator(ci), p), G.conjugated(second, k)), c)
     return G.mul(g, G.pow(G.generator("h"), draw(st.sampled_from((0, 0, 1, -2)))))
 
 
@@ -120,15 +126,31 @@ def test_b3_reversibility_and_image_class_are_class_functions(g, k):
         assert (reversible_b3(other) is not None) == rev, (str(g), str(k))
 
 
-@PROPERTY
-@given(trefoil_elements(), trefoil_elements())
-def test_trefoil_reversibility_is_a_class_function(p, k):
-    if p.is_identity:
-        return
-    G = TREFOIL_GROUP
-    rev = reversible_seifert(p, TREFOIL).reversible
-    for other in (G.conjugated(p, k), G.inv(p), G.conjugated(G.inv(p), k)):
-        assert reversible_seifert(other, TREFOIL).reversible == rev, (str(p), str(k))
+#: the trefoil, and data with flipping boundary letters, a crosscap, a handle,
+#: and three fibers over two boundary circles; each has an even fiber order
+CLASS_FUNCTION_DATA = {
+    "trefoil": TREFOIL,
+    "flipping": FLIPPING_GROUP.data,
+    "crosscap": parse_seifert("(N,1 | 0; (2,1),(2,1)); boundaries=1; phi: x1=-1"),
+    "handle": parse_seifert("(O,o,1 | 1; (2,1),(4,1)); boundaries=1"),
+    "three-fibers": parse_seifert("(O,o,0 | -1; (2,1),(3,1),(5,2)); boundaries=2"),
+}
+
+
+@pytest.mark.parametrize("d", CLASS_FUNCTION_DATA.values(), ids=CLASS_FUNCTION_DATA.keys())
+def test_seifert_reversibility_is_a_class_function(d):
+    G = SeifertGroup(d)
+
+    @PROPERTY
+    @given(seifert_elements(G), seifert_elements(G))
+    def check(p, k):
+        if p.is_identity:
+            return
+        rev = reversible_seifert(p, d).reversible
+        for other in (G.conjugated(p, k), G.inv(p), G.conjugated(G.inv(p), k)):
+            assert reversible_seifert(other, d).reversible == rev, (G.spell(p), G.spell(k))
+
+    check()
 
 
 # -- the mirror scans read any rotation of the core --------------------------

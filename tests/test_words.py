@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from gentorsion import words
 from gentorsion.errors import ParseError, TrivialElement, UnknownGenerator
-from gentorsion.modular import IntMatrix2, to_matrix
+from gentorsion.modular import Gen3Verdict, Gen3Witness, IntMatrix2, Verdict, to_matrix
+from gentorsion.oracle import SearchBudget, SweepReport
+from gentorsion.seifert import GenNCertificate, Presentation
 from gentorsion.words import (
     PSL2Z,
     CyclicWord,
@@ -530,6 +532,65 @@ def test_scheme_lookup_tables_stay_out_of_equality():
     assert "z" not in PSL2Z
     with pytest.raises(UnknownGenerator):
         PSL2Z.index("z")
+
+
+# -- the one record idiom ----------------------------------------------------
+
+
+def test_records_fill_fields_from_values_then_keywords_then_defaults():
+    verdict = Gen3Verdict(Verdict.NO, None, reason="odd")
+    assert (verdict.tag, verdict.certificate, verdict.reason, verdict.witness) == (
+        Verdict.NO, None, "odd", None
+    )
+    values = (2, 1, 1, 1, 1, -1, 1, 1, "", "c1 c1 h^-1", ("c1^-1",))
+    assert GenNCertificate(*values).flipping == ""
+    assert GenNCertificate(*values, flipping="d1").flipping == "d1"
+    assert GenNCertificate(*values[:-1], conjugators=("c1^-1",)) == GenNCertificate(*values)
+
+
+@pytest.mark.parametrize(
+    "values, named, message",
+    [
+        ((1, 2), {}, "missing field 'conjugator'"),
+        ((1, 2, 3), {"exponent": 4}, "has no field 'exponent'"),
+        ((1, 2, 3, 4), {}, "takes 4 values, got 5"),
+        ((1, 2, 3), {"e1": 4}, "got two values for field 'e1'"),
+    ],
+    ids=["missing", "unknown", "too-many", "twice"],
+)
+def test_records_reject_what_a_named_tuple_rejects(values, named, message):
+    with pytest.raises(TypeError, match=message):
+        Gen3Witness(w("a b"), *values, **named)
+
+
+def test_a_record_equals_only_a_record_of_its_own_class():
+    z = w("a b")
+    witness = Gen3Witness(z, 1, 2, z)
+    assert witness == Gen3Witness(z, e1=1, e2=2, conjugator=z)
+    assert hash(witness) == hash(Gen3Witness(z, 1, 2, z))
+    assert witness != (z, 1, 2, z) and witness != Gen3Witness(z, 2, 1, z)
+    # Word and CyclicWord share their fields, not their class
+    assert Word(PSL2Z, z.syllables) != CyclicWord(PSL2Z, z.syllables)
+    with pytest.raises(TypeError):
+        iter(witness)
+
+
+def test_to_dict_spells_nested_records_as_dicts_and_tuples_as_lists():
+    report = SweepReport("pslz-gen3", SearchBudget(2, 1, 10), 3, 1, 1, 0, ({"input": "a"},))
+    assert report.to_dict() == {
+        "suite": "pslz-gen3",
+        "budget": {"max_conjugator_syllables": 2, "max_central_exponent": 1, "max_candidates": 10},
+        "checked": 3,
+        "structural_yes": 1,
+        "oracle_yes": 1,
+        "oracle_missed": 0,
+        "mismatches": [{"input": "a"}],
+    }
+    presentation = Presentation(("c1", "h"), (("c1^2", "h"), ("c1 h", "1")))
+    assert presentation.to_dict() == {
+        "generators": ["c1", "h"],
+        "relations": [["c1^2", "h"], ["c1 h", "1"]],
+    }
 
 
 # -- sizes the quadratic kernel could not reach ---------------------------
