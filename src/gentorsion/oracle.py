@@ -2,29 +2,24 @@
 
 Everything here is a correctness oracle: exhaustive scans over bounded
 candidate sets, deterministic and reproducible from the budget alone.
-The sweeps enumerate admissible inputs, run both the structural decider
-and the brute search, and report disagreements.  A brute hit with a
-structural No is a mismatch and must never happen; a structural Yes the
-brute search misses only means the witness lies outside the budget.
+Every scan goes through :func:`_first`, which tries at most
+``max_candidates`` candidates.  The sweeps enumerate admissible inputs, run
+both the structural decider and the brute search, and report
+disagreements.  A brute hit with a structural No is a mismatch and must
+never happen; a structural Yes the brute search misses only means the
+witness lies outside the budget.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Optional
 
 from .braid3 import CentralElement, conjugate_b3, reversible_b3
 from .errors import TrivialElement, UnknownSuite
-from .modular import gen3_torsion, reversible
+from .modular import Verdict, gen3_torsion, reversible
 from .seifert import SeifertPair, parse_seifert, reversible_seifert, seifert_group
 from .words import PSL2Z, Word, _Record, conjugated, enumerate_reduced, invert
-
-SUITES = (
-    "pslz-reversible",
-    "pslz-gen3",
-    "b3-reversible",
-    "b3-conjugacy",
-    "seifert-reversible",
-)
 
 SWEEP_SEIFERT_DATA = "(O,o,0 | 0; (4,1),(4,1)); boundaries=2; phi: d1=-1,d2=-1"
 
@@ -52,19 +47,18 @@ def _candidates(scheme, budget: SearchBudget, syllables: int):
     return enumerate_reduced(scheme, syllables, max_exponent=cap)
 
 
+def _first(candidates: Iterable, hit: Callable[..., bool], budget: SearchBudget):
+    """The first of at most ``budget.max_candidates`` candidates that hit, or None."""
+    return next(filter(hit, islice(candidates, budget.max_candidates)), None)
+
+
 def brute_reversible(w: Word, budget: SearchBudget) -> Optional[Word]:
     """Scan conjugators for k w k^-1 = w^-1 within the budget."""
     if w.is_identity:
         raise TrivialElement("reversibility oracle needs a nontrivial word")
     target = invert(w)
-    seen = 0
-    for k in _candidates(w.scheme, budget, budget.max_conjugator_syllables):
-        seen += 1
-        if seen > budget.max_candidates:
-            return None
-        if conjugated(w, k) == target:
-            return k
-    return None
+    ks = _candidates(w.scheme, budget, budget.max_conjugator_syllables)
+    return _first(ks, lambda k: conjugated(w, k) == target, budget)
 
 
 def brute_gen3(w: Word, budget: SearchBudget) -> Optional[tuple[Word, Word]]:
@@ -72,16 +66,10 @@ def brute_gen3(w: Word, budget: SearchBudget) -> Optional[tuple[Word, Word]]:
     if w.is_identity:
         raise TrivialElement("torsion oracle needs a nontrivial word")
     pool = list(_candidates(w.scheme, budget, budget.max_conjugator_syllables))
-    seen = 0
-    for h1 in pool:
-        middle = w * conjugated(w, h1)
-        for k in pool:
-            seen += 1
-            if seen > budget.max_candidates:
-                return None
-            if (middle * conjugated(w, k)).is_identity:
-                return h1, k
-    return None
+    # w * h1 w h1^-1 is multiplied once per h1, not once per pair
+    triples = ((h1, k, middle) for h1 in pool for middle in (w * conjugated(w, h1),) for k in pool)
+    hit = _first(triples, lambda t: (t[2] * conjugated(w, t[1])).is_identity, budget)
+    return None if hit is None else hit[:2]
 
 
 def brute_conjugate_b3(
@@ -92,15 +80,9 @@ def brute_conjugate_b3(
     Central powers act trivially by conjugation, so only the quotient part
     of the conjugator is scanned and the lift with exponent 0 is returned.
     """
-    seen = 0
-    for q in _candidates(PSL2Z, budget, budget.max_conjugator_syllables):
-        seen += 1
-        if seen > budget.max_candidates:
-            return None
-        c = CentralElement(0, q)
-        if c * g1 * c.inverse() == g2:
-            return c
-    return None
+    qs = _candidates(PSL2Z, budget, budget.max_conjugator_syllables)
+    cs = (CentralElement(0, q) for q in qs)
+    return _first(cs, lambda c: c * g1 * c.inverse() == g2, budget)
 
 
 class SweepReport(_Record):
@@ -111,79 +93,33 @@ class SweepReport(_Record):
     )
 
 
-class _Tally:
-    def __init__(self, suite: str, budget: SearchBudget):
-        self.suite = suite
-        self.budget = budget
-        self.checked = 0
-        self.structural_yes = 0
-        self.oracle_yes = 0
-        self.oracle_missed = 0
-        self.mismatches: list[dict] = []
-
-    def record(self, label: str, structural: str, oracle_hit: bool):
-        self.checked += 1
-        if structural == "yes":
-            self.structural_yes += 1
-        if oracle_hit:
-            self.oracle_yes += 1
-        if oracle_hit and structural == "no":
-            self.mismatches.append(
-                {"input": label, "oracle": "yes", "structural": "no"}
-            )
-        elif not oracle_hit and structural == "yes":
-            self.oracle_missed += 1
-
-    def report(self) -> SweepReport:
-        return SweepReport(
-            self.suite, self.budget, self.checked, self.structural_yes, self.oracle_yes,
-            self.oracle_missed, tuple(self.mismatches),
-        )
+#: what every sweep yields per input: its label, the structural and the brute answer
+_Row = tuple[str, bool, bool]
 
 
-def _sweep_pslz_reversible(budget: SearchBudget) -> SweepReport:
-    tally = _Tally("pslz-reversible", budget)
+def _sweep_pslz_reversible(budget: SearchBudget) -> Iterator[_Row]:
     for w in enumerate_reduced(PSL2Z, budget.max_conjugator_syllables):
-        if w.is_identity:
-            continue
-        structural = "yes" if reversible(w) is not None else "no"
-        oracle = brute_reversible(w, budget) is not None
-        tally.record(str(w), structural, oracle)
-    return tally.report()
+        if not w.is_identity:
+            yield str(w), reversible(w) is not None, brute_reversible(w, budget) is not None
 
 
-def _sweep_pslz_gen3(budget: SearchBudget) -> SweepReport:
-    tally = _Tally("pslz-gen3", budget)
+def _sweep_pslz_gen3(budget: SearchBudget) -> Iterator[_Row]:
     for w in enumerate_reduced(PSL2Z, budget.max_conjugator_syllables):
-        if w.is_identity:
-            continue
-        structural = gen3_torsion(w).tag.value
-        oracle = brute_gen3(w, budget) is not None
-        tally.record(str(w), structural, oracle)
-    return tally.report()
+        if not w.is_identity:
+            yield str(w), gen3_torsion(w).tag is Verdict.YES, brute_gen3(w, budget) is not None
 
 
-def _sweep_b3_reversible(budget: SearchBudget) -> SweepReport:
-    tally = _Tally("b3-reversible", budget)
+def _sweep_b3_reversible(budget: SearchBudget) -> Iterator[_Row]:
     span = range(-budget.max_central_exponent, budget.max_central_exponent + 1)
-    reversers = list(enumerate_reduced(PSL2Z, budget.max_conjugator_syllables))
     for q in enumerate_reduced(PSL2Z, budget.max_conjugator_syllables):
         for m in span:
             g = CentralElement(m, q)
-            if g.is_identity:
-                continue
-            structural = "yes" if reversible_b3(g) is not None else "no"
-            target = g.inverse()
-            oracle = any(
-                CentralElement(0, rho) * g * CentralElement(0, rho).inverse() == target
-                for rho in reversers
-            )
-            tally.record(str(g), structural, oracle)
-    return tally.report()
+            if not g.is_identity:
+                oracle = brute_conjugate_b3(g, g.inverse(), budget)
+                yield str(g), reversible_b3(g) is not None, oracle is not None
 
 
-def _sweep_b3_conjugacy(budget: SearchBudget) -> SweepReport:
-    tally = _Tally("b3-conjugacy", budget)
+def _sweep_b3_conjugacy(budget: SearchBudget) -> Iterator[_Row]:
     length = max(1, budget.max_conjugator_syllables // 2)
     span = range(-min(1, budget.max_central_exponent), min(1, budget.max_central_exponent) + 1)
     inputs = [
@@ -193,14 +129,11 @@ def _sweep_b3_conjugacy(budget: SearchBudget) -> SweepReport:
     ]
     for g1 in inputs:
         for g2 in inputs:
-            structural = "yes" if conjugate_b3(g1, g2) is not None else "no"
-            oracle = brute_conjugate_b3(g1, g2, budget) is not None
-            tally.record(f"{g1} ~ {g2}", structural, oracle)
-    return tally.report()
+            structural = conjugate_b3(g1, g2) is not None
+            yield f"{g1} ~ {g2}", structural, brute_conjugate_b3(g1, g2, budget) is not None
 
 
-def _sweep_seifert_reversible(budget: SearchBudget) -> SweepReport:
-    tally = _Tally("seifert-reversible", budget)
+def _sweep_seifert_reversible(budget: SearchBudget) -> Iterator[_Row]:
     data = parse_seifert(SWEEP_SEIFERT_DATA)
     group = seifert_group(data)
     length = max(1, budget.max_conjugator_syllables // 2)
@@ -211,15 +144,12 @@ def _sweep_seifert_reversible(budget: SearchBudget) -> SweepReport:
             g = SeifertPair(m, q)
             if g.is_identity:
                 continue
-            structural = "yes" if reversible_seifert(g, data).reversible else "no"
             target = group.inv(g)
             # h q = q h^phi(q): conjugating by h^s fixes g unless phi(g) = -1
             shifts = span if group.phi_word(g.q) == -1 else (0,)
-            oracle = any(
-                group.conjugated(g, SeifertPair(s, rho)) == target for rho in rhos for s in shifts
-            )
-            tally.record(group.spell(g), structural, oracle)
-    return tally.report()
+            reversers = (SeifertPair(s, rho) for rho in rhos for s in shifts)
+            oracle = _first(reversers, lambda r: group.conjugated(g, r) == target, budget)
+            yield group.spell(g), reversible_seifert(g, data).reversible, oracle is not None
 
 
 _SWEEPS = {
@@ -230,9 +160,25 @@ _SWEEPS = {
     "seifert-reversible": _sweep_seifert_reversible,
 }
 
+SUITES = tuple(_SWEEPS)
+
 
 def sweep_agreement(suite: str, budget: SearchBudget) -> SweepReport:
     """Compare a structural decider against brute force over a bounded sweep."""
     if suite not in _SWEEPS:
         raise UnknownSuite(f"unknown suite {suite!r}; choose one of {', '.join(SUITES)}")
-    return _SWEEPS[suite](budget)
+    rows = list(_SWEEPS[suite](budget))
+    mismatches = tuple(
+        {"input": label, "oracle": "yes", "structural": "no"}
+        for label, structural, oracle in rows
+        if oracle and not structural
+    )
+    return SweepReport(
+        suite,
+        budget,
+        len(rows),
+        sum(structural for _, structural, _ in rows),
+        sum(oracle for _, _, oracle in rows),
+        sum(structural and not oracle for _, structural, oracle in rows),
+        mismatches,
+    )

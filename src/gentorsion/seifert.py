@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
@@ -66,9 +66,9 @@ class SeifertData(_Record):
     to order two.
     """
 
-    __slots__ = _fields = (
-        "base_orientable", "genus_or_crosscaps", "boundary_count", "b", "exceptional", "phi"
-    )
+    _fields = ("base_orientable", "genus_or_crosscaps", "boundary_count", "b", "exceptional", "phi")
+    #: beside the fields: the generator names, and phi of every one of them
+    __slots__ = _fields + ("_handles", "_fibres", "_boundary", "_twist")
 
     def __init__(
         self,
@@ -89,55 +89,48 @@ class SeifertData(_Record):
         for mu, _ in self.exceptional:
             if mu < 2:
                 raise InvalidInvariant(f"exceptional fiber order {mu} is below 2")
-        allowed = set(self.handle_generators()) | set(self.boundary_generators())
+        count = range(1, self.genus_or_crosscaps + 1)
+        letters = "ab" if self.base_orientable else "x"
+        self._handles = tuple(f"{x}{i}" for i in count for x in letters)
+        self._fibres = tuple(f"c{i}" for i in range(1, len(self.exceptional) + 1))
+        self._boundary = tuple(f"d{i}" for i in range(1, self.boundary_count + 1))
+        twist = dict.fromkeys(self._handles + self._boundary, 1)
         seen = set()
         for name, value in self.phi:
-            if name not in allowed:
+            if name not in twist:
                 raise InvalidInvariant(f"phi assigned to unknown generator {name!r}")
             if name in seen:
                 raise InvalidInvariant(f"phi assigned twice to {name!r}")
             seen.add(name)
             if value not in (1, -1):
                 raise InvalidInvariant(f"phi values must be +1 or -1, got {value}")
-        if self.boundary_count >= 1:
-            product = 1
-            for name in self.boundary_generators():
-                product *= self.phi_of(name)
-            if product != 1:
-                raise InvalidInvariant(
-                    "phi must multiply to +1 over the boundary generators; the "
-                    "long relation forces the last twist to equal the product "
-                    "of the others"
-                )
+            twist[name] = value
+        if prod(twist[name] for name in self._boundary) != 1:
+            raise InvalidInvariant(
+                "phi must multiply to +1 over the boundary generators; the "
+                "long relation forces the last twist to equal the product "
+                "of the others"
+            )
+        self._twist = {**twist, **dict.fromkeys(self._fibres + ("h",), 1)}
 
     def handle_generators(self) -> tuple[str, ...]:
-        if self.base_orientable:
-            out = []
-            for i in range(1, self.genus_or_crosscaps + 1):
-                out.extend((f"a{i}", f"b{i}"))
-            return tuple(out)
-        return tuple(f"x{i}" for i in range(1, self.genus_or_crosscaps + 1))
+        return self._handles
 
     def exceptional_generators(self) -> tuple[str, ...]:
-        return tuple(f"c{i}" for i in range(1, len(self.exceptional) + 1))
+        return self._fibres
 
     def boundary_generators(self) -> tuple[str, ...]:
-        return tuple(f"d{i}" for i in range(1, self.boundary_count + 1))
+        return self._boundary
 
     def phi_of(self, name: str) -> int:
-        if name in self.exceptional_generators() or name == "h":
-            return 1
-        if name not in self.handle_generators() and name not in self.boundary_generators():
-            raise UnknownGenerator(f"unknown generator {name!r}")
-        for key, value in self.phi:
-            if key == name:
-                return value
-        return 1
+        try:
+            return self._twist[name]
+        except KeyError:
+            raise UnknownGenerator(f"unknown generator {name!r}") from None
 
     @property
     def phi_nontrivial(self) -> bool:
-        gens = self.handle_generators() + self.boundary_generators()
-        return any(self.phi_of(g) == -1 for g in gens)
+        return -1 in self._twist.values()
 
 
 _PAIR = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
@@ -276,12 +269,13 @@ def presentation(d: SeifertData) -> Presentation:
 
 def _long_relation(d: SeifertData) -> list[tuple[str, int]]:
     """The long relation without its fiber power: commutators or squares, c_i, d_i."""
+    handles = d.handle_generators()
     if d.base_orientable:
         pairs = []
-        for i in range(1, d.genus_or_crosscaps + 1):
-            pairs += ((f"a{i}", 1), (f"b{i}", 1), (f"a{i}", -1), (f"b{i}", -1))
+        for a, b in zip(handles[::2], handles[1::2]):
+            pairs += ((a, 1), (b, 1), (a, -1), (b, -1))
     else:
-        pairs = [(x, 2) for x in d.handle_generators()]
+        pairs = [(x, 2) for x in handles]
     return pairs + [(name, 1) for name in d.exceptional_generators() + d.boundary_generators()]
 
 
@@ -593,9 +587,10 @@ def classify_reversible_families(d: SeifertData) -> ReversibleFamilyReport:
     trivial phi only the preserving family survives.  A closed projective
     plane or Klein bottle base adds its surface generators.
     """
+    flips = d.phi_nontrivial
     families: list = []
     notes: list[str] = []
-    if d.phi_nontrivial:
+    if flips:
         families.append(PowersOfH())
     pairs = []
     for i, (mu_i, beta_i) in enumerate(d.exceptional, start=1):
@@ -608,12 +603,12 @@ def classify_reversible_families(d: SeifertData) -> ReversibleFamilyReport:
                 continue
             pairs.append((i, j, beta_i))
     for i, j, beta in pairs:
-        if d.phi_nontrivial:
+        if flips:
             families.append(
                 TwoHalfTwists(i=i, j=j, second_sign=1, phi_k=-1, beta=beta)
             )
         families.append(TwoHalfTwists(i=i, j=j, second_sign=-1, phi_k=1, beta=beta))
-    if pairs and not d.phi_nontrivial:
+    if pairs and not flips:
         notes.append(
             "trivial phi: the even fiber orders and matching beta constraints "
             "come from the proof of the half-twist lemma"

@@ -489,14 +489,10 @@ def abelian_image(w: Word) -> dict[str, int]:
 def _period(sylls: tuple[Syllable, ...]) -> int:
     """The least p > 0 with sylls a power of sylls[:p]; sylls nonempty.
 
-    That is the first offset above 0 of sylls in sylls + sylls, so one
-    ``str.find`` over the syllables' codes gives it.
+    That is the least rotation above 0 taking sylls to itself: one more
+    than the rotation offset from sylls rotated by one back to sylls.
     """
-    codes: dict[Syllable, int] = {}
-    p = [codes.setdefault(s, len(codes)) for s in sylls]
-    text = "".join(map(chr, p)) if len(codes) <= _MAX_CODE else _wide(p)
-    step = len(text) // len(p)
-    return (text + text).find(text, step) // step
+    return 1 + _rotation_offset(sylls[1:] + sylls[:1], sylls)
 
 
 def primitive_root(w: Word) -> Word:

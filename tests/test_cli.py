@@ -293,3 +293,23 @@ def test_emitted_certificates_are_checked_under_python_dash_o():
         assert proc.returncode == 1, (argv, proc.stderr)
         assert "yes" not in proc.stdout, argv
         assert json.loads(proc.stderr)["error_kind"] == "InvalidCertificate", argv
+
+
+#: 20,000 handles and 20,000 boundary letters, d1 and d2 flipping the fibre
+HUGE_SEIFERT = "(O,o,20000 | 0); boundaries=20000; phi: d1=-1,d2=-1"
+
+
+def test_seifert_data_costs_time_linear_in_its_size():
+    """Each call reads the generator names and their phi a bounded number of times."""
+    commands = (
+        ("seifert", "--spec", HUGE_SEIFERT, "families"),
+        ("seifert", "--spec", HUGE_SEIFERT, "presentation"),
+        ("seifert", "--spec", HUGE_SEIFERT, "quotient"),
+        ("reversible", "--group", f"seifert:{HUGE_SEIFERT}", "--word", "h"),
+    )
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gentorsion", *argv], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, (argv[-1], proc.stderr)
+    assert json.loads(proc.stdout)["certificate"]["reverser"] == "d1"

@@ -13,15 +13,15 @@ from gentorsion.oracle import (
     SUITES,
     SWEEP_SEIFERT_DATA,
     SearchBudget,
+    SweepReport,
     _candidates,
-    _Tally,
     brute_conjugate_b3,
     brute_gen3,
     brute_reversible,
     sweep_agreement,
 )
 from gentorsion.seifert import SeifertGroup, SeifertPair, parse_seifert, reversible_seifert
-from gentorsion.words import PSL2Z, _Record, identity, parse_word
+from gentorsion.words import PSL2Z, _Record, enumerate_reduced, identity, invert, parse_word
 
 
 def w(text):
@@ -135,8 +135,7 @@ def test_sweep_seifert_reversible_agreement():
 
 
 def reference_sweep_seifert_reversible(budget):
-    """The sweep as it was, trying every h^s rho for every element."""
-    tally = _Tally("seifert-reversible", budget)
+    """The sweep as it was, trying every h^s rho for every element, counted by hand."""
     data = parse_seifert(SWEEP_SEIFERT_DATA)
     group = SeifertGroup(data)
     length = max(1, budget.max_conjugator_syllables // 2)
@@ -146,16 +145,27 @@ def reference_sweep_seifert_reversible(budget):
         for rho in _candidates(group.scheme, budget, budget.max_conjugator_syllables)
         for s in span
     ]
+    checked = structural_yes = oracle_yes = oracle_missed = 0
+    mismatches = []
     for q in _candidates(group.scheme, budget, length):
         for m in span:
             g = SeifertPair(m, q)
             if g.is_identity:
                 continue
-            structural = "yes" if reversible_seifert(g, data).reversible else "no"
+            structural = reversible_seifert(g, data).reversible
             target = group.inv(g)
             oracle = any(group.conjugated(g, r) == target for r in reversers)
-            tally.record(group.spell(g), structural, oracle)
-    return tally.report()
+            checked += 1
+            structural_yes += structural
+            oracle_yes += oracle
+            if oracle and not structural:
+                mismatches.append({"input": group.spell(g), "oracle": "yes", "structural": "no"})
+            elif structural and not oracle:
+                oracle_missed += 1
+    return SweepReport(
+        "seifert-reversible", budget, checked, structural_yes, oracle_yes, oracle_missed,
+        tuple(mismatches),
+    )
 
 
 @pytest.mark.parametrize("budget", [SearchBudget(3, 1, 10**6), SearchBudget(3, 2, 10**6)])
@@ -163,6 +173,32 @@ def test_seifert_sweep_drops_only_reversers_that_cannot_matter(budget):
     """h^s rho and rho conjugate alike unless phi(g) = -1, so the report is unchanged."""
     expected = reference_sweep_seifert_reversible(budget)
     assert sweep_agreement("seifert-reversible", budget) == expected
+
+
+def _identity_answers(suite):
+    """How many inputs of the suite at 3 syllables a central conjugator answers."""
+    words = [x for x in enumerate_reduced(PSL2Z, 3) if not x.is_identity]
+    if suite == "pslz-reversible":
+        return sum(x == invert(x) for x in words)
+    if suite == "pslz-gen3":
+        return sum((x**3).is_identity for x in words)
+    if suite == "b3-conjugacy":
+        # the sweep pairs every input with every input, at 1 syllable and |m| <= 1
+        inputs = {CentralElement(m, q) for q in enumerate_reduced(PSL2Z, 1) for m in (-1, 0, 1)}
+        return len(inputs)
+    # a central conjugator fixes a braid, and reverses no element of the seifert sweep
+    return 0
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_every_suite_honours_the_candidate_cap(suite):
+    """With max_candidates=1 every oracle tries one conjugator: the identity, or h^s
+    in the seifert sweep when phi(g) = -1."""
+    budget = SearchBudget(4, 2, 1) if suite == "b3-reversible" else SearchBudget(3, 1, 1)
+    report = sweep_agreement(suite, budget)
+    assert report.checked > 0
+    assert report.mismatches == ()
+    assert report.oracle_yes == _identity_answers(suite)
 
 
 def test_sweep_report_serializes():

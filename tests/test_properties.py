@@ -3,9 +3,10 @@
 The isometry class and the reversibility verdicts in PSL(2,Z), B3 and
 Seifert groups are class functions: conjugating or inverting the input
 leaves them alone.  The mirror scans of gen-3 torsion and B3
-reversibility read the cyclic core in any rotation.  Each of the three
-word syntaxes reads back what it writes.  Hypothesis runs derandomized,
-so every run draws the same examples.
+reversibility read the cyclic core in any rotation.  A brute-force hit of
+the oracle in B3 or a Seifert group always comes with a structural yes.
+Each of the three word syntaxes reads back what it writes.  Hypothesis
+runs derandomized, so every run draws the same examples.
 """
 
 from unittest import mock
@@ -14,14 +15,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gentorsion.braid3 import BraidWord, CentralElement, normal_form, parse_braid, reversible_b3
+from gentorsion.braid3 import (
+    BraidWord,
+    CentralElement,
+    conjugate_b3,
+    normal_form,
+    parse_braid,
+    reversible_b3,
+)
 from gentorsion.modular import classify, gen3_torsion, reversible
-from gentorsion.seifert import SeifertGroup, parse_seifert, reversible_seifert
+from gentorsion.oracle import SearchBudget, _candidates, _first, brute_conjugate_b3
+from gentorsion.seifert import SeifertGroup, SeifertPair, parse_seifert, reversible_seifert
 from gentorsion.words import (
     PSL2Z,
     Word,
     _cyclic_core,
     conjugated,
+    identity,
     invert,
     parse_scheme,
     parse_word,
@@ -139,7 +149,10 @@ CLASS_FUNCTION_DATA = {
 
 @pytest.mark.parametrize("d", CLASS_FUNCTION_DATA.values(), ids=CLASS_FUNCTION_DATA.keys())
 def test_seifert_reversibility_is_a_class_function(d):
+    """Also, a reverser the oracle's bounded scan finds comes with a structural yes."""
     G = SeifertGroup(d)
+    budget = SearchBudget(2, 1, 10**6)
+    rhos = list(_candidates(G.scheme, budget, 2))
 
     @PROPERTY
     @given(seifert_elements(G), seifert_elements(G))
@@ -149,8 +162,41 @@ def test_seifert_reversibility_is_a_class_function(d):
         rev = reversible_seifert(p, d).reversible
         for other in (G.conjugated(p, k), G.inv(p), G.conjugated(G.inv(p), k)):
             assert reversible_seifert(other, d).reversible == rev, (G.spell(p), G.spell(k))
+        # as in the oracle's sweep: h^s rho conjugates like rho unless phi(p) = -1
+        shifts = (-1, 0, 1) if G.phi_word(p.q) == -1 else (0,)
+        reversers = (SeifertPair(s, rho) for rho in rhos for s in shifts)
+        target = G.inv(p)
+        hit = _first(reversers, lambda r: G.conjugated(p, r) == target, budget)
+        assert hit is None or rev, (G.spell(p), G.spell(hit))
 
     check()
+
+
+# -- a brute hit of the oracle comes with a structural yes ---------------------
+
+#: braid conjugators whose images have up to 4 syllables
+ORACLE_BUDGET = SearchBudget(4, 1, 10**6)
+
+
+@PROPERTY
+@given(b3_elements())
+def test_a_brute_b3_reverser_comes_with_a_structural_yes(g):
+    if g.is_identity:
+        return
+    if brute_conjugate_b3(g, g.inverse(), ORACLE_BUDGET) is not None:
+        assert reversible_b3(g) is not None, str(g)
+
+
+@PROPERTY
+@given(b3_elements(), st.integers(-2, 2), _words(PSL2Z, 3))
+def test_a_brute_b3_conjugator_comes_with_a_structural_yes(g, m, q):
+    conjugate = g.conjugated_by(CentralElement(m, q))
+    # the conjugator lies within the budget, so the scan finds one
+    assert brute_conjugate_b3(g, conjugate, ORACLE_BUDGET) is not None, (str(g), str(q))
+    assert conjugate_b3(g, conjugate) is not None, (str(g), str(q))
+    shifted = conjugate * CentralElement(1, identity(PSL2Z))
+    if brute_conjugate_b3(g, shifted, ORACLE_BUDGET) is not None:
+        assert conjugate_b3(g, shifted) is not None, (str(g), str(q))
 
 
 # -- the mirror scans read any rotation of the core --------------------------
