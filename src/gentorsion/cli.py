@@ -421,7 +421,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except GroupError as exc:
         _emit_error(exc, fmt)
         return EXIT_ERROR
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an unreadable --file
         _emit_error(GroupError(str(exc)), fmt)
         return EXIT_ERROR
     _emit(result, fmt)

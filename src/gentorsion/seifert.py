@@ -670,7 +670,8 @@ def _require_gen_n_base(d: SeifertData) -> None:
     group can be 1: (O,o,0|0;(4,1),(4,3)) is Z/16, where
     c1^2 c2 c1^2 c2^-1 h^-1 = 1, and in (O,o,0|3) the fiber has order 3.
     """
-    if d.boundary_count:
+    # each cone point takes at least 1/2 from chi(base) <= 2, so four give chi_orb <= 0
+    if d.boundary_count or len(d.exceptional) > 3:
         return
     scale = lcm(*(mu for mu, _ in d.exceptional))
     chi_base = 2 - (2 if d.base_orientable else 1) * d.genus_or_crosscaps
@@ -692,41 +693,39 @@ def gen_n_pair(d: SeifertData, n: int) -> Optional[tuple[int, int, int, int]]:
     divisible by g_i.  Shifting u by g_i moves p by mu_i, M1 = beta_i n p / mu_i
     by beta_i n and p + p' by mu_i, which changes neither "p != 0 mod mu_i",
     nor (M1 + M2) mod n, nor the i = j merge test; it only grows the key.
-    So the least key has u in [1, g_i) and, likewise, v in [1, g_j), and
-    the scan makes at most sum (g_i - 1)(g_j - 1) <= sum mu_i mu_j steps
-    for any n.
+    So the least key has u in [1, g_i) and, likewise, v in [1, g_j).  These
+    powers are sorted and indexed by M mod n, and each (p, i) pairs with the
+    first (p', j) of residue -M1, skipped if it merges.  Only a lone fiber
+    merges, and a pair there needs t | u + v but not g | u + v, t = g /
+    gcd(beta, g); so u = 1 with its first v = t - 1 (or 1) is the least key
+    if any pair exists.  That is O(sum g_i) steps plus the sort, within the
+    n - 1 conjugators of a found certificate.
     """
     if n < 2:
         raise InvalidInvariant(f"generalised torsion needs n >= 2, got {n}")
     _require_gen_n_base(d)
+    powers = sorted((u * (mu // g), j, beta * u * (n // g) % n)
+                    for j, (mu, beta) in enumerate(d.exceptional, start=1)
+                    for g in (gcd(n, mu),) for u in range(1, g))
+    first = {power[2]: power for power in reversed(powers)}  # the least power of each M mod n
+    lone = not _separating_letter(d, 1, 1)  # one fiber and no letter to separate c1's conjugates
     best = None
-    for i, (mu_i, beta_i) in enumerate(d.exceptional, start=1):
-        g_i = gcd(n, mu_i)
-        for j, (mu_j, beta_j) in enumerate(d.exceptional, start=1):
-            g_j = gcd(n, mu_j)
-            merges = i == j and not _separating_letter(d, i, j)
-            for u in range(1, g_i):
-                p = u * (mu_i // g_i)
-                m1 = beta_i * u * (n // g_i)
-                for v in range(1, g_j):
-                    p_prime = v * (mu_j // g_j)
-                    if merges and (p + p_prime) % mu_i == 0:
-                        # both conjugates would merge into a fiber power
-                        continue
-                    if (m1 + beta_j * v * (n // g_j)) % n:
-                        continue
-                    key = (p + p_prime, i, j, p, p_prime)
-                    if best is None or key < best:
-                        best = key
+    for p, i, m in powers:
+        p_prime, j, _ = first.get(-m % n, (0, 0, 0))
+        if not p_prime or lone and (p + p_prime) % d.exceptional[0][0] == 0:
+            continue  # no partner, or both conjugates merge into a fiber power
+        key = (p + p_prime, i, j, p, p_prime)
+        if best is None or key < best:
+            best = key
     return None if best is None else best[1:]
 
 
 def gen_n_certificate(d: SeifertData, n: int) -> Optional[GenNCertificate]:
     """A generalised n-torsion element with its n - 1 conjugators, if any.
 
-    The pair (i, j, p, p') comes from :func:`gen_n_pair`, a scan over the
-    residues of p and p' modulo the fiber orders that takes at most
-    sum mu_i mu_j steps whatever n is.  Failing a pair, an even n and a
+    The pair (i, j, p, p') comes from :func:`gen_n_pair`, one index of the
+    fiber powers by their fiber exponent mod n, which takes
+    O(sum gcd(n, mu_i)) steps plus a sort.  Failing a pair, an even n and a
     handle or non-eliminated boundary generator f with phi(f) = -1 give the
     element h.  The n - 1 conjugators are built and the relation
     re-multiplied, which is linear in that output.  Returns None when

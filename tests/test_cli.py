@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 TREFOIL = "(O,o,0 | 1; (2,1),(3,1)); boundaries=1; phi: d1=+1"
 TWO_BOUNDARY = "(O,o,0 | 0; (4,1),(4,1)); boundaries=2; phi: d1=-1,d2=-1"
 THREE_BOUNDARY = "(O,o,0|0);boundaries=3;phi:d1=-1,d2=-1"
@@ -251,6 +253,19 @@ def test_verify_reads_from_file(tmp_path):
     assert data["verdict"] == "valid"
 
 
+def test_verify_reports_an_unreadable_file_as_an_error(tmp_path):
+    for path in (tmp_path / "missing.json", tmp_path):
+        for fmt in ("json", "text"):
+            proc = run_cli("verify", "--file", str(path), "--format", fmt)
+            assert proc.returncode == 1, (path, fmt)
+            assert "Traceback" not in proc.stderr, (path, fmt)
+            assert str(path) in proc.stderr, (path, fmt)
+            if fmt == "json":
+                assert json.loads(proc.stderr)["error_kind"] == "GroupError"
+            else:
+                assert proc.stderr.startswith("error: ")
+
+
 def test_sweep_subcommand_agreement():
     data = run_json("sweep", "--suite", "pslz-gen3", "--max-conjugator-syllables", "3")
     assert data["verdict"] == "agreement"
@@ -313,3 +328,66 @@ def test_seifert_data_costs_time_linear_in_its_size():
         )
         assert proc.returncode == 0, (argv[-1], proc.stderr)
     assert json.loads(proc.stdout)["certificate"]["reverser"] == "d1"
+
+
+#: gen-n data whose fibre powers the parent's pairwise residue scan walked quadratically
+HOSTILE_GEN_N = (
+    ("(O,o,0|0;(30011,1));boundaries=2", 30011, "yes", None),
+    # no fibre order shares a factor with n, so no fibre power is listed
+    ("(O,o,0|0;" + ",".join(["(3,1)"] * 15000) + ");boundaries=1", 2, "absent",
+     "no exceptional fiber order shares a factor with n = 2"),
+    ("(O,o,0|0;(1000003,1));boundaries=1", 1000003, "absent",
+     "fiber c1 shares the factor 1000003 with n = 1000003 but no letter separates its "
+     "two conjugates, so they merge into a fiber power"),
+)
+
+
+@pytest.mark.parametrize("spec, n, verdict, reason", HOSTILE_GEN_N, ids=("big", "many", "lone"))
+def test_gen_n_pair_costs_time_linear_in_the_fibre_powers(spec, n, verdict, reason):
+    """The gen-n pair is read from one index of the powers c_i^p with mu_i | n p."""
+    argv = ("gen-torsion", "--group", f"seifert:{spec}", "--n", str(n))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gentorsion", *argv], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["verdict"] == verdict
+    if reason is None:
+        assert len(data["certificate"]["conjugators"]) == n - 1
+    else:
+        assert data["diagnostics"] == [reason]
+
+
+#: 32,000 fibres of distinct prime orders on a closed genus-0 base; the child builds
+#: the data itself, as its 341 KB text is past the 128 KB limit on one argument
+_GEN_N_ON_PRIME_FIBRES = """
+import contextlib, io, json, sys
+from gentorsion import cli
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    assert code == 0, argv[0]
+    return json.loads(out.getvalue())
+
+sieve = bytearray([1]) * 400_000
+sieve[:2] = bytes(2)
+for k in range(2, 633):
+    if sieve[k]:
+        sieve[k * k :: k] = bytes(len(range(k * k, len(sieve), k)))
+primes = [k for k, prime in enumerate(sieve) if prime][:32_000]
+assert len(primes) == 32_000
+spec = "(O,o,0 | 0; " + ",".join(f"({p},1)" for p in primes) + ")"
+cert = run("gen-torsion", "--group", "seifert:" + spec, "--n", "4")["certificate"]
+print(run("verify", "--certificate", json.dumps(cert))["verdict"])
+"""
+
+
+def test_closed_base_check_reads_at_most_three_cone_orders():
+    """Four cone points or more give chi_orb <= 0 with no lcm over the fibre orders."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _GEN_N_ON_PRIME_FIBRES], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "valid\n"

@@ -1,7 +1,10 @@
 import itertools
+from math import gcd
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gentorsion.certificates import seifert_gen_n_certificate, verify_certificate
 from gentorsion.errors import (
@@ -686,6 +689,49 @@ def test_gen_n_pair_matches_the_reference_scan():
             assert gen_n_pair(d, n) == reference_gen_n_pair(d, n), (spec, n)
             cases += 1
     assert cases > 7000
+
+
+def residue_scan_gen_n_pair(d, n):
+    """The scan over u in [1, g_i), v in [1, g_j) for every fiber pair that gen_n_pair replaced."""
+    best = None
+    for i, (mu_i, beta_i) in enumerate(d.exceptional, start=1):
+        g_i = gcd(n, mu_i)
+        for j, (mu_j, beta_j) in enumerate(d.exceptional, start=1):
+            g_j = gcd(n, mu_j)
+            merges = i == j and not _separating_letter(d, i, j)
+            for u in range(1, g_i):
+                p = u * (mu_i // g_i)
+                m1 = beta_i * u * (n // g_i)
+                for v in range(1, g_j):
+                    p_prime = v * (mu_j // g_j)
+                    if merges and (p + p_prime) % mu_i == 0:
+                        # both conjugates would merge into a fiber power
+                        continue
+                    if (m1 + beta_j * v * (n // g_j)) % n:
+                        continue
+                    key = (p + p_prime, i, j, p, p_prime)
+                    if best is None or key < best:
+                        best = key
+    return None if best is None else best[1:]
+
+
+@st.composite
+def gen_n_cases(draw):
+    """1-5 fibers of order 2-12 with any beta in [-mu, 2 mu], on one of the grid bases."""
+    fibers = draw(st.lists(
+        st.integers(2, 12).flatmap(lambda mu: st.tuples(st.just(mu), st.integers(-mu, 2 * mu))),
+        min_size=1, max_size=5,
+    ))
+    base = draw(st.sampled_from(GRID_BASES))
+    return base.format(",".join(f"({mu},{beta})" for mu, beta in fibers)), draw(st.integers(2, 240))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(gen_n_cases())
+def test_gen_n_pair_matches_the_residue_scan(case):
+    spec, n = case
+    d = parse_seifert(spec)
+    assert gen_n_pair(d, n) == residue_scan_gen_n_pair(d, n), (spec, n)
 
 
 def test_gen_n_pair_does_not_depend_on_the_size_of_n():
