@@ -153,7 +153,7 @@ def classify(w: Word) -> IsometryClass:
 
 def _parabolic_exponent(core: tuple[Syllable, ...]) -> int:
     """n with a core of two or more syllables a rotation of (a b)^n or (a b^2)^-n, else 0."""
-    exps = {exp for gen, exp in core if gen == "b"}
+    exps = {exp for gen, exp in set(core) if gen == "b"}
     return 0 if len(exps) > 1 else len(core) // 2 * (1 if exps == {1} else -1)
 
 

@@ -17,11 +17,18 @@ reduced words, the canonical rotation is found by Booth's least-rotation
 algorithm, a rotation of one core onto another is found by substring
 search in the doubled core, and the centres around which a core mirrors
 itself to its inverse are found by Manacher's algorithm.
+
+A scheme records each finite-order syllable's inverse and canonical spelling
+(``a``, ``b^2``) when it first shares it, so the kernels invert, cancel, code
+and spell by dict lookups under ``map``, and text this module writes parses
+through the spelling table.  Infinite-order syllables are never stored.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import count, repeat
+from operator import eq, itemgetter
 from typing import Iterable, Iterator, Optional
 
 from .errors import (
@@ -35,6 +42,7 @@ from .errors import (
 
 #: a syllable: the pair (generator, exponent)
 Syllable = tuple[str, int]
+_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
 class _Record:
@@ -118,7 +126,7 @@ class GroupScheme(_Record):
     3
     """
 
-    __slots__ = ("generators", "orders", "indices", "interned")
+    __slots__ = ("generators", "orders", "indices", "interned", "inverses", "spellings", "spelled")
     _fields = ("generators",)
 
     def __init__(self, generators: tuple[tuple[str, Optional[int]], ...]):
@@ -126,6 +134,8 @@ class GroupScheme(_Record):
         for name, order in generators:
             if name in orders:
                 raise ValueError(f"duplicate generator {name!r}")
+            if not _NAME.fullmatch(name):
+                raise ValueError(f"bad generator name {name!r}")
             if order is not None and order < 2:
                 raise ValueError(f"order of {name!r} must be >= 2 or None")
             orders[name] = order
@@ -133,8 +143,11 @@ class GroupScheme(_Record):
         # name -> order and name -> index, derived from ``generators``
         self.orders = orders
         self.indices = {name: i for i, name in enumerate(orders)}
-        # the shared syllables of finite-order generators, filled on first use
+        # shared finite-order syllables, their inverses and spellings, filled on first use
         self.interned: dict[Syllable, Syllable] = {}
+        self.inverses: dict[Syllable, Syllable] = {}
+        self.spellings: dict[Syllable, str] = {}
+        self.spelled: dict[str, Syllable] = {}
 
     def names(self) -> tuple[str, ...]:
         return tuple(self.orders)
@@ -158,15 +171,26 @@ class GroupScheme(_Record):
         """The pair (gen, exp), exp normalised; one shared tuple per finite-order syllable.
 
         Shared syllables make equal reduced words equal element by element
-        by identity, and spare an allocation per syllable.  A finite factor
-        has order - 1 syllables, so the table never outgrows the scheme.
+        by identity, and spare an allocation per syllable.  Sharing one
+        records its inverse and spelling.  A finite factor has order - 1
+        syllables, so no table outgrows the scheme.
         """
         s = self.interned.get((gen, exp))
         if s is None:
             s = (gen, exp)
-            if self.orders[gen] is not None:
+            order = self.orders[gen]
+            if order is not None and 0 < exp < order:
                 self.interned[s] = s
+                self.spellings[s] = text = format_tokens((s,))
+                self.spelled[text] = s
+                self.inverses[s] = self.syllable(gen, order - exp)
         return s
+
+    def inverse(self, s: Syllable) -> Syllable:
+        """The inverse of syllable s, as :meth:`syllable` gives it."""
+        gen, exp = s
+        order = self.orders[gen]
+        return (gen, -exp) if order is None else self.syllable(gen, order - exp)
 
 
 #: The modular group PSL(2,Z) as C2 * C3.
@@ -210,23 +234,11 @@ class Word(_Record):
         if scheme is not other.scheme and scheme != other.scheme:
             raise SchemeMismatch("cannot multiply words over different schemes")
         left, right = self.syllables, other.syllables
-        if not left:
-            return other
-        if not right:
-            return self
-        orders = scheme.orders
-        i, j, n = len(left), 0, len(right)
-        while i and j < n:
-            gen, x = left[i - 1]
-            other_gen, y = right[j]
-            if gen != other_gen:
-                break
-            i -= 1
-            j += 1
-            order = orders[gen]
-            exp = x + y if order is None else (x + y) % order
-            if exp:
-                return Word(scheme, left[:i] + (scheme.syllable(gen, exp),) + right[j:])
+        j = _seam(scheme, left, right)
+        i = len(left) - j
+        if i and j < len(right) and left[i - 1][0] == right[j][0]:
+            merged = _merged(scheme, left[i - 1], right[j])
+            return Word(scheme, left[:i - 1] + merged + right[j + 1:])
         return Word(scheme, left[:i] + right[j:])
 
     def __invert__(self) -> "Word":
@@ -251,7 +263,30 @@ class Word(_Record):
         return p * power * invert(p) if p else power
 
     def __str__(self) -> str:
-        return format_tokens(self.syllables)
+        try:
+            return " ".join(map(self.scheme.spellings.__getitem__, self.syllables)) or "1"
+        except KeyError:  # an infinite-order syllable, or one never shared
+            return format_tokens(self.syllables)
+
+
+def _seam(scheme: GroupScheme, left: tuple[Syllable, ...], right: tuple[Syllable, ...]) -> int:
+    """The greatest k with left[-1 - d] the inverse of right[d] for every d < k."""
+    inverses = scheme.inverses
+    k, n = 0, min(len(left), len(right))
+    try:
+        while k < n and left[-1 - k] == inverses[right[k]]:
+            k += 1
+    except KeyError:  # an infinite-order syllable, or one never shared
+        while k < n and left[-1 - k] == (inverses.get(right[k]) or scheme.inverse(right[k])):
+            k += 1
+    return k
+
+
+def _merged(scheme: GroupScheme, s: Syllable, t: Syllable) -> tuple[Syllable]:
+    """The one syllable of s t, for s and t on one generator and not inverse."""
+    gen, exp = s
+    order = scheme.orders[gen]
+    return (scheme.syllable(gen, exp + t[1] if order is None else (exp + t[1]) % order),)
 
 
 def identity(scheme: GroupScheme) -> Word:
@@ -296,13 +331,12 @@ def invert(w: Word) -> Word:
     >>> str(invert(parse_word(PSL2Z, "a b a b^2")))
     'b a b^2 a'
     """
-    orders, interned, syllable = w.scheme.orders, w.scheme.interned, w.scheme.syllable
-    out = []
-    for gen, exp in reversed(w.syllables):
-        order = orders[gen]
-        exp = -exp if order is None else order - exp
-        out.append(interned.get((gen, exp)) or syllable(gen, exp))
-    return Word(w.scheme, tuple(out))
+    scheme, inverses = w.scheme, w.scheme.inverses
+    try:
+        return Word(scheme, tuple(map(inverses.__getitem__, reversed(w.syllables))))
+    except KeyError:  # an infinite-order syllable, or one never shared
+        inverse = scheme.inverse
+        return Word(scheme, tuple([inverses.get(s) or inverse(s) for s in reversed(w.syllables)]))
 
 
 def conjugated(w: Word, k: Word) -> Word:
@@ -318,25 +352,14 @@ def _cyclic_core(w: Word) -> tuple[Word, Word]:
     one, since the merged syllable then differs in generator from its new
     neighbour.
     """
-    sylls = w.syllables
-    orders = w.scheme.orders
-    i, j = 0, len(sylls)
-    tail: tuple[Syllable, ...] = ()
-    while j - i >= 2:
-        gen, first = sylls[i]
-        last_gen, last = sylls[j - 1]
-        if gen != last_gen:
-            break
-        i += 1
-        j -= 1
-        order = orders[gen]
-        exp = last + first
-        if order is not None:
-            exp %= order
-        if exp:
-            tail = (w.scheme.syllable(gen, exp),)
-            break
-    return Word(w.scheme, sylls[i:j] + tail), Word(w.scheme, sylls[:i])
+    sylls, scheme = w.syllables, w.scheme
+    # a reduced word cannot peel past its middle, where neighbours never cancel
+    i = _seam(scheme, sylls, sylls[:len(sylls) // 2])
+    j = len(sylls) - i
+    if j - i >= 2 and sylls[i][0] == sylls[j - 1][0]:
+        merged = _merged(scheme, sylls[j - 1], sylls[i])
+        return Word(scheme, sylls[i + 1:j - 1] + merged), Word(scheme, sylls[:i + 1])
+    return Word(scheme, sylls[i:j]), Word(scheme, sylls[:i])
 
 
 def _least_rotation(keys: list) -> int:
@@ -381,10 +404,10 @@ def _rotation_offset(text: tuple[Syllable, ...], pattern: tuple[Syllable, ...]) 
     point, or for an alphabet too large for that two code points from
     disjoint ranges, so that every match starts on a syllable.
     """
-    codes: dict[Syllable, int] = {}
-    p = [codes.setdefault(s, len(codes)) for s in pattern]
+    codes = dict(zip(dict.fromkeys(pattern), count()))
+    p = list(map(codes.__getitem__, pattern))
     other = len(codes)
-    t = [codes.get(s, other) for s in text]
+    t = list(map(codes.get, text, repeat(other)))
     t += t[:-1]
     if other <= _MAX_CODE:
         return "".join(map(chr, t)).find("".join(map(chr, p)))
@@ -538,10 +561,10 @@ def mirror_centres(core: Word, radius: int) -> list[int]:
         raise ValueError(f"radius {radius} is outside [0, {n // 2}]")
     if not n:
         return []
-    codes: dict[Syllable, int] = {}
-    code = [codes.setdefault(s, len(codes)) for s in sylls]
+    codes = dict(zip(dict.fromkeys(sylls), count()))
+    code = list(map(codes.__getitem__, sylls))
     width = len(codes) + 1  # code len(codes): an inverse absent from the core
-    inverse = [codes.get(s, width - 1) for s in reversed(invert(core).syllables)]
+    inverse = list(map(codes.get, reversed(invert(core).syllables), repeat(width - 1)))
     # the pairs, each followed by a separator -1, between end sentinels -2 and
     # -3 that match nothing; text[q] must equal mirror[q'] for q, q' to mirror
     text, mirror = [-2, -1], [-3, -1]
@@ -609,7 +632,7 @@ def enumerate_reduced(
         level = next_level
 
 
-_SYLLABLE = r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?"
+_SYLLABLE = rf"({_NAME.pattern})(?:\^(-?\d+))?"
 _TOKEN = re.compile(_SYLLABLE)
 #: the first token that is neither ``1`` nor a syllable; unlike a fullmatch of
 #: the whole text, a search keeps no backtracking state per token
@@ -659,10 +682,18 @@ def format_tokens(pairs: Iterable[tuple[str, int]]) -> str:
 def parse_word(scheme: GroupScheme, text: str) -> Word:
     """Parse text like ``a b^2 a b^-1`` (see :func:`tokens`) into a reduced word.
 
+    Canonical spellings with distinct adjacent generators are read from the scheme's table.
+
     >>> parse_word(PSL2Z, "a b^2").syllables == (("a", 1), ("b", 2))
     True
     """
+    sylls = tuple(map(scheme.spelled.get, text.split()))
+    if all(sylls):
+        gens = list(map(itemgetter(0), sylls))
+        if not any(map(eq, gens, gens[1:])):
+            return Word(scheme, sylls)
     return reduce(tokens(text), scheme)
+
 
 
 def parse_scheme(text: str) -> GroupScheme:
@@ -677,7 +708,7 @@ def parse_scheme(text: str) -> GroupScheme:
         if ":" not in chunk:
             raise ParseError(f"expected name:order in {chunk!r}", pos)
         name, order_text = (piece.strip() for piece in chunk.split(":", 1))
-        if not re.match(r"^[A-Za-z][A-Za-z0-9_]*$", name):
+        if not _NAME.fullmatch(name):
             raise ParseError(f"bad generator name {name!r}", pos)
         if order_text in ("inf", "oo"):
             gens.append((name, None))

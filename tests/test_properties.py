@@ -5,14 +5,18 @@ Seifert groups are class functions: conjugating or inverting the input
 leaves them alone.  The mirror scans of gen-3 torsion and B3
 reversibility read the cyclic core in any rotation.  A brute-force hit of
 the oracle in B3 or a Seifert group always comes with a structural yes.
-Each of the three word syntaxes reads back what it writes.  Hypothesis
-runs derandomized, so every run draws the same examples.
+Each of the three word syntaxes reads back what it writes.  The words
+kernel, which works through per-scheme syllable tables, agrees with the
+per-syllable loops it replaced on cold and warm tables, and a certificate
+with one syllable changed verifies exactly when its relation holds in
+2x2 integer matrices.  Hypothesis runs derandomized, so every run draws
+the same examples.
 """
 
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gentorsion.braid3 import (
@@ -23,19 +27,31 @@ from gentorsion.braid3 import (
     parse_braid,
     reversible_b3,
 )
+from gentorsion.certificates import (
+    pslz_conjugacy_certificate,
+    pslz_gen3_certificate,
+    pslz_reverser_certificate,
+    verify_certificate,
+)
+from gentorsion.errors import GroupError
 from gentorsion.modular import classify, gen3_torsion, reversible
 from gentorsion.oracle import SearchBudget, _candidates, _first, brute_conjugate_b3
 from gentorsion.seifert import SeifertGroup, SeifertPair, parse_seifert, reversible_seifert
 from gentorsion.words import (
     PSL2Z,
+    GroupScheme,
     Word,
     _cyclic_core,
     conjugated,
+    format_tokens,
     identity,
     invert,
+    is_conjugate,
+    mirror_centres,
     parse_scheme,
     parse_word,
     reduce,
+    tokens,
 )
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
@@ -285,3 +301,307 @@ def spelled_elements(draw):
 def test_seifert_spelling_reads_back(drawn):
     group, p = drawn
     assert group.element(group.spell(p)) == p
+
+
+# -- the table-driven words kernel against per-syllable loops ----------------
+#
+# The words kernel inverts, cancels, peels cores and codes rotations through
+# per-scheme syllable tables, which fill as syllables are first shared.  These
+# are the per-syllable loops it replaced, on plain tuples that never touch a
+# scheme's tables, and the mirror centres by their definition.
+
+#: a finite order past any exponent drawn, an infinite order, and the trefoil's quotient
+KERNEL_SCHEMES = {
+    "psl2z": PSL2Z,
+    "huge-and-infinite": parse_scheme("a:2, c:1000003, d:inf"),
+    "trefoil-quotient": TREFOIL_GROUP.scheme,
+}
+
+
+def old_inverse(orders, syllable):
+    gen, exp = syllable
+    return gen, -exp if orders[gen] is None else orders[gen] - exp
+
+
+def old_reduce(orders, raw):
+    stack = []
+    for gen, exp in raw:
+        if stack and stack[-1][0] == gen:
+            exp += stack.pop()[1]
+        if orders[gen] is not None:
+            exp %= orders[gen]
+        if exp:
+            stack.append((gen, exp))
+    return tuple(stack)
+
+
+def old_invert(orders, sylls):
+    return tuple(old_inverse(orders, s) for s in reversed(sylls))
+
+
+def old_mul(orders, left, right):
+    i, j, n = len(left), 0, len(right)
+    while i and j < n:
+        gen, x = left[i - 1]
+        other_gen, y = right[j]
+        if gen != other_gen:
+            break
+        i -= 1
+        j += 1
+        exp = x + y if orders[gen] is None else (x + y) % orders[gen]
+        if exp:
+            return left[:i] + ((gen, exp),) + right[j:]
+    return left[:i] + right[j:]
+
+
+def old_cyclic_core(orders, sylls):
+    i, j = 0, len(sylls)
+    tail = ()
+    while j - i >= 2:
+        gen, first = sylls[i]
+        last_gen, last = sylls[j - 1]
+        if gen != last_gen:
+            break
+        i += 1
+        j -= 1
+        exp = last + first if orders[gen] is None else (last + first) % orders[gen]
+        if exp:
+            tail = ((gen, exp),)
+            break
+    return sylls[i:j] + tail, sylls[:i]
+
+
+def old_is_conjugate(orders, u, v):
+    cu, pu = old_cyclic_core(orders, u)
+    cv, pv = old_cyclic_core(orders, v)
+    if len(cu) != len(cv):
+        return None
+    for t in range(max(len(cu), 1)):
+        if cu[t:] + cu[:t] == cv:
+            k = old_mul(orders, pv, old_invert(orders, cu[:t]))
+            return old_mul(orders, k, old_invert(orders, pu))
+    return None
+
+
+def old_mirror_centres(orders, core, radius):
+    n = len(core)
+    if not n:
+        return []
+    period = next(p for p in range(1, n + 1) if core[p:] + core[:p] == core)
+    return [
+        c for c in range(period)
+        if all(core[(c + d) % n] == old_inverse(orders, core[(c - d) % n])
+               for d in range(1, radius + 1))
+    ]
+
+
+def _plain_words(scheme, max_size):
+    exponents = st.one_of(st.integers(-4, 4), st.integers(-3 * 10**6, 3 * 10**6))
+    letters = st.tuples(st.sampled_from(scheme.names()), exponents)
+    orders = dict(scheme.generators)
+    return st.lists(letters, max_size=max_size).map(lambda raw: old_reduce(orders, raw))
+
+
+@st.composite
+def kernel_cases(draw, scheme):
+    """Two factors meeting at a long seam, a word, and one it may be conjugate to.
+
+    The word is drawn plain, or as z s z^-1 t for syllables s and t, whose
+    cyclic core mirrors itself to its inverse around s and t.
+    """
+    orders = dict(scheme.generators)
+    u, x, y, z, k = (draw(_plain_words(scheme, 8)) for _ in range(5))
+    left, right = old_mul(orders, u, x), old_mul(orders, old_invert(orders, x), y)
+    word = draw(_plain_words(scheme, 12))
+    if draw(st.booleans()):
+        s, t = (draw(_plain_words(scheme, 1)) for _ in range(2))
+        word = old_mul(orders, old_mul(orders, old_mul(orders, z, s), old_invert(orders, z)), t)
+    other = draw(st.sampled_from((word, old_invert(orders, word), y)))
+    other = old_mul(orders, old_mul(orders, k, other), old_invert(orders, k))
+    return left, right, word, other
+
+
+def _kernel_results(scheme, left, right, word, other):
+    left, right, word, other = (Word(scheme, s) for s in (left, right, word, other))
+    core, conj = _cyclic_core(word)
+    k = is_conjugate(word, other)
+    radii = range(len(core) // 2 + 1)
+    return (
+        (left * right).syllables,
+        invert(left).syllables,
+        (core.syllables, conj.syllables),
+        None if k is None else k.syllables,
+        [mirror_centres(core, r) for r in radii],
+    )
+
+
+def _reference_results(orders, left, right, word, other):
+    core, conj = old_cyclic_core(orders, word)
+    radii = range(len(core) // 2 + 1)
+    return (
+        old_mul(orders, left, right),
+        old_invert(orders, left),
+        (core, conj),
+        old_is_conjugate(orders, word, other),
+        [old_mirror_centres(orders, core, r) for r in radii],
+    )
+
+
+@pytest.mark.parametrize("scheme", KERNEL_SCHEMES.values(), ids=KERNEL_SCHEMES.keys())
+def test_the_table_driven_kernels_match_the_per_syllable_loops(scheme):
+    orders = dict(scheme.generators)
+
+    @PROPERTY
+    @given(kernel_cases(scheme))
+    def check(case):
+        expected = _reference_results(orders, *case)
+        assert Word(scheme, case[0]) * Word(scheme, case[1]) == reduce(case[0] + case[1], scheme)
+        fresh = GroupScheme(scheme.generators)
+        assert not (fresh.interned or fresh.inverses or fresh.spellings or fresh.spelled)
+        assert _kernel_results(fresh, *case) == expected, case
+        assert _kernel_results(fresh, *case) == expected, case  # now on warm tables
+
+    check()
+
+
+# -- canonical text through the spelling table --------------------------------
+
+#: every character str.isspace accepts; none lies past U+3000
+WHITESPACE = "".join(c for c in map(chr, range(0x3001)) if c.isspace())
+PARSE_SCHEMES = (PSL2Z, KERNEL_SCHEMES["huge-and-infinite"])
+
+
+@st.composite
+def word_texts(draw):
+    """Canonical spellings mixed with other spellings of syllables, ``1``,
+    malformed tokens and unknown generators, under any whitespace."""
+    scheme = draw(st.sampled_from(PARSE_SCHEMES))
+    orders = dict(scheme.generators)
+    parts = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 11))
+        gen = draw(st.sampled_from(scheme.names()))
+        if kind == 0:
+            parts.append("1")
+        elif kind == 1:
+            parts.append(draw(st.sampled_from(("^2", "a^", "2a", "b^^2", "-a"))))
+        elif kind == 2:
+            parts.append(draw(st.sampled_from(("z", "q^2", "a1"))))
+        elif kind <= 5:
+            parts.append(f"{gen}^{draw(st.integers(-5, 5))}")
+        else:
+            exp = draw(st.integers(1, 3 * 10**6))
+            exp = exp if orders[gen] is None else 1 + exp % (orders[gen] - 1)
+            parts.append(format_tokens(((gen, exp),)))
+    gaps = st.text(WHITESPACE, min_size=1, max_size=3)
+    text = draw(st.text(WHITESPACE, max_size=2))
+    for part in parts:
+        text += part + draw(gaps)
+    return scheme, text
+
+
+def _read(read, text):
+    try:
+        return read(text)
+    except GroupError as exc:
+        return type(exc), getattr(exc, "position", None), str(exc)
+
+
+@PROPERTY
+@given(word_texts())
+def test_parse_word_reads_every_text_as_tokens_and_reduce_do(drawn):
+    scheme, text = drawn
+    expected = _read(lambda t: reduce(tokens(t), scheme), text)
+    fresh = GroupScheme(scheme.generators)
+    assert _read(lambda t: parse_word(fresh, t), text) == expected, text
+    for token in text.split():  # share every syllable the text spells
+        _read(lambda t: parse_word(fresh, t), token)
+    got = _read(lambda t: parse_word(fresh, t), text)
+    assert got == expected, text
+    if isinstance(got, Word):
+        assert str(got) == format_tokens(got.syllables)
+        assert parse_word(fresh, str(got)) == got
+
+
+# -- a certificate with one syllable changed ----------------------------------
+#
+# PSL(2,Z) maps onto the 2x2 integer matrices a, b below modulo sign, and the
+# map is faithful, so a relation holds exactly when its matrices agree up to
+# sign.  The matrices are read from the certificate text here, token by token.
+
+MATRICES = {"a": (((0, -1), (1, 0)), 4), "b": (((0, 1), (-1, -1)), 3)}
+REPLACEMENTS = ("a", "b", "b^2", "b^-1", "a^3", "b^4", "a^0", "1")
+
+
+def _mat_mul(x, y):
+    (p, q), (r, s) = x
+    (t, u), (v, w) = y
+    return (p * t + q * v, p * u + q * w), (r * t + s * v, r * u + s * w)
+
+
+def _matrix(text):
+    m = ((1, 0), (0, 1))
+    for token in text.split():
+        if token != "1":
+            name, _, exp = token.partition("^")
+            base, order = MATRICES[name]
+            for _ in range(int(exp or 1) % order):
+                m = _mat_mul(m, base)
+    return m
+
+
+def _mat_inv(m):
+    (p, q), (r, s) = m
+    return (s, -q), (-r, p)
+
+
+def _up_to_sign(x, y):
+    return x == y or x == tuple(tuple(-e for e in row) for row in y)
+
+
+def _matrix_relation(cert):
+    m = {key: _matrix(text) for key, text in cert.items() if key != "kind"}
+    g = m["word"]
+    if cert["kind"] == "pslz-reverser":
+        r = m["reverser"]
+        return _up_to_sign(_mat_mul(_mat_mul(r, g), _mat_inv(r)), _mat_inv(g))
+    if cert["kind"] == "pslz-conjugacy":
+        k = m["conjugator"]
+        return _up_to_sign(_mat_mul(_mat_mul(k, g), _mat_inv(k)), m["other"])
+    h1, k = m["h1"], m["k"]
+    product = _mat_mul(
+        _mat_mul(g, _mat_mul(_mat_mul(h1, g), _mat_inv(h1))),
+        _mat_mul(_mat_mul(k, g), _mat_inv(k)),
+    )
+    return _up_to_sign(product, ((1, 0), (0, 1)))
+
+
+@st.composite
+def emitted_certificates(draw):
+    """A certificate a PSL(2,Z) decider emits for a yes."""
+    kind = draw(st.sampled_from(("pslz-reverser", "pslz-conjugacy", "pslz-gen3")))
+    if kind == "pslz-reverser":
+        g = draw(psl_elements())
+        found = None if g.is_identity else reversible(g)
+        assume(found is not None)
+        return pslz_reverser_certificate(g, found.reverser)
+    if kind == "pslz-conjugacy":
+        g = draw(psl_elements())
+        other = conjugated(g, draw(_words(PSL2Z, 8)))
+        return pslz_conjugacy_certificate(g, other, is_conjugate(g, other))
+    g = draw(gen3_elements())
+    found = None if g.is_identity else gen3_torsion(g).certificate
+    assume(found is not None)
+    return pslz_gen3_certificate(g, *found)
+
+
+@PROPERTY
+@given(emitted_certificates(), st.data())
+def test_a_certificate_with_one_syllable_changed_verifies_as_its_matrices_say(cert, data):
+    assert verify_certificate(cert) and _matrix_relation(cert), cert
+    field = data.draw(st.sampled_from(sorted(key for key in cert if key != "kind")))
+    parts = cert[field].split()
+    i = data.draw(st.integers(0, len(parts) - 1))
+    parts[i] = data.draw(st.sampled_from([r for r in REPLACEMENTS if r != parts[i]]))
+    mutated = dict(cert, **{field: " ".join(parts)})
+    assert verify_certificate(mutated) == _matrix_relation(mutated), mutated

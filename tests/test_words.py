@@ -230,6 +230,9 @@ def test_scheme_validation():
         GroupScheme((("a", 2), ("a", 3)))
     with pytest.raises(ValueError):
         GroupScheme((("a", 1),))
+    for name in ("1", "b^2", "a b", "_a"):  # names text could not spell
+        with pytest.raises(ValueError):
+            GroupScheme(((name, 2),))
     with pytest.raises(UnknownGenerator):
         PSL2Z.order("q")
 
@@ -532,6 +535,22 @@ def test_scheme_lookup_tables_stay_out_of_equality():
     assert "z" not in PSL2Z
     with pytest.raises(UnknownGenerator):
         PSL2Z.index("z")
+
+
+@pytest.mark.parametrize("order", [None, 10**9], ids=["infinite", "billion"])
+def test_syllable_tables_store_no_infinite_syllable_and_grow_with_distinct_ones(order):
+    scheme = parse_scheme(f"a:2, d:{order or 'inf'}")
+    text = " ".join(f"a d^{k}" for k in range(2, 5_002))  # 10^4 syllables, distinct d^k
+    u = parse_word(scheme, text)
+    seen = [u, invert(u), u * u, u * invert(u), invert(u) * u]
+    assert len(u) == 10**4 and str(u) == text and seen[3].is_identity
+    tables = (scheme.interned, scheme.inverses, scheme.spellings, scheme.spelled)
+    keys = [key for table in tables for key in table]
+    if order is None:
+        assert not [key for key in keys if key[0] == "d"]  # a syllable, or a spelling
+    else:
+        distinct = {s for w in seen for s in w.syllables}
+        assert all(len(table) <= len(distinct) for table in tables)
 
 
 # -- the one record idiom ----------------------------------------------------
