@@ -26,9 +26,9 @@ _HOMES = {
     "SeifertData SeifertGroup SeifertPair SeifertReversibility SurfaceException "
     "TwoHalfTwists classify_reversible_families gen_n_certificate parse_seifert "
     "presentation quotient_scheme reversible_seifert",
-    "words": "CyclicWord GroupScheme PSL2Z Syllable Word abelian_image conjugate_to_inverse "
-    "conjugated cyclic_reduce enumerate_reduced identity invert is_conjugate parse_scheme "
-    "parse_word primitive_root reduce",
+    "words": "CyclicWord GroupScheme PSL2Z Syllable Word conjugate_to_inverse conjugated "
+    "cyclic_reduce enumerate_reduced identity invert is_conjugate parse_scheme parse_word "
+    "primitive_root reduce",
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
 _SUBMODULES = ("braid3", "certificates", "errors", "modular", "oracle", "seifert", "words")
@@ -49,7 +49,7 @@ if TYPE_CHECKING:  # the same names, for static type checkers
         SeifertReversibility, SurfaceException, TwoHalfTwists,
         classify_reversible_families, gen_n_certificate, parse_seifert, presentation,
         quotient_scheme, reversible_seifert)
-    from .words import (CyclicWord, GroupScheme, PSL2Z, Syllable, Word, abelian_image,
+    from .words import (CyclicWord, GroupScheme, PSL2Z, Syllable, Word,
         conjugate_to_inverse, conjugated, cyclic_reduce, enumerate_reduced, identity,
         invert, is_conjugate, parse_scheme, parse_word, primitive_root, reduce)
 

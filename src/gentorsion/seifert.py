@@ -98,7 +98,11 @@ class SeifertData(_Record):
         seen = set()
         for name, value in self.phi:
             if name not in twist:
-                raise InvalidInvariant(f"phi assigned to unknown generator {name!r}")
+                fixed = name == "h" or name in self._fibres
+                raise InvalidInvariant(
+                    f"phi of {name!r} is fixed at +1 by the relations" if fixed
+                    else f"phi assigned to unknown generator {name!r}"
+                )
             if name in seen:
                 raise InvalidInvariant(f"phi assigned twice to {name!r}")
             seen.add(name)
@@ -133,106 +137,57 @@ class SeifertData(_Record):
         return -1 in self._twist.values()
 
 
-_PAIR = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
-_ASSIGN = re.compile(r"^([A-Za-z][A-Za-z0-9]*)\s*=\s*([+-]?1)$")
+#: The grammar, compiled on first use through the re module's cache so that
+#: importing stays cheap.  A fibre (mu, beta), with its numbers as groups and not:
+_FIBRE = r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)"
+_PAIR = r"\(\s*-?\d+\s*,\s*-?\d+\s*\)"
+#: the invariant tuple up to its ')', with the fibre list (group 4) after ';'
+#: or ','.  No other part of the text holds parentheses, so no depth is
+#: counted.  Here and in _CLAUSES a match ends past a ``comma`` after an item
+#: that no item follows, so that an error points at the bad item; in
+#: _CLAUSES only where no ';' follows, or the next clause would go on.
+_TUPLE = (
+    r"\s*\(\s*(?:O\s*,\s*o|(N))\s*,\s*(-?\d+)\s*\|\s*(-?\d+)\s*(?:[;,]\s*("
+    rf"(?:{_PAIR}(?:\s*,\s*{_PAIR})*(?P<comma>\s*,)?)?)\s*)?"
+)
+_ASSIGN = r"([A-Za-z][A-Za-z0-9]*)\s*=\s*([+-]?1)"
+#: the clauses after the tuple, each after a ';' and possibly empty
+_CLAUSES = (
+    r"(?:\s*;\s*(?:boundaries\s*=\s*-?\d+|phi\s*:(?:\s*"
+    rf"{_ASSIGN}(?:\s*,\s*{_ASSIGN})*(?P<comma>\s*,(?!\s*;))?)?)?)*\s*"
+)
+_BOUNDARIES = r";\s*boundaries\s*=\s*(-?\d+)"
+_PHI = rf"[:,]\s*{_ASSIGN}"
 
 
 def parse_seifert(text: str) -> SeifertData:
     """Parse data like ``(O,o,0 | 1; (2,1),(3,1)); boundaries=1; phi: d1=+1``.
 
-    An orientable base reads (O,o,genus | b; pairs); a non-orientable one
-    reads (N,crosscaps | b; pairs).  The pair list, the boundaries clause
-    and the phi clause may each be omitted.
+    The grammar is the one README.md gives.  Each expression is matched
+    once, from a fixed position.  Only optional parts follow a repeated
+    group, so no match backtracks into one, and a run of spaces or digits
+    is backed out of at most once: the time is linear in the length of the
+    text.  A ParseError gives the position where the text stops fitting.
     """
-    s = text.strip()
-    if not s.startswith("("):
-        raise ParseError("expected '(' to open the invariant tuple", 0)
-    depth = 0
-    close = -1
-    for idx, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                close = idx
-                break
-    if close < 0:
-        raise ParseError("unbalanced parentheses in invariant tuple", 0)
-    inner, rest = s[1:close], s[close + 1 :]
-
-    left, bar, after_bar = inner.partition("|")
-    if not bar:
-        raise ParseError("expected '|' before the b invariant", 1)
-    after_bar = after_bar.strip()
-    b_match = re.match(r"-?\d+", after_bar)
-    if not b_match:
-        raise ParseError(f"bad b invariant {after_bar!r}", close)
-    b = _integer(b_match.group(0), "b invariant", close)
-    pairs_text = after_bar[b_match.end() :].lstrip()
-    if pairs_text:
-        # the fiber list follows after ';' or ','
-        if pairs_text[0] not in ";,":
-            raise ParseError(f"unexpected text {pairs_text!r} after b", close)
-        pairs_text = pairs_text[1:]
-    fields = [f.strip() for f in left.split(",")]
-    if fields and fields[0] == "O":
-        if len(fields) != 3 or fields[1] != "o":
-            raise ParseError("orientable base reads (O,o,genus | ...)", 1)
-        orientable, count_text = True, fields[2]
-    elif fields and fields[0] == "N":
-        if len(fields) != 2:
-            raise ParseError("non-orientable base reads (N,crosscaps | ...)", 1)
-        orientable, count_text = False, fields[1]
-    else:
-        raise ParseError("base must start with O or N", 1)
-    count = _integer(count_text, "genus/crosscap count", 1)
-
-    exceptional = []
-    if pairs_text.strip():
-        matches = list(_PAIR.finditer(pairs_text))
-        if not matches:
-            raise ParseError("exceptional fibers read (mu,beta),...", close)
-        leftover = _PAIR.sub("", pairs_text).replace(",", "").strip()
-        if leftover:
-            raise ParseError(f"unexpected text {leftover!r} in fiber list", close)
-        exceptional = [
-            tuple(_integer(v, "fiber pair", close) for v in m.groups()) for m in matches
-        ]
-
+    head = re.compile(_TUPLE).match(text)
+    close = head.end() if head else 0
+    if not head or head["comma"] or not text.startswith(")", close):
+        raise ParseError("the tuple reads (O,o,genus | b; (mu,beta),...) or (N,crosscaps | ...)",
+                         close)
+    tail = re.compile(_CLAUSES).match(text, close + 1)
+    if tail.end() < len(text) or tail["comma"]:
+        raise ParseError("a clause reads '; boundaries=<count>' or '; phi: gen=+1,...'", tail.end())
     boundaries = 0
-    phi: list[tuple[str, int]] = []
-    for clause in rest.split(";"):
-        chunk = clause.strip()
-        if not chunk:
-            continue
-        if chunk.startswith("boundaries"):
-            _, eq, value = chunk.partition("=")
-            if not eq:
-                raise ParseError("boundaries clause reads boundaries=<count>", s.index(chunk))
-            boundaries = _integer(value.strip(), "boundary count", s.index(chunk))
-        elif chunk.startswith("phi"):
-            _, colon, assigns = chunk.partition(":")
-            if not colon:
-                raise ParseError("phi clause reads phi: gen=+1,...", s.index(chunk))
-            for piece in assigns.split(","):
-                item = piece.strip()
-                if not item:
-                    continue
-                m = _ASSIGN.match(item)
-                if not m:
-                    raise ParseError(f"bad phi assignment {item!r}", s.index(item))
-                phi.append((m.group(1), 1 if m.group(2).lstrip("+") == "1" else -1))
-        else:
-            raise ParseError(f"unknown clause {chunk!r}", s.index(chunk))
-    return SeifertData(
-        base_orientable=orientable,
-        genus_or_crosscaps=count,
-        boundary_count=boundaries,
-        b=b,
-        exceptional=tuple(exceptional),
-        phi=tuple(phi),
+    for m in re.compile(_BOUNDARIES).finditer(text, close):
+        boundaries = _integer(m[1], "boundary count", m.start(1))
+    fibres = tuple(
+        (_integer(m[1], "fiber order", m.start(1)), _integer(m[2], "fiber pair", m.start(2)))
+        for m in re.compile(_FIBRE).finditer(text, *head.span(4))
     )
+    count = _integer(head[2], "genus/crosscap count", head.start(2))
+    b = _integer(head[3], "b invariant", head.start(3))
+    phi = tuple((name, int(sign)) for name, sign in re.compile(_PHI).findall(text, close))
+    return SeifertData(not head[1], count, boundaries, b, fibres, phi)
 
 
 def _integer(text: str, what: str, pos: int) -> int:

@@ -13,8 +13,7 @@ at least two are conjugate exactly when one is a rotation of the other.
 
 Reduction, products, inverses, powers, cyclic reduction and conjugacy take
 time linear in input plus output.  Products cancel only at the seam of two
-reduced words, the canonical rotation is found by Booth's least-rotation
-algorithm, a rotation of one core onto another is found by substring
+reduced words, a rotation of one core onto another is found by substring
 search in the doubled core, and the centres around which a core mirrors
 itself to its inverse are found by Manacher's algorithm.
 
@@ -155,12 +154,6 @@ class GroupScheme(_Record):
     def order(self, name: str) -> Optional[int]:
         try:
             return self.orders[name]
-        except KeyError:
-            raise UnknownGenerator(f"unknown generator {name!r}") from None
-
-    def index(self, name: str) -> int:
-        try:
-            return self.indices[name]
         except KeyError:
             raise UnknownGenerator(f"unknown generator {name!r}") from None
 
@@ -363,37 +356,26 @@ def _cyclic_core(w: Word) -> tuple[Word, Word]:
 
 
 def _least_rotation(keys: list) -> int:
-    """The start of a lexicographically least rotation (Booth 1980).
+    """The start of a lexicographically least rotation (Shiloach 1981).
 
-    One pass of a failure function over the doubled sequence, so O(n)
-    comparisons.
+    The rotations from the best start i and the next untried start j > i
+    are compared key by key.  Where they first differ, at offset k, the
+    start with the larger key loses, and so do the k starts after it.
+    i + j + k grows at each comparison and stays below 3 len(keys).
     """
     n = len(keys)
-    s = keys + keys
-    f = [-1] * (2 * n)
-    k = 0
-    for j in range(1, 2 * n):
-        sj = s[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != s[k + i + 1]:  # here i == -1
-            if sj < s[k]:
-                k = j
-            f[j - k] = -1
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = keys[(i + k) % n], keys[(j + k) % n]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i, j = j, max(j + 1, i + k + 1)
         else:
-            f[j - k] = i + 1
-    return k
-
-
-def _canonical_rotation(scheme: GroupScheme, sylls: tuple[Syllable, ...]) -> tuple[Syllable, ...]:
-    if len(sylls) <= 1:
-        return sylls
-    indices = scheme.indices
-    k = _least_rotation([(indices[gen], exp) for gen, exp in sylls])
-    return sylls[k:] + sylls[:k]
+            j += k + 1
+        k = 0
+    return i
 
 
 def _rotation_offset(text: tuple[Syllable, ...], pattern: tuple[Syllable, ...]) -> int:
@@ -426,16 +408,14 @@ def _wide(codes: list[int]) -> str:
 class CyclicWord(_Record):
     """A conjugacy-class representative: the least rotation of a cyclic core.
 
-    Rotations are ordered lexicographically by (generator index, exponent);
-    Booth's algorithm finds the least one in linear time.
+    Rotations are ordered lexicographically by (generator index, exponent).
     """
 
     __slots__ = _fields = ("scheme", "syllables")
 
     @classmethod
     def from_word(cls, w: Word) -> "CyclicWord":
-        core, _ = _cyclic_core(w)
-        return cls(w.scheme, _canonical_rotation(w.scheme, core.syllables))
+        return cyclic_reduce(w)[0]
 
     def __len__(self) -> int:
         return len(self.syllables)
@@ -451,7 +431,9 @@ def cyclic_reduce(w: Word) -> tuple[CyclicWord, Word]:
     a word whose canonical rotation is ``core``.
     """
     core, conj = _cyclic_core(w)
-    return CyclicWord(w.scheme, _canonical_rotation(w.scheme, core.syllables)), conj
+    sylls, indices = core.syllables, w.scheme.indices
+    k = _least_rotation([(indices[gen], exp) for gen, exp in sylls])
+    return CyclicWord(w.scheme, sylls[k:] + sylls[:k]), conj
 
 
 def is_conjugate(u: Word, v: Word) -> Optional[Word]:
@@ -492,21 +474,6 @@ def conjugate_to_inverse(w: Word) -> Optional[Word]:
     if w.is_identity:
         raise TrivialElement("the identity has no meaningful reverser")
     return is_conjugate(w, invert(w))
-
-
-def abelian_image(w: Word) -> dict[str, int]:
-    """Exponent sums per generator, reduced modulo each finite order.
-
-    >>> abelian_image(parse_word(PSL2Z, "a b a b a b^2"))
-    {'a': 1, 'b': 1}
-    """
-    sums = {name: 0 for name in w.scheme.names()}
-    for gen, exp in w.syllables:
-        sums[gen] += exp
-    for name, order in w.scheme.generators:
-        if order is not None:
-            sums[name] %= order
-    return sums
 
 
 def _period(sylls: tuple[Syllable, ...]) -> int:

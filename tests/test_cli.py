@@ -310,6 +310,26 @@ def test_emitted_certificates_are_checked_under_python_dash_o():
         assert json.loads(proc.stderr)["error_kind"] == "InvalidCertificate", argv
 
 
+#: malformed data that the hand scanner the Seifert grammar replaced accepted
+MALFORMED_SEIFERT = (
+    "(O,o,0|1;(2,1),(3,1))boundaries=1",
+    "(O,o,0|1;(2,1),(3,1));boundariesXYZ=1",
+    "(O,o,0|1;(2,1),(3,1));boundaries=1;phiology: d1=+1",
+    "(O,o,0|1;(2,1)(3,1));boundaries=1",
+    "(O,o,0|1;(2,1),,,(3,1));boundaries=1",
+)
+
+
+@pytest.mark.parametrize("spec", MALFORMED_SEIFERT)
+@pytest.mark.parametrize("command", ("families", "gen-torsion"))
+def test_malformed_seifert_data_is_a_parse_error_on_the_command_line(spec, command):
+    argv = (("seifert", "--spec", spec, "families") if command == "families"
+            else ("gen-torsion", "--group", f"seifert:{spec}", "--n", "2"))
+    proc = run_cli(*argv)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert '"error_kind":"ParseError"' in proc.stderr
+
+
 #: 20,000 handles and 20,000 boundary letters, d1 and d2 flipping the fibre
 HUGE_SEIFERT = "(O,o,20000 | 0); boundaries=20000; phi: d1=-1,d2=-1"
 

@@ -48,10 +48,9 @@ PUBLIC = {
         "presentation", "quotient_scheme", "reversible_seifert",
     },
     "words": {
-        "CyclicWord", "GroupScheme", "PSL2Z", "Syllable", "Word", "abelian_image",
-        "conjugate_to_inverse", "conjugated", "cyclic_reduce", "enumerate_reduced",
-        "identity", "invert", "is_conjugate", "parse_scheme", "parse_word",
-        "primitive_root", "reduce",
+        "CyclicWord", "GroupScheme", "PSL2Z", "Syllable", "Word", "conjugate_to_inverse",
+        "conjugated", "cyclic_reduce", "enumerate_reduced", "identity", "invert",
+        "is_conjugate", "parse_scheme", "parse_word", "primitive_root", "reduce",
     },
 }
 SUBMODULES = ("braid3", "certificates", "errors", "modular", "oracle", "seifert", "words")

@@ -7,10 +7,10 @@ reversibility read the cyclic core in any rotation.  A brute-force hit of
 the oracle in B3 or a Seifert group always comes with a structural yes.
 Each of the three word syntaxes reads back what it writes.  The words
 kernel, which works through per-scheme syllable tables, agrees with the
-per-syllable loops it replaced on cold and warm tables, and a certificate
-with one syllable changed verifies exactly when its relation holds in
-2x2 integer matrices.  Hypothesis runs derandomized, so every run draws
-the same examples.
+per-syllable loops it replaced on cold and warm tables, and a PSL(2,Z) or
+B3 certificate with one syllable changed verifies exactly when its
+relation holds in 2x2 integer matrices, for B3 with its exponent sum.
+Hypothesis runs derandomized, so every run draws the same examples.
 """
 
 from unittest import mock
@@ -23,11 +23,15 @@ from gentorsion.braid3 import (
     BraidWord,
     CentralElement,
     conjugate_b3,
+    gen3_torsion_b3,
     normal_form,
     parse_braid,
     reversible_b3,
 )
 from gentorsion.certificates import (
+    b3_conjugacy_certificate,
+    b3_gen3_certificate,
+    b3_reverser_certificate,
     pslz_conjugacy_certificate,
     pslz_gen3_certificate,
     pslz_reverser_certificate,
@@ -605,3 +609,86 @@ def test_a_certificate_with_one_syllable_changed_verifies_as_its_matrices_say(ce
     parts[i] = data.draw(st.sampled_from([r for r in REPLACEMENTS if r != parts[i]]))
     mutated = dict(cert, **{field: " ".join(parts)})
     assert verify_certificate(mutated) == _matrix_relation(mutated), mutated
+
+
+# -- a B3 certificate with one letter changed ---------------------------------
+#
+# B3 maps onto SL(2,Z) by the matrices below, with kernel <h^2>, and the
+# exponent sum e has e(h^2) = 12, so B3 -> SL(2,Z) x Z is injective: a braid
+# relation holds exactly when its matrices and its exponent sums agree.
+# x = s1 s2 s1, y = s1 s2 and h = y^3 are read as those products of s1, s2.
+
+_S1, _S2 = ((1, 1), (0, 1)), ((1, 0), (-1, 1))
+_Y = _mat_mul(_S1, _S2)
+BRAID_IMAGES = {"s1": (_S1, 1), "s2": (_S2, 1), "x": (_mat_mul(_Y, _S1), 3), "y": (_Y, 2),
+                "h": (_mat_mul(_Y, _mat_mul(_Y, _Y)), 6)}
+BRAID_REPLACEMENTS = ("s1", "s2", "S1", "s2^-1", "x", "X", "y^2", "Y", "h", "H", "s1^3", "1")
+
+
+def _braid_image(text):
+    """The SL(2,Z) matrix and the exponent sum of a braid text."""
+    m, e = ((1, 0), (0, 1)), 0
+    for token in text.split():
+        if token != "1":
+            name, _, exp = token.partition("^")
+            k = int(exp or 1) * (-1 if name[0].isupper() else 1)
+            base, weight = BRAID_IMAGES[name.lower()]
+            for _ in range(abs(k)):
+                m = _mat_mul(m, base if k > 0 else _mat_inv(base))
+            e += weight * k
+    return m, e
+
+
+def _braid_relation(cert):
+    """Whether the certificate's relation holds in SL(2,Z) x Z."""
+    images = {key: _braid_image(text) for key, text in cert.items() if key != "kind"}
+    (g, e) = images["element"]
+    if cert["kind"] == "b3-reverser":
+        r = images["reverser"][0]
+        return e == 0 and _mat_mul(_mat_mul(r, g), _mat_inv(r)) == _mat_inv(g)
+    if cert["kind"] == "b3-conjugacy":
+        (k, _), (other, e_other) = images["conjugator"], images["other"]
+        return e == e_other and _mat_mul(_mat_mul(k, g), _mat_inv(k)) == other
+    (h1, _), (k, _) = images["h1"], images["k"]
+    product = _mat_mul(
+        _mat_mul(g, _mat_mul(_mat_mul(h1, g), _mat_inv(h1))),
+        _mat_mul(_mat_mul(k, g), _mat_inv(k)),
+    )
+    return e == 0 and product == ((1, 0), (0, 1))
+
+
+@st.composite
+def emitted_b3_certificates(draw):
+    """A certificate a B3 decider emits for a yes: on a conjugated commutator
+    [x, k0], on any braid and a conjugate, or on a lift with e = 0 of a
+    conjugated product z b^u z^-1 b^(3-u) of two elements of order 3."""
+    kind = draw(st.sampled_from(("b3-reverser", "b3-conjugacy", "b3-gen3")))
+    lift = lambda w: CentralElement(0, w)  # noqa: E731
+    if kind == "b3-reverser":
+        x, k0 = lift(parse_word(PSL2Z, "a")), lift(draw(_words(PSL2Z, 3).filter(len)))
+        g = (x * k0 * x.inverse() * k0.inverse()).conjugated_by(lift(draw(_words(PSL2Z, 3))))
+        assume(not g.is_identity)
+        return b3_reverser_certificate(str(g.spell()), str(reversible_b3(g).reverser))
+    if kind == "b3-conjugacy":
+        g = draw(b3_elements())
+        other = g.conjugated_by(CentralElement(draw(st.integers(-2, 2)), draw(_words(PSL2Z, 6))))
+        return b3_conjugacy_certificate(
+            str(g.spell()), str(other.spell()), str(conjugate_b3(g, other))
+        )
+    z, b, u = draw(_words(PSL2Z, 8)), parse_word(PSL2Z, "b"), draw(st.integers(1, 2))
+    q = conjugated(z * b ** u * invert(z) * b ** (3 - u), draw(_words(PSL2Z, 4)))
+    assume(not q.is_identity)
+    g = CentralElement(-lift(q).exponent_sum // 6, q)
+    return b3_gen3_certificate(str(g.spell()), *gen3_torsion_b3(g).certificate)
+
+
+@PROPERTY
+@given(emitted_b3_certificates(), st.data())
+def test_a_b3_certificate_with_one_letter_changed_verifies_as_sl2z_and_e_say(cert, data):
+    assert verify_certificate(cert) and _braid_relation(cert), cert
+    field = data.draw(st.sampled_from(sorted(key for key in cert if key != "kind")))
+    parts = cert[field].split()
+    i = data.draw(st.integers(0, len(parts) - 1))
+    parts[i] = data.draw(st.sampled_from([r for r in BRAID_REPLACEMENTS if r != parts[i]]))
+    mutated = dict(cert, **{field: " ".join(parts)})
+    assert verify_certificate(mutated) == _braid_relation(mutated), mutated

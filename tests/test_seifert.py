@@ -1,4 +1,5 @@
 import itertools
+import re
 from math import gcd
 from unittest import mock
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gentorsion import seifert
 from gentorsion.certificates import seifert_gen_n_certificate, verify_certificate
 from gentorsion.errors import (
     InvalidCertificate,
@@ -117,6 +119,92 @@ def test_invariant_validation():
     # two flipped boundary generators multiply back to +1
     d = parse_seifert(TWO_BOUNDARY)
     assert d.phi_of("d1") == -1 and d.phi_of("d2") == -1
+    # c1 and h are generators, but the relations fix their twist
+    for name in ("c1", "h"):
+        with pytest.raises(InvalidInvariant, match=f"phi of '{name}' is fixed at \\+1"):
+            parse_seifert(f"(O,o,0 | 0; (2,1)); boundaries=1; phi: {name}=+1")
+
+
+#: malformed data and where its ParseError points: at the clause, pair or
+#: assignment that does not fit, or where a missing one should start.  The
+#: hand scanner this grammar replaced accepted the first five.
+MALFORMED = (
+    ("(O,o,0|1;(2,1),(3,1))boundaries=1", 21),  # a clause not introduced by ';'
+    ("(O,o,0|1;(2,1),(3,1));boundariesXYZ=1", 22),
+    ("(O,o,0|1;(2,1),(3,1));boundaries=1;phiology: d1=+1", 35),
+    ("(O,o,0|1;(2,1)(3,1));boundaries=1", 14),  # no comma between pairs
+    ("(O,o,0|1;(2,1),,,(3,1));boundaries=1", 15),  # repeated commas
+    ("(O,o,0|0;(2,1));2", 16),
+    ("  (O,o,0|0;(2,1));2", 18),
+    ("(O,o,0|1;(2,1),(3 1))", 15),
+    ("(O,o,0|1;(2,1),)", 15),
+    ("(O,o,0|1 (2,1))", 9),
+    ("(O,o,0|1;(2,1)", 14),
+    ("(O,o,0|1;(2,1)));", 15),
+    ("(O,o,0|0);boundaries=2;phi: d1=-1, bogus", 35),
+    ("(O,o,0|0);boundaries=2;phi: d1=-1,", 34),
+    ("(O,o,0|0);boundaries=2;phi: d1=-1,d2=2", 34),
+    ("(O,o,0|0);boundaries=2x", 22),
+)
+
+
+@pytest.mark.parametrize("text, position", MALFORMED)
+def test_a_parse_error_points_into_the_offending_clause_pair_or_assignment(text, position):
+    with pytest.raises(ParseError) as error:
+        parse_seifert(text)
+    assert error.value.position == position
+
+
+def _gap(draw):
+    return draw(st.text(" \t\n", max_size=2))
+
+
+@st.composite
+def spelled_data(draw):
+    """Seifert data, and its text with whitespace between any two tokens,
+    either separator before the fibres, and empty or repeated clauses."""
+    orientable = draw(st.booleans())
+    count, boundaries = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    fibres = tuple(draw(st.lists(st.tuples(st.integers(2, 99), st.integers(-99, 99)), max_size=4)))
+    handles = [f"{x}{i}" for i in range(1, count + 1) for x in ("ab" if orientable else "x")]
+    listed = draw(st.lists(st.sampled_from(handles + [f"d{i}" for i in range(1, boundaries + 1)]),
+                           unique=True)) if handles or boundaries else []
+    signs = [draw(st.sampled_from((1, -1))) for _ in listed]
+    flips = [i for i, name in enumerate(listed) if name[0] == "d" and signs[i] == -1]
+    if len(flips) % 2:  # the boundary twists must multiply to +1
+        signs[flips[0]] = 1
+    phi = list(zip(listed, signs))
+    data = SeifertData(orientable, count, boundaries, draw(st.integers(-9, 9)), fibres, tuple(phi))
+
+    def spaced(*parts):
+        return "".join(part + _gap(draw) for part in parts)
+
+    base = ("O", ",", "o", ",") if orientable else ("N", ",")
+    text = _gap(draw) + spaced("(", *base, str(count), "|", str(data.b))
+    if fibres or draw(st.booleans()):
+        pairs = [spaced("(", str(mu), ",", str(beta), ")") for mu, beta in fibres]
+        text += spaced(draw(st.sampled_from(";,"))) + spaced(",").join(pairs)
+    clauses = []
+    cut = draw(st.integers(0, len(phi)))
+    for part in (phi[:cut], phi[cut:]) if cut else (phi,):
+        if part or draw(st.booleans()):
+            assigns = [spaced(name, "=", draw(st.sampled_from(("+1", "1") if v == 1 else ("-1",))))
+                       for name, v in part]
+            clauses.append(spaced("phi", ":") + spaced(",").join(assigns))
+    others = [""] * draw(st.integers(0, 2))
+    if boundaries or draw(st.booleans()):
+        others.append(spaced("boundaries", "=", str(boundaries)))
+    for clause in others:  # anywhere among the phi clauses, which keep their order
+        clauses.insert(draw(st.integers(0, len(clauses))), clause)
+    text += spaced(")") + "".join(spaced(";") + clause for clause in clauses)
+    return data, text
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(spelled_data())
+def test_spelled_data_parses_back(drawn):
+    data, text = drawn
+    assert parse_seifert(text) == data, text
 
 
 def test_presentation_trefoil_frozen():
@@ -842,3 +930,70 @@ def test_closed_base_gen_n_check_reads_each_text_once():
         with pytest.raises(UnknownGenerator):
             gen_n_relation_holds(d, cert.element, [*cert.conjugators[:3], "d1", "c1 ^"])
     assert read.call_count == 5
+
+
+class _Scanning:
+    """A compiled expression that records the length of text each of its
+    calls may scan."""
+
+    def __init__(self, pattern, scans):
+        self.pattern, self.scans = pattern, scans
+
+    def __getattr__(self, method):
+        def call(text, pos=0, endpos=None):
+            end = len(text) if endpos is None else endpos
+            self.scans.append(max(end - pos, 0))
+            return getattr(self.pattern, method)(text, pos, end)
+
+        return call
+
+
+class _Passes:
+    """The re module, as far as parse_seifert uses it, counting its passes."""
+
+    def __init__(self):
+        self.scans = []
+
+    def compile(self, pattern):
+        return _Scanning(re.compile(pattern), self.scans)
+
+
+PAIRS = ",".join(["(2,1)"] * 25_000)
+#: texts of over 10^5 characters, each with where its ParseError points, or
+#: None when it parses
+LONG_TEXTS = (
+    ("(O,o,0|0;" + ",".join(["(2,1)"] * 200_000) + ");boundaries=1", None),
+    ("(O,o,0|0)" + "".join(f";boundaries={i}" for i in range(10_000)), None),
+    ("(O,o,0|0);boundaries=2;phi:" + ",d1=-1" * 20_000, 27),
+    ("(O,o,0|0);boundaries=2;phi:d1=-1" + ",d2=-1" * 20_000 + ",d2=3", 120_033),
+    ("(O,o,0|0" + ";" * 200_000 + ")", 9),
+    ("(O,o,0|0)" + ";" * 200_000, None),
+    ("(O,o,0|0)" + ";" * 200_000 + "x", 200_009),
+    ("(O,o,0|0;" + PAIRS, 9 + len(PAIRS)),  # no closing parenthesis
+    ("(O,o,0|0;" + PAIRS + ",(2 1))", 10 + len(PAIRS)),  # a bad last pair
+    ("(O,o,0|0;" + PAIRS + "," * 100_000 + ")", 10 + len(PAIRS)),
+    ("(O,o,0|0;" + " " * 200_000 + "x)", 200_009),
+    ("(O,o,0|0)" + " " * 200_000 + ";" + " " * 200_000 + "x", 400_010),
+)
+
+
+@pytest.mark.parametrize("text, position", LONG_TEXTS, ids=range(len(LONG_TEXTS)))
+def test_long_data_takes_a_fixed_number_of_passes(text, position):
+    """Parsing makes at most five passes of the grammar's expressions, each
+    from a fixed position, whatever the length of the text.  That no pass
+    backtracks into a finished repetition is the grammar's design; one
+    that did would take quadratic time on these texts of over 10^5
+    characters."""
+    assert len(text) > 10**5
+    passes = _Passes()
+    with mock.patch.object(seifert, "re", passes):
+        if position is None:
+            data = parse_seifert(text)
+        else:
+            with pytest.raises(ParseError) as error:
+                parse_seifert(text)
+            assert error.value.position == position
+    # the tuple, the clauses, and the boundaries, fibres and phi they hold
+    assert len(passes.scans) <= 5 and sum(passes.scans) <= 5 * len(text)
+    if position is None and data.exceptional:
+        assert len(data.exceptional) == 200_000 and data.boundary_count == 1

@@ -15,7 +15,6 @@ from gentorsion.words import (
     CyclicWord,
     GroupScheme,
     Word,
-    abelian_image,
     conjugate_to_inverse,
     conjugated,
     cyclic_reduce,
@@ -71,7 +70,7 @@ def test_parse_scheme():
     assert s.order("a") == 2
     assert s.order("b") == 3
     assert s.order("d") is None
-    assert s.index("d") == 2
+    assert s.names() == ("a", "b", "d")
     assert "d" in s and "z" not in s
 
 
@@ -167,13 +166,6 @@ def test_conjugate_to_inverse():
     assert conjugate_to_inverse(w("a b")) is None
     with pytest.raises(TrivialElement):
         conjugate_to_inverse(identity(PSL2Z))
-
-
-def test_abelian_image():
-    assert abelian_image(w("a b a b a b^2")) == {"a": 1, "b": 1}
-    assert abelian_image(identity(PSL2Z)) == {"a": 0, "b": 0}
-    free = parse_scheme("t:inf")
-    assert abelian_image(parse_word(free, "t^5 t^-2")) == {"t": 3}
 
 
 def test_primitive_root():
@@ -493,6 +485,51 @@ def test_least_rotation_is_the_minimum_over_all_rotations(keys):
     assert keys[k:] + keys[:k] == min(keys[i:] + keys[:i] for i in range(len(keys)))
 
 
+class _CountedKeys(list):
+    """Keys that count how often they are read."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+_A, _B, _B2 = (0, 1), (1, 1), (1, 2)  # the keys of a, b and b^2
+#: keys, and the start of their least rotation if only one start is least
+ROTATION_KEYS = {
+    "(ab)^n": ([_A, _B] * 10**5, None),
+    "(ab)^n a b^2": ([_A, _B] * 10**5 + [_A, _B2], 0),
+    "a^n b": ([_A] * 10**5 + [_B], 0),
+    "descending": (list(range(10**5, 0, -1)), 10**5 - 1),
+    "random": (random.Random(7).choices(range(4), k=10**5), None),
+}
+
+
+def _no_greater_rotation(keys, k, i):
+    """Whether the rotation from k is at most the one from i."""
+    n = len(keys)
+    for t in range(n):
+        a, b = keys[(k + t) % n], keys[(i + t) % n]
+        if a != b:
+            return a < b
+    return True
+
+
+@pytest.mark.parametrize("name", ROTATION_KEYS)
+def test_least_rotation_reads_fewer_than_three_keys_per_key(name):
+    keys, least = ROTATION_KEYS[name]
+    counted = _CountedKeys(keys)
+    k = words._least_rotation(counted)
+    assert counted.reads <= 3 * len(keys)
+    if least is not None:
+        assert k == least
+    elif name == "random":  # rotations of random keys differ within a few keys
+        assert all(_no_greater_rotation(keys, k, i) for i in range(len(keys)))
+    else:
+        assert k % 2 == 0
+
+
 # codes sharing a low or a high half, and one far beyond 2^16
 CODES = st.sampled_from((0, 1, 257, 65536, 65537, 2**31 + 1))
 
@@ -534,7 +571,7 @@ def test_scheme_lookup_tables_stay_out_of_equality():
     assert repr(PSL2Z) == "GroupScheme(generators=(('a', 2), ('b', 3)))"
     assert "z" not in PSL2Z
     with pytest.raises(UnknownGenerator):
-        PSL2Z.index("z")
+        PSL2Z.order("z")
 
 
 @pytest.mark.parametrize("order", [None, 10**9], ids=["infinite", "billion"])
