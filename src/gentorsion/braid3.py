@@ -8,6 +8,8 @@ B3 is the fundamental group of the trefoil complement, the Seifert group
 (O,o,0 | 0; (2,1),(3,1)); boundaries=1 with x, y as c1, c2, so its
 arithmetic is that group's engine, :class:`~gentorsion.seifert.CentralExtension`,
 and a normal form is that group's :class:`~gentorsion.seifert.SeifertPair`.
+A run of letters s_i^+-1 enters that engine five letters at a time, each
+block's normal form read from a table of runs filled on first use.
 
 The extension makes three decisions exact.  Writing e for the exponent-sum
 homomorphism (s1, s2 -> 1), two braids with the same quotient image and the
@@ -22,6 +24,8 @@ g is generalised 3-torsion iff e(g) = 0 and its image is generalised
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import groupby
 from typing import Iterator, Optional, Union
 
 from .errors import InvalidCertificate, ParseError, TrivialElement
@@ -128,7 +132,7 @@ class CentralElement(SeifertPair):
         return CentralElement(*_B3.power(self.m, self.q, n))
 
     def conjugated_by(self, k: "CentralElement") -> "CentralElement":
-        return k * self * k.inverse()
+        return CentralElement(*_B3.product(0, identity(PSL2Z), _B3.conjugate_pieces(self, k)))
 
     @property
     def exponent_sum(self) -> int:
@@ -151,24 +155,38 @@ def _word(text: str) -> Word:
     return parse_word(PSL2Z, text)
 
 
-#: the lifts h^m * section(q) of s1, s1^-1, s2 and s2^-1
-_LIFT = {
-    ("s1", 1): (-1, _word("b^2 a")),
-    ("s1", -1): (-1, _word("a b")),
-    ("s2", 1): (-1, _word("a b^2")),
-    ("s2", -1): (-1, _word("b a")),
-}
+#: a code character for each letter s1, s1^-1, s2, s2^-1, and its lift h^m * section(q)
+_CODE = {("s1", 1): "s", ("s1", -1): "S", ("s2", 1): "t", ("s2", -1): "T"}
+_LIFT = {code: (-1, _word(text)) for code, text in zip("sStT", ("b^2 a", "a b", "a b^2", "b a"))}
+#: letters of a run per piece: the table holds at most (4^6 - 4) / 3 = 1364 runs (at 6, 5460)
+_BLOCK = 5
+
+
+@lru_cache(maxsize=None)
+def _run(code: str) -> tuple[int, Word]:
+    """The normal form of a run of coded letters: one product of its prefix's and a lift."""
+    if len(code) == 1:
+        return _LIFT[code]
+    m, q = _LIFT[code[-1]]
+    return _B3.product(*_run(code[:-1]), ((m, q.syllables),))
 
 
 def _pieces(w: BraidWord) -> Iterator[Piece]:
-    for name, exp in w.letters:
-        if name == "h":
-            yield exp, ()
-        elif name in ("x", "y"):
-            yield 0, (("a" if name == "x" else "b", exp),)
-        else:
-            m, q = _LIFT[name, exp] if exp in (1, -1) else _B3.power(*_LIFT[name, 1], exp)
-            yield m, q.syllables
+    for run, letters in groupby(w.letters, _CODE.__contains__):
+        if run:
+            code = "".join(map(_CODE.__getitem__, letters))
+            for i in range(0, len(code), _BLOCK):
+                m, q = _run(code[i:i + _BLOCK])
+                yield m, q.syllables
+            continue
+        for name, exp in letters:
+            if name == "h":
+                yield exp, ()
+            elif name in ("x", "y"):
+                yield 0, (("a" if name == "x" else "b", exp),)
+            else:
+                m, q = _B3.power(*_LIFT[_CODE[name, 1]], exp)
+                yield m, q.syllables
 
 
 def normal_form(w: Union[BraidWord, CentralElement]) -> CentralElement:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import islice
 from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -314,7 +315,7 @@ class CentralExtension:
         """(m, q) times every piece in turn, cancelling only at the seams.
 
         A piece is a reduced, normalised word, or one syllable of any exponent, which
-        wraps; once one of its syllables is pushed, the rest go on as they are.
+        wraps; a word's syllables merge while they meet the stack top, the rest go on whole.
         """
         order, beta, flips = self._order, self._beta, self._flips
         interned, syllable = self.scheme.interned, self.scheme.syllable
@@ -322,7 +323,11 @@ class CentralExtension:
         pend = 0  # the fiber power sitting to the right of the stack
         for k, syllables in pieces:
             pend += k
-            for i, (gen, exp) in enumerate(syllables):
+            i, last = 0, len(syllables) - 1
+            for gen, exp in syllables:
+                if last and not (stack and stack[-1][0] == gen):
+                    break
+                i += 1
                 # h^pend * g^e = g^e * h^(pend * phi(g)^e)
                 if flips and exp % 2 and gen in flips:
                     pend = -pend
@@ -334,10 +339,12 @@ class CentralExtension:
                     pend += beta[gen] * wraps
                 if exp:
                     stack.append(interned.get((gen, exp)) or syllable(gen, exp))
-                    stack += (rest := syllables[i + 1:])
-                    if flips and pend and sum(e % 2 for g, e in rest if g in flips) % 2:
-                        pend = -pend
                     break
+            if i <= last:
+                stack += islice(syllables, i, None) if i else syllables
+                if flips and pend and sum(e % 2 for g, e in islice(syllables, i, None)
+                                          if g in flips) % 2:
+                    pend = -pend
         q = Word(self.scheme, tuple(stack))
         if flips and pend:
             pend *= self.phi_word(q)
@@ -347,6 +354,11 @@ class CentralExtension:
         q_inv = invert(q)
         drift, _ = self.product(0, q_inv, ((m, q.syllables),))
         return -drift, q_inv
+
+    def conjugate_pieces(self, p: SeifertPair, k: SeifertPair) -> tuple[Piece, Piece, Piece]:
+        """k, p and k^-1 as pieces, whose one product is the conjugate k p k^-1."""
+        k_m, k_inv = self.inverse(k.m, k.q)
+        return (k.m, k.q.syllables), (p.m, p.q.syllables), (k_m, k_inv.syllables)
 
     def power(self, m: int, q: Word, n: int) -> tuple[int, Word]:
         """(m, q)^n = P (m_c, c)^n P^-1 with P = (0, p) and c = p^-1 q p the cyclic core of q.
@@ -422,7 +434,7 @@ class SeifertGroup(CentralExtension):
         return SeifertPair(*self.power(p.m, p.q, n))
 
     def conjugated(self, p: SeifertPair, k: SeifertPair) -> SeifertPair:
-        return self.mul(self.mul(k, p), self.inv(k))
+        return SeifertPair(*self.product(0, identity(self.scheme), self.conjugate_pieces(p, k)))
 
     # -- parsing and printing ------------------------------------------
 
@@ -811,10 +823,10 @@ def gen_n_relation_holds(d: SeifertData, element: str, conjugators: Sequence[str
     g = next(elements)
     if g.is_identity:
         return False
-    total = g
+    m, q = g.m, g.q
     for k in elements:
-        total = group.mul(total, group.conjugated(g, k))
-    if not total.is_identity:
+        m, q = group.product(m, q, group.conjugate_pieces(g, k))
+    if m or q:
         return False
     if not d.boundary_count and not _shown_nontrivial(d, element):
         raise UnsupportedBase(

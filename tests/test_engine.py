@@ -9,16 +9,29 @@ Every syllable that the words kernel and the engine hand out is a
 normalised (name, exponent) pair, and one shared tuple when finite.
 """
 
+import random
 import sys
-from itertools import repeat
+import tracemalloc
+from contextlib import contextmanager
+from itertools import product, repeat
+from math import ceil
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gentorsion import braid3
 from gentorsion.braid3 import BraidWord, CentralElement, normal_form, parse_braid
-from gentorsion.seifert import CentralExtension, SeifertGroup, SeifertPair, parse_seifert
+from gentorsion.seifert import (
+    CentralExtension,
+    SeifertGroup,
+    SeifertPair,
+    gen_n_certificate,
+    gen_n_relation_holds,
+    parse_seifert,
+    seifert_group,
+)
 from gentorsion.words import PSL2Z, Word, identity, invert, parse_scheme, parse_word, reduce
 
 sys.path[:0] = [str(Path(__file__).resolve().parents[1] / "benchmark")]
@@ -444,3 +457,151 @@ def test_letter_powers_fold_as_one_power():
     nf = normal_form(parse_braid("s1^100000"))
     assert nf == CentralElement(-100000, Word(PSL2Z, parse_word(PSL2Z, "b^2 a").syllables * 100000))
     assert TWO.element("d2^10000") == TWO.pow(TWO.generator("d2"), 10000)
+
+
+def test_a_letter_power_is_pushed_without_a_copy():
+    w = parse_braid("s1^2260 s2^-2260")
+    normal_form(w)
+    tracemalloc.start()
+    try:
+        nf = normal_form(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.75 * sys.getsizeof(nf.q.syllables)
+
+
+# -- runs of letters s_i^+-1 from the table of run normal forms ----------
+
+RUN_LETTERS = sorted(braid3._CODE)
+#: a run of 0 to 16 letters s_i^+-1, then one letter of another kind
+segment = st.tuples(
+    st.lists(st.sampled_from(RUN_LETTERS), max_size=16),
+    st.one_of(
+        st.tuples(st.sampled_from(("s1", "s2")), _nonzero(12).filter(lambda e: abs(e) > 1)),
+        st.tuples(st.sampled_from(("x", "y", "h")), _nonzero(10**9)),
+    ),
+)
+run_braids = st.lists(segment, max_size=4).map(
+    lambda segments: BraidWord(tuple(x for run, other in segments for x in (*run, other)))
+)
+
+
+@PROPERTY
+@given(run_braids, st.lists(st.sampled_from(RUN_LETTERS), max_size=16))
+def test_runs_read_from_the_table_match_the_per_syllable_fold(w, tail):
+    w = BraidWord(w.letters + tuple(tail))
+    braid3._run.cache_clear()
+    assert normal_form(w) == reference_normal_form(w)
+    assert normal_form(w) == reference_normal_form(w)
+    assert normal_form(w.inverse()) == reference_normal_form(w.inverse())
+
+
+def test_the_table_of_runs_stays_bounded():
+    braid3._run.cache_clear()
+    for length in range(1, 6):
+        for letters in product(RUN_LETTERS, repeat=length):
+            normal_form(BraidWord(letters))
+    rng = random.Random(18)
+    hostile = BraidWord(tuple(rng.choice(RUN_LETTERS) for _ in range(10**5)))
+    assert normal_form(hostile) == reference_normal_form(hostile)
+    assert braid3._run.cache_info().currsize <= 1364
+
+
+@contextmanager
+def counted_products():
+    """Count, for each call of the B3 product in order of entry, the pieces it reads."""
+    calls, product = [], braid3._B3.product
+
+    def counting(m, q, pieces):
+        calls.append(0)
+        index = len(calls) - 1
+
+        def count():
+            for piece in pieces:
+                calls[index] += 1
+                yield piece
+
+        return product(m, q, count())
+
+    braid3._B3.product = counting
+    try:
+        yield calls
+    finally:
+        del braid3._B3.product
+
+
+@PROPERTY
+@given(run_braids)
+def test_a_run_of_l_letters_reaches_the_product_as_at_most_l_over_5_pieces(w):
+    normal_form(w)
+    expected, run = 0, 0
+    for letter in (*w.letters, None):
+        if letter in braid3._CODE:
+            run += 1
+            continue
+        expected += ceil(run / 5) + (letter is not None)
+        run = 0
+    with counted_products() as calls:
+        normal_form(w)
+    assert calls[0] <= expected
+
+
+@PROPERTY
+@given(st.lists(st.lists(st.sampled_from(RUN_LETTERS), max_size=16), max_size=4))
+def test_filling_the_table_takes_one_product_per_entry(runs):
+    w = BraidWord(tuple(x for run in runs for x in (*run, ("x", 1))))
+    braid3._run.cache_clear()
+    with counted_products() as calls:
+        normal_form(w)
+    assert len(calls) - 1 <= braid3._run.cache_info().currsize
+    assert calls[0] == sum(ceil(len(run) / 5) for run in runs) + len(runs)
+
+
+# -- conjugates as one product -------------------------------------------
+
+
+@PROPERTY
+@given(fibred(count=3))
+def test_a_conjugate_is_one_product_as_the_mul_inv_chain_says(case):
+    G, *texts = case
+    p, k, j = (G.element(_spell(letters)) for letters in texts)
+    assert G.conjugated(p, k) == G.mul(G.mul(k, p), G.inv(k))
+    folded = G.product(p.m, p.q, G.conjugate_pieces(p, k) + G.conjugate_pieces(p, j))
+    chain = G.mul(G.mul(p, G.conjugated(p, k)), G.mul(G.mul(j, p), G.inv(j)))
+    assert SeifertPair(*folded) == chain
+
+
+@PROPERTY
+@given(braids, braids)
+def test_a_b3_conjugate_is_one_product_as_the_mul_inv_chain_says(w, k):
+    nw, nk = normal_form(w), normal_form(k)
+    assert nw.conjugated_by(nk) == nk * nw * nk.inverse()
+
+
+def chained_relation(d, element, conjugators):
+    """gen_n_relation_holds on boundary data, through mul and inv of every conjugate."""
+    G = seifert_group(d)
+    g = G.element(element)
+    total = g
+    for text in conjugators:
+        k = G.element(text)
+        total = G.mul(total, G.mul(G.mul(k, g), G.inv(k)))
+    return not g.is_identity and total.is_identity
+
+
+@pytest.mark.parametrize("spec", sorted(workloads.FIBER_ORDERS))
+def test_the_folded_gen_n_relation_agrees_with_the_mul_inv_chain(spec):
+    d = parse_seifert(spec)
+    found = 0
+    for n in (2, 3, 4, 5, 6, 8, 10, 12):
+        cert = gen_n_certificate(d, n)
+        if cert is None:
+            continue
+        found += 1
+        element, conjugators = cert.element, cert.conjugators
+        for cs in (conjugators, conjugators[1:], conjugators[::-1], conjugators + ("h",),
+                   tuple(c + " c1" for c in conjugators)):
+            assert gen_n_relation_holds(d, element, cs) == chained_relation(d, element, cs)
+        assert gen_n_relation_holds(d, element, conjugators)
+    assert found
