@@ -84,12 +84,23 @@ _SIGNED = {
     for name in _LETTERS + tuple(map(str.capitalize, _LETTERS))
 }
 
+#: the 40 spellings of those letters with no exponent, ^-1, ^2 or ^-2, each one shared letter
+_SPELLED = {
+    name + suffix: (letter, sign * exp)
+    for name, (letter, sign) in _SIGNED.items()
+    for suffix, exp in (("", 1), ("^-1", -1), ("^2", 2), ("^-2", -2))
+}
+
 
 def parse_braid(text: str) -> BraidWord:
     """Parse tokens s1, s2, x, y, h (capitals invert) with optional nonzero ^k.
 
-    The token ``1`` denotes the empty braid.
+    The token ``1`` denotes the empty braid.  Text of table spellings only is
+    read by one lookup a token; any other text goes through :func:`tokens`.
     """
+    spelled = tuple(map(_SPELLED.get, text.split()))
+    if all(spelled):
+        return _checked(spelled)
     letters: list[tuple[str, int]] = []
     for i, (name, exp) in enumerate(tokens(text)):
         if name not in _SIGNED:

@@ -351,9 +351,15 @@ class CentralExtension:
         return m + pend, q
 
     def inverse(self, m: int, q: Word) -> tuple[int, Word]:
-        q_inv = invert(q)
-        drift, _ = self.product(0, q_inv, ((m, q.syllables),))
-        return -drift, q_inv
+        """(m, q)^-1 = (-drift, q^-1), where the product (0, q^-1) (m, q) is h^drift.
+
+        That product cancels q^-1 against q: each finite-order syllable wraps once and
+        spills beta(g), after an odd power of a flipping letter has negated the fiber.
+        """
+        beta, flips = self._beta, self._flips
+        for gen, exp in q.syllables:
+            m = (-m if exp % 2 and gen in flips else m) + beta.get(gen, 0)
+        return -m, invert(q)
 
     def conjugate_pieces(self, p: SeifertPair, k: SeifertPair) -> tuple[Piece, Piece, Piece]:
         """k, p and k^-1 as pieces, whose one product is the conjugate k p k^-1."""

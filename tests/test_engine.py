@@ -605,3 +605,42 @@ def test_the_folded_gen_n_relation_agrees_with_the_mul_inv_chain(spec):
             assert gen_n_relation_holds(d, element, cs) == chained_relation(d, element, cs)
         assert gen_n_relation_holds(d, element, conjugators)
     assert found
+
+
+# -- inverses read off in one pass ---------------------------------------
+
+#: the benchmark's five fibrations, two of them with phi = -1 letters
+INVERSE_DATA = (
+    "(O,o,0 | 1; (2,1),(3,1)); boundaries=1",
+    "(O,o,0 | 0; (4,1),(4,1)); boundaries=2; phi: d1=-1,d2=-1",
+    "(O,o,1 | 1; (2,1),(4,1)); boundaries=1",
+    "(N,1 | 0; (2,1),(2,1)); boundaries=1; phi: x1=-1",
+    "(O,o,0 | -1; (2,1),(3,1),(5,2)); boundaries=2",
+)
+EXTENSIONS = (B3, *(SeifertGroup(parse_seifert(spec)) for spec in INVERSE_DATA))
+
+
+@st.composite
+def central_pairs(draw):
+    """An extension and a pair (m, q) over it."""
+    E = draw(st.sampled_from(EXTENSIONS))
+    names = [name for name, _ in E.scheme.generators]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(names), st.integers(-9, 9)), max_size=12))
+    return E, draw(st.integers(-10**9, 10**9)), reduce(pairs, E.scheme)
+
+
+def test_the_inverse_data_cover_flipping_letters():
+    assert [bool(E._flips) for E in EXTENSIONS] == [False, False, True, False, True, False]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(central_pairs())
+def test_the_one_pass_inverse_matches_the_cancelling_product(case):
+    E, m, q = case
+    q_inv = invert(q)
+    drift, rest = E.product(0, q_inv, ((m, q.syllables),))
+    assert rest.is_identity
+    inv_m, inv_q = E.inverse(m, q)
+    assert (inv_m, inv_q) == (-drift, q_inv)
+    assert E.product(m, q, ((inv_m, inv_q.syllables),)) == (0, identity(E.scheme))
+    assert E.product(inv_m, inv_q, ((m, q.syllables),)) == (0, identity(E.scheme))

@@ -1,9 +1,12 @@
 """One grammar for element text in PSL(2,Z), B3 and the Seifert groups.
 
 ``words.tokens`` reads and ``words.format_tokens`` spells every element
-text.  The three readers it replaced stay here as references, and a
-derandomized property feeds old and new readers the same valid and
-malformed texts.  They agree except for two deliberate changes:
+text.  The word and Seifert readers it replaced stay here as references,
+with a copy of the per-token braid loop that ``parse_braid`` ran before
+its table of spellings, and a derandomized property feeds old and new
+readers the same valid and malformed texts.  The braid readers agree on
+letters, messages and positions; the others agree except for two
+deliberate changes:
 
 * a malformed token is reported before any unknown generator, so some
   texts raise ParseError where they raised UnknownGenerator;
@@ -14,15 +17,18 @@ malformed texts.  They agree except for two deliberate changes:
 import contextlib
 import io
 import json
+import random
 import re
+import sys
+import tracemalloc
 from itertools import repeat
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gentorsion import cli, words
-from gentorsion.braid3 import BraidWord, parse_braid
+from gentorsion import braid3, cli, words
+from gentorsion.braid3 import parse_braid
 from gentorsion.certificates import CERTIFICATE_KINDS, verify_certificate
 from gentorsion.errors import MalformedCertificate, ParseError, UnknownGenerator
 from gentorsion.seifert import SeifertGroup, SeifertPair, _shown_nontrivial, parse_seifert
@@ -64,30 +70,6 @@ def reference_parse_word(scheme, text):
     )
 
 
-_REF_BRAID_TOKEN = re.compile(r"^([sS][12]|[xyhXYH])(?:\^(-?\d+))?$")
-
-
-def reference_parse_braid(text):
-    letters = []
-    pos = 0
-    for token in text.split():
-        pos = text.index(token, pos)
-        if token == "1":
-            pos += len(token)
-            continue
-        m = _REF_BRAID_TOKEN.match(token)
-        if not m:
-            raise ParseError(f"bad braid token {token!r}", pos)
-        name, exp = m.group(1), int(m.group(2) or 1)
-        if exp == 0:
-            raise ParseError(f"zero exponent in {token!r}", pos)
-        if name[0].isupper():
-            name, exp = name.lower(), -exp
-        letters.append((name, exp))
-        pos += len(token)
-    return BraidWord(tuple(letters))
-
-
 _REF_ELEMENT_TOKEN = re.compile(r"^([A-Za-z][A-Za-z0-9]*)(?:\^(-?\d+))?$")
 
 
@@ -115,6 +97,34 @@ def reference_seifert_element(group, text):
             pos += len(token)
 
     return SeifertPair(*group.product(0, identity(group.scheme), pieces()))
+
+
+# -- the braid reader before its table of spellings ------------------------
+
+_LOOP_SIGNED = {name: (name.lower(), 1 if name.islower() else -1)
+                for name in ("s1", "s2", "x", "y", "h", "S1", "S2", "X", "Y", "H")}
+SPELLINGS = [name + suffix for name in _LOOP_SIGNED for suffix in ("", "^-1", "^2", "^-2")]
+
+
+def loop_parse_braid(text):
+    """parse_braid as a loop over every token that words.tokens reads."""
+    def start(i):
+        pos = 0
+        for token in text.split():
+            pos = text.index(token, pos)
+            if token != "1" and (i := i - 1) < 0:
+                return pos
+            pos += len(token)
+
+    letters = []
+    for i, (name, exp) in enumerate(tokens(text)):
+        if name not in _LOOP_SIGNED:
+            raise ParseError(f"bad braid letter {name!r}", start(i))
+        if exp == 0:
+            raise ParseError(f"zero exponent on {name!r}", start(i))
+        letter, sign = _LOOP_SIGNED[name]
+        letters.append((letter, sign * exp))
+    return tuple(letters)
 
 
 # -- the property -----------------------------------------------------------
@@ -151,6 +161,13 @@ def _outcome(read, text):
         return "raises", type(exc)
 
 
+def _braid_outcome(read, text):
+    try:
+        return "letters", read(text)
+    except ParseError as exc:
+        return "raises", str(exc), exc.position
+
+
 def _malformed(text):
     return [t for t in text.split() if t != "1" and not _REF_TOKEN.fullmatch(t)]
 
@@ -173,7 +190,8 @@ def test_the_readers_agree_with_the_ones_they_replaced(text):
     old = _outcome(lambda t: reference_parse_word(PSL2Z, t), text)
     new = _outcome(lambda t: parse_word(PSL2Z, t), text)
     assert _agree(old, new, text), (text, old, new)
-    assert _agree(_outcome(reference_parse_braid, text), _outcome(parse_braid, text), text)
+    new = _braid_outcome(lambda t: parse_braid(t).letters, text)
+    assert new == _braid_outcome(loop_parse_braid, text), text
     for group in (TREFOIL_GROUP, GENUS_ONE_GROUP):
         old = _outcome(lambda t: reference_seifert_element(group, t), text)
         new = _outcome(group.element, text)
@@ -297,3 +315,80 @@ def test_str_spells_what_format_tokens_spells(pairs):
     w = reduce(pairs, scheme)
     assert str(w) == str(words.CyclicWord(scheme, w.syllables)) == format_tokens(w.syllables)
     assert reduce(tokens(str(w)), scheme) == w
+
+
+# -- braid text through the table of token spellings --------------------------
+
+BRAID_MALFORMED = ("s3", "s1^0", "^2", "s1^--1", "S2^0", "s1^+1", "s", "z^2", "x^", "h^-0",
+                   "y^2^2", "1s1", "H^-" + "7" * 5000)
+
+
+@st.composite
+def braid_texts(draw):
+    parts = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.integers(0, 15))
+        if kind == 0:
+            parts.append("1")
+        elif kind == 1:
+            parts.append(draw(st.sampled_from(BRAID_MALFORMED)))
+        elif kind == 2:
+            parts.append(draw(st.sampled_from(sorted(_LOOP_SIGNED))) + "^1")
+        elif kind == 3:
+            exp = draw(st.integers(3, 10**6)) * draw(st.sampled_from((1, -1)))
+            parts.append(f"{draw(st.sampled_from(sorted(_LOOP_SIGNED)))}^{exp}")
+        else:
+            parts.append(draw(st.sampled_from(SPELLINGS)))
+    out = draw(st.sampled_from(("", " ", "\t")))
+    for part in parts:
+        out += part + draw(st.sampled_from(SEPARATORS))
+    return out
+
+
+def test_the_table_holds_the_forty_spellings_each_one_shared_letter():
+    assert sorted(braid3._SPELLED) == sorted(SPELLINGS)
+    for text in SPELLINGS:
+        assert parse_braid(text).letters == loop_parse_braid(text)
+        first, second = parse_braid(f" x\t{text}  {text}").letters[1:]
+        assert first is second is parse_braid(text).letters[0]
+
+
+@PROPERTY
+@given(braid_texts())
+def test_parse_braid_matches_the_per_token_loop(text):
+    new = _braid_outcome(lambda t: parse_braid(t).letters, text)
+    assert new == _braid_outcome(loop_parse_braid, text), text
+
+
+@pytest.fixture
+def counted_tokens(monkeypatch):
+    """Count the calls of words.tokens that parse_braid makes."""
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return tokens(text)
+
+    monkeypatch.setattr(braid3, "tokens", counting)
+    return calls
+
+
+def test_a_text_of_table_spellings_is_read_without_tokens(counted_tokens):
+    rng = random.Random(19)
+    spelled = [rng.choice(SPELLINGS) for _ in range(10**5)]
+    text = " ".join(spelled)
+    parse_braid(text)
+    tracemalloc.start()
+    try:
+        w = parse_braid(text)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert counted_tokens == []
+    assert kept <= sys.getsizeof(w.letters) + 4096
+    assert w.letters == loop_parse_braid(text)
+
+    spelled[len(spelled) // 2] = "s1^7"
+    odd = " ".join(spelled)
+    assert parse_braid(odd).letters == loop_parse_braid(odd)
+    assert counted_tokens == [odd]
