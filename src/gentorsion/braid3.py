@@ -35,6 +35,7 @@ from .words import (
     PSL2Z,
     Word,
     _Record,
+    _Table,
     _cyclic_core,
     format_tokens,
     identity,
@@ -84,32 +85,37 @@ _SIGNED = {
     for name in _LETTERS + tuple(map(str.capitalize, _LETTERS))
 }
 
-#: the 40 spellings of those letters with no exponent, ^-1, ^2 or ^-2, each one shared letter
-_SPELLED = {
-    name + suffix: (letter, sign * exp)
-    for name, (letter, sign) in _SIGNED.items()
-    for suffix, exp in (("", 1), ("^-1", -1), ("^2", 2), ("^-2", -2))
-}
 
-
-def parse_braid(text: str) -> BraidWord:
-    """Parse tokens s1, s2, x, y, h (capitals invert) with optional nonzero ^k.
-
-    The token ``1`` denotes the empty braid.  Text of table spellings only is
-    read by one lookup a token; any other text goes through :func:`tokens`.
-    """
-    spelled = tuple(map(_SPELLED.get, text.split()))
-    if all(spelled):
-        return _checked(spelled)
-    letters: list[tuple[str, int]] = []
+def _read(text: str) -> Iterator[tuple[str, int]]:
+    """The letters of text, read token by token through :func:`tokens`."""
     for i, (name, exp) in enumerate(tokens(text)):
         if name not in _SIGNED:
             raise ParseError(f"bad braid letter {name!r}", _start(text, i))
         if exp == 0:
             raise ParseError(f"zero exponent on {name!r}", _start(text, i))
         letter, sign = _SIGNED[name]
-        letters.append((letter, sign * exp))
-    return _checked(tuple(letters))
+        yield letter, sign * exp
+
+
+#: the 40 spellings of those letters with no exponent, ^-1, ^2 or ^-2, each one
+#: shared letter; any other token is read alone by :func:`_read`, ``1`` as None
+_SPELLED = _Table(lambda token: next(_read(token), None), {
+    name + suffix: (letter, sign * exp)
+    for name, (letter, sign) in _SIGNED.items()
+    for suffix, exp in (("", 1), ("^-1", -1), ("^2", 2), ("^-2", -2))
+})
+
+
+def parse_braid(text: str) -> BraidWord:
+    """Parse tokens s1, s2, x, y, h (capitals invert) with optional nonzero ^k.
+
+    The token ``1`` denotes the empty braid.  Each token is one table lookup;
+    text with an error is read again whole, for the error's position in it.
+    """
+    try:
+        return _checked(tuple(filter(None, map(_SPELLED.__getitem__, text.split()))))
+    except ParseError:
+        return _checked(tuple(_read(text)))
 
 
 def _start(text: str, i: int) -> int:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from typing import Mapping, Optional, Sequence
 
 from . import certificates
@@ -319,11 +320,8 @@ def _handle_verify(args):
 
 def _handle_sweep(args):
     from .oracle import SearchBudget, sweep_agreement
-    budget = SearchBudget(
-        max_conjugator_syllables=args.max_conjugator_syllables,
-        max_central_exponent=args.max_central_exponent,
-        max_candidates=args.max_candidates,
-    )
+    # the flags given; SearchBudget holds the defaults
+    budget = SearchBudget(**{k: v for k, v in vars(args).items() if k in SearchBudget._fields})
     report = sweep_agreement(args.suite, budget)
     payload = report.to_dict()
     payload["verdict"] = "agreement" if not report.mismatches else "mismatch"
@@ -347,7 +345,9 @@ def _add_common(parser: argparse.ArgumentParser, *, group: bool = True) -> None:
     )
 
 
+@cache
 def build_parser() -> _Parser:
+    """The parser, built once a process: parsing arguments does not change it."""
     parser = _Parser(
         prog="gentorsion",
         description=
@@ -403,9 +403,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="compare structural deciders against brute oracles")
     p.add_argument("--suite", required=True, choices=_SUITES)
-    p.add_argument("--max-conjugator-syllables", type=int, default=6)
-    p.add_argument("--max-central-exponent", type=int, default=2)
-    p.add_argument("--max-candidates", type=int, default=1_000_000)
+    for flag in ("--max-conjugator-syllables", "--max-central-exponent", "--max-candidates"):
+        p.add_argument(flag, type=int, default=argparse.SUPPRESS)
     _add_common(p, group=False)
     p.set_defaults(func=_handle_sweep)
 
@@ -413,8 +412,7 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     fmt = getattr(args, "format", "json")
     try:
         result, code = args.func(args)

@@ -318,7 +318,7 @@ class CentralExtension:
         wraps; a word's syllables merge while they meet the stack top, the rest go on whole.
         """
         order, beta, flips = self._order, self._beta, self._flips
-        interned, syllable = self.scheme.interned, self.scheme.syllable
+        interned = self.scheme.interned
         stack = list(q.syllables)
         pend = 0  # the fiber power sitting to the right of the stack
         for k, syllables in pieces:
@@ -338,7 +338,7 @@ class CentralExtension:
                     wraps, exp = divmod(exp, n)
                     pend += beta[gen] * wraps
                 if exp:
-                    stack.append(interned.get((gen, exp)) or syllable(gen, exp))
+                    stack.append(interned[gen, exp])
                     break
             if i <= last:
                 stack += islice(syllables, i, None) if i else syllables

@@ -20,14 +20,15 @@ itself to its inverse are found by Manacher's algorithm.
 A scheme records each finite-order syllable's inverse and canonical spelling
 (``a``, ``b^2``) when it first shares it, so the kernels invert, cancel, code
 and spell by dict lookups under ``map``, and text this module writes parses
-through the spelling table.  Infinite-order syllables are never stored.
+through the spelling table.  A table makes an entry it lacks, such as an
+infinite-order syllable's, without storing it, so each lookup takes one path.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import count, repeat
-from operator import eq, itemgetter
+from itertools import compress, count, repeat
+from operator import eq, itemgetter, ne
 from typing import Iterable, Iterator, Optional
 
 from .errors import (
@@ -108,6 +109,17 @@ class _Record:
         return {name: _json(getattr(self, name)) for name in self._fields}
 
 
+class _Table(dict):
+    """A dict whose missing key is made by ``make(key)`` and not stored."""
+
+    def __init__(self, make, entries=()):
+        super().__init__(entries)
+        self.make = make
+
+    def __missing__(self, key):
+        return self.make(key)
+
+
 def _json(value):
     if isinstance(value, _Record):
         return value.to_dict()
@@ -142,10 +154,10 @@ class GroupScheme(_Record):
         # name -> order and name -> index, derived from ``generators``
         self.orders = orders
         self.indices = {name: i for i, name in enumerate(orders)}
-        # shared finite-order syllables, their inverses and spellings, filled on first use
-        self.interned: dict[Syllable, Syllable] = {}
-        self.inverses: dict[Syllable, Syllable] = {}
-        self.spellings: dict[Syllable, str] = {}
+        # shared finite-order syllables, their inverses and spellings, filled by ``syllable``
+        self.interned: dict[Syllable, Syllable] = _Table(lambda s: self.syllable(*s))
+        self.inverses: dict[Syllable, Syllable] = _Table(self.inverse)
+        self.spellings: dict[Syllable, str] = _Table(lambda s: format_tokens((s,)))
         self.spelled: dict[str, Syllable] = {}
 
     def names(self) -> tuple[str, ...]:
@@ -168,16 +180,14 @@ class GroupScheme(_Record):
         records its inverse and spelling.  A finite factor has order - 1
         syllables, so no table outgrows the scheme.
         """
-        s = self.interned.get((gen, exp))
-        if s is None:
-            s = (gen, exp)
-            order = self.orders[gen]
-            if order is not None and 0 < exp < order:
-                self.interned[s] = s
-                self.spellings[s] = text = format_tokens((s,))
-                self.spelled[text] = s
-                self.inverses[s] = self.syllable(gen, order - exp)
-        return s
+        s = (gen, exp)
+        order = self.orders[gen]
+        if s not in self.interned and order is not None and 0 < exp < order:
+            self.interned[s] = s
+            self.spellings[s] = text = format_tokens((s,))
+            self.spelled[text] = s
+            self.inverses[s] = self.syllable(gen, order - exp)
+        return self.interned.get(s, s)
 
     def inverse(self, s: Syllable) -> Syllable:
         """The inverse of syllable s, as :meth:`syllable` gives it."""
@@ -256,30 +266,20 @@ class Word(_Record):
         return p * power * invert(p) if p else power
 
     def __str__(self) -> str:
-        try:
-            return " ".join(map(self.scheme.spellings.__getitem__, self.syllables)) or "1"
-        except KeyError:  # an infinite-order syllable, or one never shared
-            return format_tokens(self.syllables)
+        return " ".join(map(self.scheme.spellings.__getitem__, self.syllables)) or "1"
 
 
 def _seam(scheme: GroupScheme, left: tuple[Syllable, ...], right: tuple[Syllable, ...]) -> int:
     """The greatest k with left[-1 - d] the inverse of right[d] for every d < k."""
-    inverses = scheme.inverses
-    k, n = 0, min(len(left), len(right))
-    try:
-        while k < n and left[-1 - k] == inverses[right[k]]:
-            k += 1
-    except KeyError:  # an infinite-order syllable, or one never shared
-        while k < n and left[-1 - k] == (inverses.get(right[k]) or scheme.inverse(right[k])):
-            k += 1
-    return k
+    unequal = map(ne, reversed(left), map(scheme.inverses.__getitem__, right))
+    return next(compress(count(), unequal), min(len(left), len(right)))
 
 
 def _merged(scheme: GroupScheme, s: Syllable, t: Syllable) -> tuple[Syllable]:
     """The one syllable of s t, for s and t on one generator and not inverse."""
     gen, exp = s
     order = scheme.orders[gen]
-    return (scheme.syllable(gen, exp + t[1] if order is None else (exp + t[1]) % order),)
+    return (scheme.interned[gen, exp + t[1] if order is None else (exp + t[1]) % order],)
 
 
 def identity(scheme: GroupScheme) -> Word:
@@ -297,7 +297,7 @@ def reduce(raw: Iterable[tuple[str, int]], scheme: GroupScheme) -> Word:
     >>> str(reduce([("b", 1), ("b", 1), ("b", 1)], PSL2Z))
     '1'
     """
-    orders, interned, syllable = scheme.orders, scheme.interned, scheme.syllable
+    orders, interned = scheme.orders, scheme.interned
     stack: list[Syllable] = []
     push, pop = stack.append, stack.pop
     for gen, exp in raw:
@@ -311,7 +311,7 @@ def reduce(raw: Iterable[tuple[str, int]], scheme: GroupScheme) -> Word:
         if order is not None:
             exp %= order
         if exp:
-            push(interned.get((gen, exp)) or syllable(gen, exp))
+            push(interned[gen, exp])
     return Word(scheme, tuple(stack))
 
 
@@ -324,12 +324,7 @@ def invert(w: Word) -> Word:
     >>> str(invert(parse_word(PSL2Z, "a b a b^2")))
     'b a b^2 a'
     """
-    scheme, inverses = w.scheme, w.scheme.inverses
-    try:
-        return Word(scheme, tuple(map(inverses.__getitem__, reversed(w.syllables))))
-    except KeyError:  # an infinite-order syllable, or one never shared
-        inverse = scheme.inverse
-        return Word(scheme, tuple([inverses.get(s) or inverse(s) for s in reversed(w.syllables)]))
+    return Word(w.scheme, tuple(map(w.scheme.inverses.__getitem__, reversed(w.syllables))))
 
 
 def conjugated(w: Word, k: Word) -> Word:

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from gentorsion.oracle import SearchBudget
+
 TREFOIL = "(O,o,0 | 1; (2,1),(3,1)); boundaries=1; phi: d1=+1"
 TWO_BOUNDARY = "(O,o,0 | 0; (4,1),(4,1)); boundaries=2; phi: d1=-1,d2=-1"
 THREE_BOUNDARY = "(O,o,0|0);boundaries=3;phi:d1=-1,d2=-1"
@@ -271,6 +273,13 @@ def test_sweep_subcommand_agreement():
     assert data["verdict"] == "agreement"
     assert data["checked"] == 13
     assert data["mismatches"] == []
+
+
+def test_sweep_budget_defaults_are_the_search_budget_defaults():
+    data = run_json("sweep", "--suite", "pslz-reversible")
+    assert data["budget"] == SearchBudget().to_dict()
+    data = run_json("sweep", "--suite", "pslz-reversible", "--max-candidates", "7")
+    assert data["budget"] == SearchBudget(max_candidates=7).to_dict()
 
 
 def test_sweep_rejects_unknown_suite():

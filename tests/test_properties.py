@@ -436,6 +436,7 @@ def _kernel_results(scheme, left, right, word, other):
         (core.syllables, conj.syllables),
         None if k is None else k.syllables,
         [mirror_centres(core, r) for r in radii],
+        str(word),
     )
 
 
@@ -448,6 +449,7 @@ def _reference_results(orders, left, right, word, other):
         (core, conj),
         old_is_conjugate(orders, word, other),
         [old_mirror_centres(orders, core, r) for r in radii],
+        format_tokens(word),
     )
 
 

@@ -373,22 +373,33 @@ def counted_tokens(monkeypatch):
     return calls
 
 
-def test_a_text_of_table_spellings_is_read_without_tokens(counted_tokens):
+def _kept(read, text):
+    """The result of read(text), and the bytes it keeps allocated."""
+    tracemalloc.start()
+    try:
+        result = read(text)
+        return result, tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_text_of_table_spellings_is_read_without_tokens(counted_tokens, monkeypatch):
+    made = []
+    make = braid3._SPELLED.make
+    monkeypatch.setattr(braid3._SPELLED, "make", lambda token: made.append(token) or make(token))
     rng = random.Random(19)
     spelled = [rng.choice(SPELLINGS) for _ in range(10**5)]
     text = " ".join(spelled)
     parse_braid(text)
-    tracemalloc.start()
-    try:
-        w = parse_braid(text)
-        kept = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert counted_tokens == []
+    w, kept = _kept(parse_braid, text)
+    assert counted_tokens == [] and made == []
     assert kept <= sys.getsizeof(w.letters) + 4096
     assert w.letters == loop_parse_braid(text)
 
+    # a token the table lacks is read alone, and the rest still by lookup
     spelled[len(spelled) // 2] = "s1^7"
     odd = " ".join(spelled)
-    assert parse_braid(odd).letters == loop_parse_braid(odd)
-    assert counted_tokens == [odd]
+    w, kept = _kept(parse_braid, odd)
+    assert counted_tokens == made == ["s1^7"]
+    assert kept <= sys.getsizeof(w.letters) + 4096
+    assert w.letters == loop_parse_braid(odd)

@@ -590,6 +590,32 @@ def test_syllable_tables_store_no_infinite_syllable_and_grow_with_distinct_ones(
         assert all(len(table) <= len(distinct) for table in tables)
 
 
+def _made(monkeypatch, table):
+    """The keys that table makes from now on, in order."""
+    made, make = [], table.make
+    monkeypatch.setattr(table, "make", lambda key: made.append(key) or make(key))
+    return made
+
+
+@pytest.mark.parametrize("alternation", [("a", "d"), ("d", "a")], ids=["a-first", "d-first"])
+def test_warm_tables_make_an_entry_for_each_infinite_order_syllable_only(monkeypatch, alternation):
+    scheme = parse_scheme("a:2, d:inf")
+    rng = random.Random(20)
+    pairs = [(gen, 1 if gen == "a" else rng.choice((-1, 1)) * rng.randrange(1, 10**6))
+             for gen in alternation * (10**4 // 2)]
+    u = reduce(pairs, scheme)
+    k = sum(gen == "d" for gen, _ in pairs)
+    tables = (scheme.interned, scheme.inverses, scheme.spellings)
+    interned, inverses, spellings = (_made(monkeypatch, table) for table in tables)
+    v = invert(u)
+    assert v.syllables == tuple((gen, -exp if gen == "d" else exp) for gen, exp in reversed(pairs))
+    assert (len(interned), len(inverses), len(spellings)) == (0, k, 0)
+    assert str(u) == words.format_tokens(pairs)
+    assert (len(interned), len(inverses), len(spellings)) == (0, k, k)
+    assert (u * v).is_identity  # the seam makes the inverse of each d syllable of v
+    assert (len(interned), len(inverses), len(spellings)) == (0, 2 * k, k)
+
+
 # -- the one record idiom ----------------------------------------------------
 
 
