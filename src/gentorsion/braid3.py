@@ -14,9 +14,10 @@ block's normal form read from a table of runs filled on first use.
 The extension makes three decisions exact.  Writing e for the exponent-sum
 homomorphism (s1, s2 -> 1), two braids with the same quotient image and the
 same exponent sum are equal, since e(h) = 6 separates the central powers.
-Hence: conjugacy holds iff exponent sums agree and images are conjugate;
-reversibility is the Seifert groups' one lift of a quotient reverser, whose
-central defect e(g)/3 vanishes iff e(g) = 0; and a product of three
+Hence conjugacy and reversibility are the Seifert groups' one lift of a
+quotient conjugator, whose central defect (e(g1) - e(g2))/6 is the same for
+every lift: g1 ~ g2 iff the images are conjugate and e(g1) = e(g2), and g is
+reversible iff its image is and e(g) = 0.  And a product of three
 conjugates of g prescribed by a quotient certificate equals h^(e(g)/2), so
 g is generalised 3-torsion iff e(g) = 0 and its image is generalised
 3-torsion in PSL(2,Z).
@@ -25,7 +26,7 @@ g is generalised 3-torsion iff e(g) = 0 and its image is generalised
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import groupby
+from itertools import groupby, islice
 from typing import Iterator, Optional, Union
 
 from .errors import InvalidCertificate, ParseError, TrivialElement
@@ -36,11 +37,11 @@ from .words import (
     Word,
     _Record,
     _Table,
+    _TOKEN,
     _cyclic_core,
     format_tokens,
     identity,
     invert,
-    is_conjugate,
     mirror_centres,
     parse_word,
     tokens,
@@ -89,10 +90,10 @@ _SIGNED = {
 def _read(text: str) -> Iterator[tuple[str, int]]:
     """The letters of text, read token by token through :func:`tokens`."""
     for i, (name, exp) in enumerate(tokens(text)):
-        if name not in _SIGNED:
-            raise ParseError(f"bad braid letter {name!r}", _start(text, i))
-        if exp == 0:
-            raise ParseError(f"zero exponent on {name!r}", _start(text, i))
+        if name not in _SIGNED or not exp:
+            at = next(islice(_TOKEN.finditer(text), i, None)).start()
+            raise ParseError(f"zero exponent on {name!r}" if name in _SIGNED
+                             else f"bad braid letter {name!r}", at)
         letter, sign = _SIGNED[name]
         yield letter, sign * exp
 
@@ -116,17 +117,6 @@ def parse_braid(text: str) -> BraidWord:
         return _checked(tuple(filter(None, map(_SPELLED.__getitem__, text.split()))))
     except ParseError:
         return _checked(tuple(_read(text)))
-
-
-def _start(text: str, i: int) -> int:
-    """Where the i-th token of text other than ``1`` starts."""
-    pos = 0
-    for token in text.split():
-        pos = text.index(token, pos)
-        if token != "1" and (i := i - 1) < 0:
-            return pos
-        pos += len(token)
-    raise ValueError("text has too few tokens")
 
 
 #: B3 as the trefoil group (O,o,0 | 0; (2,1),(3,1)); boundaries=1, with
@@ -224,10 +214,9 @@ def section(m: int, q: Word) -> BraidWord:
     return CentralElement(m, q).spell()
 
 
-def exponent_sum(w: BraidWord) -> int:
+def exponent_sum(w: Union[BraidWord, CentralElement]) -> int:
     """The homomorphism B3 -> Z with s1, s2 -> 1 (so x -> 3, y -> 2, h -> 6)."""
-    weight = {"s1": 1, "s2": 1, "x": 3, "y": 2, "h": 6}
-    return sum(weight[name] * exp for name, exp in w.letters)
+    return normal_form(w).exponent_sum
 
 
 def conjugate_b3(
@@ -235,21 +224,16 @@ def conjugate_b3(
 ) -> Optional[BraidWord]:
     """A braid k with k g1 k^-1 = g2, or None.
 
-    Conjugacy holds exactly when the exponent sums agree and the quotient
-    images are conjugate; any lift of a quotient conjugator then works on
-    the nose, because conjugation cannot move the central part without
-    moving the exponent sum.
+    The quotient images must be conjugate, and then one lifted quotient
+    conjugator (:meth:`~gentorsion.seifert.CentralExtension.lift_conjugator`)
+    decides: it leaves the central defect (e(g1) - e(g2)) / 6, as conjugation
+    keeps the exponent sum and e(h) = 6, so g1 and g2 are conjugate exactly
+    when their exponent sums agree, and then that lift is a conjugator.
     """
-    n1, n2 = normal_form(g1), normal_form(g2)
-    if n1.exponent_sum != n2.exponent_sum:
+    lift = _B3.lift_conjugator(normal_form(g1), normal_form(g2))
+    if lift is None or lift[1]:
         return None
-    k_q = is_conjugate(n1.q, n2.q)
-    if k_q is None:
-        return None
-    k = CentralElement(0, k_q)
-    if n1.conjugated_by(k) != n2:
-        raise InvalidCertificate("lifted conjugator failed its check")
-    return k.spell()
+    return CentralElement(0, lift[0]).spell()
 
 
 class B3Reversibility(_Record):
@@ -266,23 +250,21 @@ def reversible_b3(g: Union[BraidWord, CentralElement]) -> Optional[B3Reversibili
     """Decide whether g is conjugate to its inverse in B3.
 
     B3 is a Seifert group, so the decision is the Seifert groups' one lift
-    (:meth:`~gentorsion.seifert.CentralExtension.lift_reverser`): the image
-    must be reversible and the lifted reverser must leave defect 0.  That
-    defect is e(g)/3, since conjugation keeps the exponent sum and
-    inversion negates it, so g is reversible exactly when e(g) = 0 and its
-    image is reversible.  The image is then a product of two involutions,
-    conjugate to [a, k0] = a k0 a k0^-1, so its cyclic core mirrors itself
-    to its inverse around an a-syllable out to half its length L, and k0
-    is the L/2 - 1 syllables after that centre.  Among the centres the
-    witness takes the first k0 in enumerate_reduced order.
+    (:meth:`~gentorsion.seifert.CentralExtension.lift_conjugator`) of a
+    quotient reverser: the image must be reversible and the lifted reverser
+    must leave defect 0.  That defect is e(g)/3, since conjugation keeps the
+    exponent sum and inversion negates it (2m for h^m), so g is reversible
+    exactly when e(g) = 0 and its image is reversible.  The image is then a
+    product of two involutions, conjugate to [a, k0] = a k0 a k0^-1, so its
+    cyclic core mirrors itself to its inverse around an a-syllable out to
+    half its length L, and k0 is the L/2 - 1 syllables after that centre.
+    Among the centres the witness takes the first k0 in enumerate_reduced
+    order, and its conjugator is the same lift from [x, k0] to g.
     """
     n = normal_form(g)
     if n.is_identity:
         raise TrivialElement("reversibility is considered for nontrivial braids")
-    if n.q.is_identity:
-        # the fiber h is central, so its nontrivial powers are not reversible
-        return None
-    lift = _B3.lift_reverser(n.m, n.q)
+    lift = _B3.lift_conjugator(n, n.inverse())
     if lift is None or lift[1]:
         return None
     r = CentralElement(0, lift[0])
@@ -297,11 +279,12 @@ def reversible_b3(g: Union[BraidWord, CentralElement]) -> Optional[B3Reversibili
     # enumerate_reduced does
     k0 = CentralElement(0, Word(PSL2Z, min(readings, key=lambda k: [exp for _, exp in k])))
     x = CentralElement(0, _word("a"))
-    conjugator = conjugate_b3(x * k0 * x.inverse() * k0.inverse(), n)
-    if conjugator is None:
+    witness = _B3.lift_conjugator(x * k0 * x.inverse() * k0.inverse(), n)
+    if witness is None or witness[1]:
         raise InvalidCertificate(f"commutator [x, {k0.spell()}] is not conjugate to {n}")
     return B3Reversibility(
-        reverser=r.spell(), commutator_witness=k0.spell(), witness_conjugator=conjugator
+        reverser=r.spell(), commutator_witness=k0.spell(),
+        witness_conjugator=CentralElement(0, witness[0]).spell(),
     )
 
 

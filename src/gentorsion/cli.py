@@ -257,13 +257,12 @@ def _handle_gen_torsion(args):
 
 
 def _handle_braid(args):
-    from .braid3 import exponent_sum, normal_form, parse_braid
-    word = parse_braid(_require_word(args))
-    nf = normal_form(word)
+    from .braid3 import normal_form, parse_braid
+    nf = normal_form(parse_braid(_require_word(args)))
     result = {
         "verdict": "ok",
         "normal_form": {"m": nf.m, "q": str(nf.q), "spelled": str(nf.spell())},
-        "diagnostics": [f"exponent sum {exponent_sum(word)}"],
+        "diagnostics": [f"exponent sum {nf.exponent_sum}"],
     }
     return result, EXIT_DECIDED
 
@@ -419,8 +418,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except GroupError as exc:
         _emit_error(exc, fmt)
         return EXIT_ERROR
-    except (ValueError, OSError) as exc:  # OSError: an unreadable --file
-        _emit_error(GroupError(str(exc)), fmt)
+    # OSError: an unreadable --file; OverflowError and MemoryError: a power
+    # too long to write out
+    except (ValueError, OSError, OverflowError, MemoryError) as exc:
+        _emit_error(GroupError(str(exc) or type(exc).__name__), fmt)
         return EXIT_ERROR
     _emit(result, fmt)
     return code

@@ -19,10 +19,10 @@ arithmetic is :class:`CentralExtension`, which the braid group B3 shares.
 Its products cancel only at the seams between reduced pieces, and its
 powers repeat the cyclic core, so both take time linear in their output.
 
-Reversibility is found in the quotient and lifted once, for B3 as well: a
-reversible image is elliptic or a product of two involutions (Lyndon-Schupp
-IV.1.6), so every lift of every quotient reverser conjugates g to the same
-h^t g^-1, and g is reversible exactly when t = 0.
+Reversibility, and conjugacy in B3, are found in the quotient and lifted
+once (:meth:`CentralExtension.lift_conjugator`): every lift of every quotient
+conjugator carries g to the same h^t times the target, so the answer is yes
+exactly when t = 0.
 """
 
 from __future__ import annotations
@@ -47,10 +47,10 @@ from .words import (
     Word,
     _cyclic_core,
     _Record,
-    conjugate_to_inverse,
     format_tokens,
     identity,
     invert,
+    is_conjugate,
     reduce,
     tokens,
 )
@@ -384,23 +384,33 @@ class CentralExtension:
             return self.product(0, p, ((fiber, core), (p_m, p_inv.syllables)))
         return fiber, Word(self.scheme, core)
 
-    def lift_reverser(self, m: int, q: Word) -> Optional[tuple[Word, int]]:
-        """A quotient reverser rho of q and the central defect of its lift.
+    def lift_conjugator(self, p: SeifertPair, target: SeifertPair) -> Optional[tuple[Word, int]]:
+        """A quotient conjugator k of p.q to target.q and the central defect of its lift.
 
-        The defect t is the fiber power with (0, rho) (m, q) (0, rho)^-1 =
-        h^t (m, q)^-1, so (0, rho) reverses (m, q) exactly when t = 0.
-        Returns None when q is not conjugate to its inverse, and raises
-        InvalidCertificate when the conjugate's image is not q^-1.
+        The defect t is the fiber power with (0, k) p (0, k)^-1 = h^t target,
+        so (0, k) conjugates p to target exactly when t = 0.  Returns None
+        when the images are not conjugate, and raises InvalidCertificate
+        when the conjugate's image is not target.q.
+
+        A nonzero t is a "no" wherever every lift of every quotient
+        conjugator leaves the same t.  In B3 the exponent sum e is a class
+        function with e(h) = 6, so t = (e(p) - e(target)) / 6 for all of
+        them.  For reversal, target = p^-1, with p.q nontrivial over a base
+        with boundary: a reversible element of a free product of cyclic
+        groups is elliptic or a product of two involutions (Lyndon-Schupp,
+        *Combinatorial Group Theory*, IV.1.6), and so is its primitive
+        root; elliptics and involutions are conjugate into the finite
+        factors c_i, where phi = +1.  The quotient reversers form the coset
+        k <root>, whose lifts are (0, k) (0, root)^j h^s, and as phi(p.q) =
+        phi(root) = +1 both (0, root) and h^s commute with p.
         """
-        rho = conjugate_to_inverse(q)
-        if rho is None:
+        k = is_conjugate(p.q, target.q)
+        if k is None:
             return None
-        r_m, r_q = self.inverse(0, rho)
-        got_m, got_q = self.product(0, rho, ((m, q.syllables), (r_m, r_q.syllables)))
-        inv_m, inv_q = self.inverse(m, q)
-        if got_q != inv_q:
-            raise InvalidCertificate(f"quotient reverser {rho} does not invert the image")
-        return rho, got_m - inv_m
+        m, q = self.product(0, identity(self.scheme), self.conjugate_pieces(p, SeifertPair(0, k)))
+        if q != target.q:
+            raise InvalidCertificate(f"quotient conjugator {k} does not carry {p.q} to {target.q}")
+        return k, m - target.m
 
 
 class SeifertGroup(CentralExtension):
@@ -485,19 +495,11 @@ def reversible_seifert(
     """Decide reversibility in the fundamental group for boundary data.
 
     Powers of the fiber are reversible exactly when phi is nontrivial.
-    Anything else is decided by one lift: the image q must be reversible
-    in the quotient, by rho = conjugate_to_inverse(q), and g is reversible
-    exactly when (0, rho) leaves central defect 0
-    (:meth:`CentralExtension.lift_reverser`), with (0, rho) as reverser.
-
-    No other reverser can do better.  A reversible element of a free
-    product of cyclic groups is elliptic or a product of two involutions
-    (Lyndon-Schupp, *Combinatorial Group Theory*, IV.1.6), and these are
-    conjugate into the finite factors c_i, where phi = +1.  So phi(q) = +1,
-    and the primitive root of q, again elliptic or a product of two
-    involutions, has phi = +1 too.  The quotient reversers form the coset
-    rho <root>; a lift of the root commutes with g, and so does any h^s as
-    phi(q) = +1, so every lift of every reverser leaves the same defect.
+    Anything else is decided by one lift
+    (:meth:`CentralExtension.lift_conjugator`): the image q must be
+    reversible in the quotient, and g is reversible exactly when the lifted
+    quotient reverser (0, rho) leaves central defect 0, with (0, rho) as
+    reverser.  No other reverser leaves another defect.
     """
     group = seifert_group(d)
     p = group.element(g) if isinstance(g, str) else g
@@ -505,17 +507,15 @@ def reversible_seifert(
         raise TrivialElement("reversibility is considered for nontrivial elements")
 
     if p.q.is_identity:
-        for name in d.handle_generators() + d.boundary_generators():
-            if d.phi_of(name) == -1:
-                reverser = group.generator(name)
-                if group.conjugated(p, reverser) != group.inv(p):
-                    raise InvalidCertificate(f"{name} does not invert the fiber power")
-                reason = f"phi({name}) = -1 inverts the fiber"
-                return SeifertReversibility(True, reverser, reason, p)
+        for name in _kept_letters(d, -1):
+            reverser = group.generator(name)
+            if group.conjugated(p, reverser) != group.inv(p):
+                raise InvalidCertificate(f"{name} does not invert the fiber power")
+            return SeifertReversibility(True, reverser, f"phi({name}) = -1 inverts the fiber", p)
         reason = "phi is trivial, so conjugation preserves every power of the fiber"
         return SeifertReversibility(False, None, reason, p)
 
-    lift = group.lift_reverser(p.m, p.q)
+    lift = group.lift_conjugator(p, group.inv(p))
     if lift is None:
         reason = "the image is not conjugate to its inverse in the quotient"
         return SeifertReversibility(False, None, reason, p)

@@ -82,6 +82,28 @@ def test_bad_word_exits_one_with_json_error():
     assert error["error_kind"] == "UnknownGenerator"
 
 
+#: exponents of at least 2^63: a power of a word of two or more syllables
+#: cannot even be sized, so each call fails before it allocates anything
+HOSTILE_EXPONENT = str(10**20)
+
+
+@pytest.mark.parametrize("argv", [
+    ("normalize", "--group", "b3", "--word", f"s1^{HOSTILE_EXPONENT}"),
+    ("braid", "--word", f"x s2^-{HOSTILE_EXPONENT}"),
+    ("reversible", "--group", "b3", "--word", f"s1^{HOSTILE_EXPONENT}"),
+    ("normalize", "--group", f"seifert:{TREFOIL}", "--word", f"d1^{HOSTILE_EXPONENT}"),
+], ids=["b3-normalize", "braid", "b3-reversible", "seifert-normalize"])
+def test_a_power_too_long_to_write_out_is_an_error_not_a_traceback(argv):
+    for fmt in ("json", "text"):
+        proc = run_cli(*argv, "--format", fmt)
+        assert proc.returncode == 1, (argv, fmt, proc.stderr)
+        assert proc.stdout == "" and "Traceback" not in proc.stderr, (argv, fmt)
+        if fmt == "json":
+            assert json.loads(proc.stderr)["error_kind"] == "GroupError"
+        else:
+            assert proc.stderr.startswith("error: ")
+
+
 def test_unknown_subcommand_exits_one():
     proc = run_cli("nope")
     assert proc.returncode == 1

@@ -3,7 +3,9 @@
 Each decider re-multiplies what it is about to return and raises
 InvalidCertificate when the check fails.  These run in a python -O
 subprocess, with one helper patched to return a wrong answer, and expect
-that error rather than a wrong result.
+that error rather than a wrong result.  A case with a fourth entry
+``side_effect`` gives the helper a list of answers, one a call, so that only
+a later call is wrong.
 """
 
 import subprocess
@@ -20,8 +22,8 @@ from gentorsion import braid3, modular, seifert, words
 from gentorsion.errors import InvalidCertificate
 from gentorsion.words import PSL2Z, parse_word
 
-target, answer, call = sys.argv[1:]
-with mock.patch(target, return_value=eval(answer)):
+target, keyword, answer, call = sys.argv[1:]
+with mock.patch(target, **{keyword: eval(answer)}):
     try:
         result = eval(call)
     except InvalidCertificate as exc:
@@ -63,23 +65,26 @@ CASES = {
         "[2]",
         "braid3.reversible_b3(braid3.parse_braid('x y x y x y^2 X Y^2 X Y X Y'))",
     ),
+    # the first call, the reverser's lift, is answered right; the witness's wrong
     "braid3.reversible_b3.is_conjugate": (
-        "gentorsion.braid3.is_conjugate",
-        "parse_word(PSL2Z, 'b')",
+        "gentorsion.seifert.is_conjugate",
+        "[words.conjugate_to_inverse(braid3.normal_form(braid3.parse_braid('s1 S2')).q),"
+        " parse_word(PSL2Z, 'b')]",
         "braid3.reversible_b3(braid3.parse_braid('s1 S2'))",
+        "side_effect",
     ),
     "braid3.reversible_b3": (
-        "gentorsion.seifert.conjugate_to_inverse",
+        "gentorsion.seifert.is_conjugate",
         "parse_word(PSL2Z, 'b')",
         "braid3.reversible_b3(braid3.parse_braid('s1 S2'))",
     ),
     "braid3.conjugate_b3": (
-        "gentorsion.braid3.is_conjugate",
+        "gentorsion.seifert.is_conjugate",
         "parse_word(PSL2Z, 'a b')",
         "braid3.conjugate_b3(braid3.parse_braid('s1'), braid3.parse_braid('s2'))",
     ),
     "seifert.reversible_seifert": (
-        "gentorsion.seifert.conjugate_to_inverse",
+        "gentorsion.seifert.is_conjugate",
         "parse_word(seifert.SeifertGroup(seifert.parse_seifert(TREFOIL)).scheme, 'c2')",
         "seifert.reversible_seifert('c1 c2 c1^-1 c2^-1', seifert.parse_seifert(TREFOIL))",
     ),
@@ -88,10 +93,10 @@ CASES = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_a_wrong_helper_answer_raises_under_python_dash_o(name):
-    target, answer, call = CASES[name]
+    target, answer, call, *keyword = CASES[name]
     proc = subprocess.run(
         [sys.executable, "-O", "-c", f"TREFOIL = {TREFOIL!r}\n" + _UNDER_O,
-         target, answer, call],
+         target, keyword[0] if keyword else "return_value", answer, call],
         capture_output=True,
         text=True,
     )

@@ -4,12 +4,14 @@ The isometry class and the reversibility verdicts in PSL(2,Z), B3 and
 Seifert groups are class functions: conjugating or inverting the input
 leaves them alone.  The mirror scans of gen-3 torsion and B3
 reversibility read the cyclic core in any rotation.  A brute-force hit of
-the oracle in B3 or a Seifert group always comes with a structural yes.
-Each of the three word syntaxes reads back what it writes.  The words
-kernel, which works through per-scheme syllable tables, agrees with the
-per-syllable loops it replaced on cold and warm tables, and a PSL(2,Z) or
-B3 certificate with one syllable changed verifies exactly when its
-relation holds in 2x2 integer matrices, for B3 with its exponent sum.
+the oracle in B3 or a Seifert group always comes with a structural yes,
+and a B3 conjugate shifted by a fibre power h^s is conjugate exactly when
+s = 0.  Each of the three word syntaxes reads back what it writes.  The
+words kernel, which works through per-scheme syllable tables, agrees with the
+per-syllable loops it replaced on cold and warm tables, and a PSL(2,Z),
+B3 or trefoil Seifert certificate with one syllable changed verifies
+exactly when its relation holds in 2x2 integer matrices, for B3 and the
+trefoil with the exponent sum.
 Hypothesis runs derandomized, so every run draws the same examples.
 """
 
@@ -35,12 +37,20 @@ from gentorsion.certificates import (
     pslz_conjugacy_certificate,
     pslz_gen3_certificate,
     pslz_reverser_certificate,
+    seifert_gen_n_certificate,
+    seifert_reverser_certificate,
     verify_certificate,
 )
 from gentorsion.errors import GroupError
 from gentorsion.modular import classify, gen3_torsion, reversible
 from gentorsion.oracle import SearchBudget, _candidates, _first, brute_conjugate_b3
-from gentorsion.seifert import SeifertGroup, SeifertPair, parse_seifert, reversible_seifert
+from gentorsion.seifert import (
+    SeifertGroup,
+    SeifertPair,
+    gen_n_certificate,
+    parse_seifert,
+    reversible_seifert,
+)
 from gentorsion.words import (
     PSL2Z,
     GroupScheme,
@@ -217,6 +227,18 @@ def test_a_brute_b3_conjugator_comes_with_a_structural_yes(g, m, q):
     shifted = conjugate * CentralElement(1, identity(PSL2Z))
     if brute_conjugate_b3(g, shifted, ORACLE_BUDGET) is not None:
         assert conjugate_b3(g, shifted) is not None, (str(g), str(q))
+
+
+@PROPERTY
+@given(b3_elements(), b3_elements(), st.integers(-3, 3))
+def test_a_b3_conjugate_shifted_by_a_fibre_power_is_conjugate_exactly_unshifted(g, k, s):
+    """h^s k g k^-1 has exponent sum e(g) + 6 s, so only s = 0 is conjugate to g."""
+    other = CentralElement(s, identity(PSL2Z)) * g.conjugated_by(k)
+    found = conjugate_b3(g, other)
+    if s:
+        assert found is None, (str(g), str(k), s)
+    else:
+        assert found is not None and g.conjugated_by(normal_form(found)) == other, (str(g), str(k))
 
 
 # -- the mirror scans read any rotation of the core --------------------------
@@ -694,3 +716,87 @@ def test_a_b3_certificate_with_one_letter_changed_verifies_as_sl2z_and_e_say(cer
     parts[i] = data.draw(st.sampled_from([r for r in BRAID_REPLACEMENTS if r != parts[i]]))
     mutated = dict(cert, **{field: " ".join(parts)})
     assert verify_certificate(mutated) == _braid_relation(mutated), mutated
+
+
+# -- a Seifert certificate on the trefoil data with one letter changed --------
+#
+# Over (O,o,0 | b; (2,1),(3,1)); boundaries=1, with phi trivial, c1 and c2 are
+# x and y of B3 (c1^2 = c2^3 = h, central) and the long relation makes d1 =
+# (c1 c2 h^b)^-1.  So a Seifert relation holds exactly when it holds in
+# SL(2,Z) x Z, with each letter read as that braid.
+
+TREFOIL_SPECS = ("(O,o,0 | 0; (2,1),(3,1)); boundaries=1", "(O,o,0 | 1; (2,1),(3,1)); boundaries=1")
+TREFOIL_GROUPS = {spec: SeifertGroup(parse_seifert(spec)) for spec in TREFOIL_SPECS}
+SEIFERT_REPLACEMENTS = (
+    "c1", "c2", "c1^-1", "c2^2", "c2^-1", "c1^3", "h", "h^-1", "d1", "d1^-1", "d1^2", "1",
+)
+_IDENTITY = ((1, 0), (0, 1))
+
+
+def _trefoil_image(text, b):
+    """The SL(2,Z) matrix and the exponent sum of a trefoil element text."""
+    braids = {"c1": "x", "c2": "y", "h": "h"}
+    letters = []
+    for token in text.split():
+        if token != "1":
+            name, _, exp = token.partition("^")
+            k = int(exp or 1)
+            if name == "d1":
+                letters += [f"H^{b} Y X" if k > 0 else f"x y h^{b}"] * abs(k)
+            else:
+                letters.append(f"{braids[name]}^{k}")
+    return _braid_image(" ".join(letters) or "1")
+
+
+def _trefoil_relation(cert, b):
+    """Whether the certificate's relation holds in SL(2,Z) x Z."""
+    g, e = _trefoil_image(cert["element"], b)
+    if cert["kind"] == "seifert-reverser":
+        r = _trefoil_image(cert["reverser"], b)[0]
+        return e == 0 and _mat_mul(_mat_mul(r, g), _mat_inv(r)) == _mat_inv(g)
+    product = g
+    for text in cert["conjugators"]:
+        k = _trefoil_image(text, b)[0]
+        product = _mat_mul(product, _mat_mul(_mat_mul(k, g), _mat_inv(k)))
+    # n conjugates of g have exponent sum n e(g), and g must not be 1
+    return e == 0 and g != _IDENTITY and product == _IDENTITY
+
+
+@st.composite
+def emitted_trefoil_certificates(draw):
+    """A certificate a Seifert decider emits on the trefoil data, with its b:
+    a reverser of a conjugated commutator [c1, k], or gen-n for an n that
+    shares a factor with the fibre orders."""
+    spec = draw(st.sampled_from(TREFOIL_SPECS))
+    G = TREFOIL_GROUPS[spec]
+    if draw(st.booleans()):
+        n = draw(st.sampled_from((2, 3, 4, 6, 8, 9)))
+        return seifert_gen_n_certificate(spec, gen_n_certificate(G.data, n)), G.data.b
+    words = _seifert_elements(G, ("c1", "c2", "d1", "h"), 4)
+    c1 = G.generator("c1")
+    g = G.conjugated(G.mul(c1, G.conjugated(G.inv(c1), draw(words))), draw(words))
+    assume(not g.is_identity)
+    report = reversible_seifert(g, G.data)
+    assert report.reversible, G.spell(g)
+    cert = seifert_reverser_certificate(spec, G.spell(g), G.spell(report.reverser))
+    return cert, G.data.b
+
+
+@PROPERTY
+@given(emitted_trefoil_certificates(), st.data())
+def test_a_trefoil_certificate_with_one_letter_changed_verifies_as_sl2z_and_e_say(drawn, data):
+    cert, b = drawn
+    assert verify_certificate(cert) and _trefoil_relation(cert, b), cert
+    slots = [(key, None) for key in ("element", "reverser") if key in cert]
+    slots += [("conjugators", i) for i in range(len(cert.get("conjugators", ())))]
+    key, index = data.draw(st.sampled_from(slots))
+    parts = (cert[key] if index is None else cert[key][index]).split()
+    i = data.draw(st.integers(0, len(parts) - 1))
+    parts[i] = data.draw(st.sampled_from([r for r in SEIFERT_REPLACEMENTS if r != parts[i]]))
+    if index is None:
+        mutated = dict(cert, **{key: " ".join(parts)})
+    else:
+        texts = list(cert[key])
+        texts[index] = " ".join(parts)
+        mutated = dict(cert, conjugators=texts)
+    assert verify_certificate(mutated) == _trefoil_relation(mutated, b), mutated
