@@ -288,18 +288,15 @@ def reversible_b3(g: Union[BraidWord, CentralElement]) -> Optional[B3Reversibili
     )
 
 
-def _b_exponent_sum(q: Word) -> int:
-    return sum(exp for gen, exp in q.syllables if gen == "b") % 3
-
-
-def _family_diagnostics(q: Word) -> tuple[str, ...]:
-    """Which products of two lifted order-3 torsion factors can match q.
+def _family_diagnostics(e: int) -> tuple[str, ...]:
+    """Which products of two lifted order-3 torsion factors can match a braid of exponent sum e.
 
     A factor e_i lifts a conjugate of b and has exponent sum 2, so a
     candidate e-product with a central correction h^x matches only when
-    its total exponent sum vanishes.
+    its total exponent sum vanishes.  The image's b-exponent sum mod 3 is
+    2e mod 3, as e = 6m + 3 #a + 2 (sum of the b-exponents).
     """
-    s = _b_exponent_sum(q)
+    s = 2 * e % 3
     if s == 2:
         return (
             "image b-exponent sum is 2 mod 3: only the e1 e2 h^x family fits, "
@@ -346,8 +343,8 @@ def gen3_torsion_b3(g: Union[BraidWord, CentralElement]) -> B3Gen3Verdict:
     n = normal_form(g)
     if n.is_identity:
         raise TrivialElement("generalised torsion is considered for nontrivial braids")
-    diagnostics = _family_diagnostics(n.q)
     e = n.exponent_sum
+    diagnostics = _family_diagnostics(e)
     if e != 0:
         return B3Gen3Verdict(
             Verdict.NO,

@@ -5,10 +5,14 @@ Every subcommand prints one deterministic result object (JSON by default,
 
 * ``0`` for a decided verdict, including negative ones,
 * ``1`` for errors: bad words, bad group data, malformed certificates,
-  usage problems.
+  usage problems; and for a sweep whose verdict is ``mismatch``.
 
-Certificates embedded in results are self-contained and can be piped back
-into ``gentorsion verify``.
+Each handler returns only its result object.  ``main`` does the rest for
+every subcommand: it re-multiplies the certificate a result carries with
+the checker ``gentorsion verify`` uses, and reports a failure as an
+``InvalidCertificate`` error, never as a yes; it fills in empty
+diagnostics; and it picks the exit code.  The certificates printed are
+self-contained and can be piped back into ``gentorsion verify``.
 
 Each handler imports the modules it runs, so a call pays only for those.
 """
@@ -62,19 +66,14 @@ def _emit(result: Mapping, fmt: str) -> None:
         sys.stdout.write(f"{key}: {rendered}\n")
 
 
-def _emit_error(exc: GroupError, fmt: str) -> None:
+def _emit_error(exc: Exception, fmt: str) -> None:
+    if not isinstance(exc, GroupError):
+        exc = GroupError(str(exc) or type(exc).__name__)
     if fmt == "json":
         payload = {"error": str(exc), "error_kind": type(exc).__name__}
         sys.stderr.write(_compact(payload) + "\n")
     else:
         sys.stderr.write(f"error: {exc}\n")
-
-
-def _verified(cert: dict) -> dict:
-    """The certificate, once it re-multiplies; a failure is an error, never a yes."""
-    if not certificates.verify_certificate(cert):
-        raise InvalidCertificate(f"emitted {cert['kind']} certificate failed verification")
-    return cert
 
 
 def _split_group(value: str) -> tuple[str, Optional[str]]:
@@ -96,23 +95,27 @@ def _require_word(args) -> str:
     return args.word
 
 
+def _braid_normal_form(word: str) -> tuple[dict, int]:
+    """The B3 normal form of word as {m, q, spelled}, and its exponent sum."""
+    from .braid3 import normal_form, parse_braid
+    nf = normal_form(parse_braid(word))
+    return {"m": nf.m, "q": str(nf.q), "spelled": str(nf.spell())}, nf.exponent_sum
+
+
 def _handle_normalize(args):
     kind, spec = _split_group(args.group)
     word = _require_word(args)
-    diagnostics: list = []
     if kind == "pslz":
         from .words import PSL2Z, parse_word
         normal = str(parse_word(PSL2Z, word))
     elif kind == "b3":
-        from .braid3 import normal_form, parse_braid
-        nf = normal_form(parse_braid(word))
-        normal = {"m": nf.m, "q": str(nf.q), "spelled": str(nf.spell())}
+        normal, _ = _braid_normal_form(word)
     else:
         from .seifert import parse_seifert, seifert_group
         group = seifert_group(parse_seifert(spec))
         pair = group.element(word)
         normal = {"m": pair.m, "q": str(pair.q), "spelled": group.spell(pair)}
-    return {"verdict": "ok", "normal_form": normal, "diagnostics": diagnostics}, EXIT_DECIDED
+    return {"verdict": "ok", "normal_form": normal}
 
 
 def _handle_classify(args):
@@ -127,12 +130,11 @@ def _handle_classify(args):
         diagnostic = f"absolute trace {trace}"
     except ValueError:  # past the interpreter's int/str digit limit
         diagnostic = f"absolute trace of {trace.bit_length()} bits"
-    result = {
+    return {
         "verdict": classify(word).value,
         "normal_form": str(word),
         "diagnostics": [diagnostic],
     }
-    return result, EXIT_DECIDED
 
 
 def _handle_conjugate(args):
@@ -146,7 +148,7 @@ def _handle_conjugate(args):
         v = parse_word(PSL2Z, args.other)
         conjugator = is_conjugate(u, v)
         if conjugator is None:
-            return {"verdict": "no", "diagnostics": []}, EXIT_DECIDED
+            return {"verdict": "no"}
         cert = certificates.pslz_conjugacy_certificate(u, v, conjugator)
     elif kind == "b3":
         from .braid3 import conjugate_b3, parse_braid
@@ -154,26 +156,27 @@ def _handle_conjugate(args):
         g2 = parse_braid(args.other)
         braid_conjugator = conjugate_b3(g1, g2)
         if braid_conjugator is None:
-            return {"verdict": "no", "diagnostics": []}, EXIT_DECIDED
+            return {"verdict": "no"}
         cert = certificates.b3_conjugacy_certificate(
             word, args.other, str(braid_conjugator)
         )
     else:
         raise GroupError("conjugate supports --group pslz and --group b3")
-    return {"verdict": "yes", "certificate": _verified(cert), "diagnostics": []}, EXIT_DECIDED
+    return {"verdict": "yes", "certificate": cert}
 
 
 def _handle_reversible(args):
     kind, spec = _split_group(args.group)
     word = _require_word(args)
+    result = {"verdict": "no"}
     if kind == "pslz":
         from .modular import classify, reversible
         from .words import PSL2Z, parse_word
         parsed = parse_word(PSL2Z, word)
         verdict = reversible(parsed)
-        diagnostics = [f"isometry class {classify(parsed).value}"]
+        result["diagnostics"] = diagnostics = [f"isometry class {classify(parsed).value}"]
         if verdict is None:
-            return {"verdict": "no", "diagnostics": diagnostics}, EXIT_DECIDED
+            return result
         u, v = verdict.involution_pair
         diagnostics.append("reverser squares to the identity")
         diagnostics.append(f"involution pair u = {u}, v = {v}")
@@ -182,8 +185,8 @@ def _handle_reversible(args):
         from .braid3 import parse_braid, reversible_b3
         outcome = reversible_b3(parse_braid(word))
         if outcome is None:
-            return {"verdict": "no", "diagnostics": []}, EXIT_DECIDED
-        diagnostics = [
+            return result
+        result["diagnostics"] = [
             f"commutator witness {outcome.commutator_witness}",
             f"witness conjugator {outcome.witness_conjugator}",
         ]
@@ -192,21 +195,15 @@ def _handle_reversible(args):
         from .seifert import parse_seifert, reversible_seifert, seifert_group
         data = parse_seifert(spec)
         report = reversible_seifert(word, data)
-        diagnostics = [report.reason]
-        result = {
-            "diagnostics": diagnostics,
-            "normal_form": {"m": report.normal_form.m, "q": str(report.normal_form.q)},
-        }
+        result["diagnostics"] = [report.reason]
+        result["normal_form"] = {"m": report.normal_form.m, "q": str(report.normal_form.q)}
         if not report.reversible:
-            result["verdict"] = "no"
-            return result, EXIT_DECIDED
+            return result
         cert = certificates.seifert_reverser_certificate(
             spec, word, seifert_group(data).spell(report.reverser)
         )
-        result.update({"verdict": "yes", "certificate": _verified(cert)})
-        return result, EXIT_DECIDED
-    result = {"verdict": "yes", "certificate": _verified(cert), "diagnostics": diagnostics}
-    return result, EXIT_DECIDED
+    result.update(verdict="yes", certificate=cert)
+    return result
 
 
 def _handle_gen_torsion(args):
@@ -221,15 +218,13 @@ def _handle_gen_torsion(args):
         data = parse_seifert(spec)
         found = gen_n_certificate(data, args.n)
         if found is None:
-            diagnostics = [gen_n_absent_reason(data, args.n)]
-            return {"verdict": "absent", "diagnostics": diagnostics}, EXIT_DECIDED
+            return {"verdict": "absent", "diagnostics": [gen_n_absent_reason(data, args.n)]}
         cert = certificates.seifert_gen_n_certificate(spec, found)
         if found.flipping:
             reason = f"phi({found.flipping}) = -1 inverts h and n = {args.n} is even"
         else:
             reason = f"fibers ({found.i}, {found.j}) with powers ({found.p}, {found.p_prime})"
-        result = {"verdict": "yes", "certificate": _verified(cert), "diagnostics": [reason]}
-        return result, EXIT_DECIDED
+        return {"verdict": "yes", "certificate": cert, "diagnostics": [reason]}
     if args.n != 3:
         raise GroupError(
             f"only n = 3 is decided for group {kind!r}; --n {args.n} is supported "
@@ -247,24 +242,21 @@ def _handle_gen_torsion(args):
         element = word
         verdict = gen3_torsion_b3(parse_braid(word))
         build = certificates.b3_gen3_certificate
-    result = {
-        "verdict": verdict.tag.value,
-        "diagnostics": [verdict.reason] if verdict.reason else [],
-    }
+    result = {"verdict": verdict.tag.value}
+    if verdict.reason:
+        result["diagnostics"] = [verdict.reason]
     if verdict.certificate is not None:
-        result["certificate"] = _verified(build(element, *verdict.certificate))
-    return result, EXIT_DECIDED
+        result["certificate"] = build(element, *verdict.certificate)
+    return result
 
 
 def _handle_braid(args):
-    from .braid3 import normal_form, parse_braid
-    nf = normal_form(parse_braid(_require_word(args)))
-    result = {
+    normal, exponent_sum = _braid_normal_form(_require_word(args))
+    return {
         "verdict": "ok",
-        "normal_form": {"m": nf.m, "q": str(nf.q), "spelled": str(nf.spell())},
-        "diagnostics": [f"exponent sum {nf.exponent_sum}"],
+        "normal_form": normal,
+        "diagnostics": [f"exponent sum {exponent_sum}"],
     }
-    return result, EXIT_DECIDED
 
 
 def _handle_seifert(args):
@@ -272,28 +264,23 @@ def _handle_seifert(args):
     data = parse_seifert(args.spec)
     if args.action == "families":
         report = classify_reversible_families(data)
-        result = {
+        return {
             "verdict": "ok",
             "families": [{"family": f.family, **f.to_dict()} for f in report.families],
             "notes": list(report.notes),
-            "diagnostics": [],
         }
-        return result, EXIT_DECIDED
     if args.action == "presentation":
-        result = {"verdict": "ok", **presentation(data).to_dict(), "diagnostics": []}
-        return result, EXIT_DECIDED
+        return {"verdict": "ok", **presentation(data).to_dict()}
     mapping = quotient_scheme(data)
     if mapping is None:
         diagnostics = ["no boundary component: no generator can be eliminated"]
-        return {"verdict": "absent", "diagnostics": diagnostics}, EXIT_DECIDED
-    result = {
+        return {"verdict": "absent", "diagnostics": diagnostics}
+    return {
         "verdict": "ok",
         "scheme": [[gen, order] for gen, order in mapping.scheme.generators],
         "eliminated": mapping.eliminated,
         "elimination_image": str(mapping.elimination_image),
-        "diagnostics": [],
     }
-    return result, EXIT_DECIDED
 
 
 def _handle_verify(args):
@@ -308,25 +295,18 @@ def _handle_verify(args):
         payload = json.loads(text)
     except ValueError as exc:  # bad JSON, or a number past the int/str digit limit
         raise MalformedCertificate(f"certificate is not valid JSON: {exc}") from exc
+    # the verdict is the check itself, so an invalid certificate is decided, not an error
     valid = certificates.verify_certificate(payload)
-    result = {
-        "verdict": "valid" if valid else "invalid",
-        "kind": payload["kind"],
-        "diagnostics": [],
-    }
-    return result, EXIT_DECIDED
+    return {"verdict": "valid" if valid else "invalid", "kind": payload["kind"]}
 
 
 def _handle_sweep(args):
     from .oracle import SearchBudget, sweep_agreement
     # the flags given; SearchBudget holds the defaults
     budget = SearchBudget(**{k: v for k, v in vars(args).items() if k in SearchBudget._fields})
-    report = sweep_agreement(args.suite, budget)
-    payload = report.to_dict()
-    payload["verdict"] = "agreement" if not report.mismatches else "mismatch"
-    payload["diagnostics"] = []
-    code = EXIT_DECIDED if not report.mismatches else EXIT_ERROR
-    return payload, code
+    payload = sweep_agreement(args.suite, budget).to_dict()
+    payload["verdict"] = "mismatch" if payload["mismatches"] else "agreement"
+    return payload
 
 
 def _add_common(parser: argparse.ArgumentParser, *, group: bool = True) -> None:
@@ -414,17 +394,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     fmt = getattr(args, "format", "json")
     try:
-        result, code = args.func(args)
-    except GroupError as exc:
+        result = args.func(args)
+        cert = result.get("certificate")
+        if cert is not None and not certificates.verify_certificate(cert):
+            raise InvalidCertificate(f"emitted {cert['kind']} certificate failed verification")
+        result.setdefault("diagnostics", [])
+    # GroupError is a ValueError; OSError: an unreadable --file; OverflowError
+    # and MemoryError: a power too long to write out
+    except (ValueError, OSError, OverflowError, MemoryError) as exc:
         _emit_error(exc, fmt)
         return EXIT_ERROR
-    # OSError: an unreadable --file; OverflowError and MemoryError: a power
-    # too long to write out
-    except (ValueError, OSError, OverflowError, MemoryError) as exc:
-        _emit_error(GroupError(str(exc) or type(exc).__name__), fmt)
-        return EXIT_ERROR
     _emit(result, fmt)
-    return code
+    return EXIT_ERROR if result["verdict"] == "mismatch" else EXIT_DECIDED
 
 
 if __name__ == "__main__":

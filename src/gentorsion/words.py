@@ -128,6 +128,17 @@ def _json(value):
     return value
 
 
+def _add_generator(orders: dict, name: str, order: Optional[int]) -> None:
+    """Record one cyclic factor in orders, after the checks every scheme makes."""
+    if name in orders:
+        raise ValueError(f"duplicate generator {name!r}")
+    if not _NAME.fullmatch(name):
+        raise ValueError(f"bad generator name {name!r}")
+    if order is not None and order < 2:
+        raise ValueError(f"order of {name!r} must be >= 2 or None")
+    orders[name] = order
+
+
 class GroupScheme(_Record):
     """A free product of cyclic groups, one (name, order) pair per factor.
 
@@ -143,13 +154,7 @@ class GroupScheme(_Record):
     def __init__(self, generators: tuple[tuple[str, Optional[int]], ...]):
         orders: dict[str, Optional[int]] = {}
         for name, order in generators:
-            if name in orders:
-                raise ValueError(f"duplicate generator {name!r}")
-            if not _NAME.fullmatch(name):
-                raise ValueError(f"bad generator name {name!r}")
-            if order is not None and order < 2:
-                raise ValueError(f"order of {name!r} must be >= 2 or None")
-            orders[name] = order
+            _add_generator(orders, name, order)
         self.generators = generators
         # name -> order and name -> index, derived from ``generators``
         self.orders = orders
@@ -660,7 +665,7 @@ def parse_word(scheme: GroupScheme, text: str) -> Word:
 
 def parse_scheme(text: str) -> GroupScheme:
     """Parse a scheme literal like ``a:2, b:3, d:inf``."""
-    gens: list[tuple[str, Optional[int]]] = []
+    orders: dict[str, Optional[int]] = {}
     pos = 0
     for part in text.split(","):
         chunk = part.strip()
@@ -670,18 +675,13 @@ def parse_scheme(text: str) -> GroupScheme:
         if ":" not in chunk:
             raise ParseError(f"expected name:order in {chunk!r}", pos)
         name, order_text = (piece.strip() for piece in chunk.split(":", 1))
-        if not _NAME.fullmatch(name):
-            raise ParseError(f"bad generator name {name!r}", pos)
-        if order_text in ("inf", "oo"):
-            gens.append((name, None))
-        else:
-            try:
-                order = int(order_text)
-            except ValueError:
-                raise ParseError(f"bad order {order_text!r}", pos) from None
-            gens.append((name, order))
+        try:
+            order = None if order_text in ("inf", "oo") else int(order_text)
+        except ValueError:
+            raise ParseError(f"bad order {order_text!r}", pos) from None
+        try:
+            _add_generator(orders, name, order)
+        except ValueError as exc:
+            raise ParseError(str(exc), pos) from None
         pos += len(chunk)
-    try:
-        return GroupScheme(tuple(gens))
-    except ValueError as exc:
-        raise ParseError(str(exc), 0) from None
+    return GroupScheme(tuple(orders.items()))

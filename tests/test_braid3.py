@@ -271,6 +271,18 @@ def test_gen3_two_factor_family_diagnostic():
     assert any("3x + 2 = 0" in d for d in verdict.diagnostics)
 
 
+@pytest.mark.parametrize("text, family", [
+    ("y x y X H", "only the e1 e2 h^x family fits, and 3x + 2 = 0 has no integer solution"),
+    ("s1 s2", "only the e1^2 e2^2 h^x family fits, and 3x + 4 = 0 has no integer solution"),
+    ("h", "the e1 e2^2 h^x family fits and its exponent sum forces x = -1"),
+])
+def test_gen3_family_diagnostic_follows_the_exponent_sum(text, family):
+    """The image's b-exponent sum mod 3 is 2e mod 3 for a braid of exponent sum e."""
+    e = normal_form(parse_braid(text)).exponent_sum
+    (diagnostic,) = gen3_torsion_b3(parse_braid(text)).diagnostics
+    assert diagnostic == f"image b-exponent sum is {2 * e % 3} mod 3: {family}"
+
+
 def test_gen3_unknown_is_inherited_from_the_image():
     """The image's verdict is inherited: a lift of (a b a b^2)^2 is a no."""
     q = w("a b a b^2") ** 2

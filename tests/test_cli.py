@@ -1,11 +1,15 @@
 """End-to-end tests for the command line interface."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
+from gentorsion import cli
 from gentorsion.oracle import SearchBudget
 
 TREFOIL = "(O,o,0 | 1; (2,1),(3,1)); boundaries=1; phi: d1=+1"
@@ -328,8 +332,11 @@ def test_emitted_certificates_are_checked_under_python_dash_o():
         ("gen-torsion", "--group", "pslz", "--word", "a b a b"),
         ("gen-torsion", "--group", f"seifert:{TREFOIL}", "--n", "3"),
         ("gen-torsion", "--group", f"seifert:{THREE_BOUNDARY}", "--n", "2"),
+        ("gen-torsion", "--group", "b3", "--word", "y s1 y S1 s1 y S1 H"),
         ("conjugate", "--group", "pslz", "--word", "a b", "--other", "b a"),
+        ("conjugate", "--group", "b3", "--word", "s1", "--other", "s2"),
     )
+    kinds = set()
     for argv in commands:
         proc = subprocess.run(
             [sys.executable, "-O", "-c", _CLI_WITH_A_FAILING_VERIFIER, *argv],
@@ -338,7 +345,43 @@ def test_emitted_certificates_are_checked_under_python_dash_o():
         )
         assert proc.returncode == 1, (argv, proc.stderr)
         assert "yes" not in proc.stdout, argv
-        assert json.loads(proc.stderr)["error_kind"] == "InvalidCertificate", argv
+        error = json.loads(proc.stderr)
+        assert error["error_kind"] == "InvalidCertificate", argv
+        kinds.add(error["error"].split()[1])
+    assert kinds == {
+        "pslz-reverser", "b3-reverser", "seifert-reverser", "pslz-gen3", "b3-gen3",
+        "seifert-gen-n", "pslz-conjugacy", "b3-conjugacy",
+    }
+
+
+def run_in_process(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def test_a_sweep_mismatch_exits_one_and_still_prints_its_payload():
+    with mock.patch("gentorsion.oracle.reversible", return_value=None):
+        code, stdout = run_in_process(
+            "sweep", "--suite", "pslz-reversible", "--max-conjugator-syllables", "2"
+        )
+    data = json.loads(stdout)
+    assert code == 1
+    assert data["verdict"] == "mismatch"
+    assert data["diagnostics"] == []
+    assert len(data["mismatches"]) == 1
+
+
+@pytest.mark.parametrize("argv, verdict", [
+    (("reversible", "--word", "a b"), "no"),
+    (("gen-torsion", "--group", "seifert:(O,o,0|0;(3,1));boundaries=1", "--n", "2"), "absent"),
+    (("verify", "--certificate", '{"kind":"pslz-reverser","word":"a b a b^2","reverser":"b"}'),
+     "invalid"),
+])
+def test_decided_negatives_exit_zero(argv, verdict):
+    code, stdout = run_in_process(*argv)
+    assert (code, json.loads(stdout)["verdict"]) == (0, verdict)
 
 
 #: malformed data that the hand scanner the Seifert grammar replaced accepted

@@ -65,6 +65,20 @@ def test_parse_rejects_garbage():
         parse_scheme("a:2, b:three")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("a:2, b:1", "order of 'b' must be >= 2 or None"),
+    ("a:2, a:3", "duplicate generator 'a'"),
+    ("a:2, 1b:3", "bad generator name '1b'"),
+    ("a:2, b:three", "bad order 'three'"),
+    ("a:2, b3", "expected name:order in 'b3'"),
+])
+def test_parse_scheme_names_the_position_of_the_bad_entry(text, message):
+    with pytest.raises(ParseError) as caught:
+        parse_scheme(text)
+    assert str(caught.value) == f"{message} (at position 5)"
+    assert caught.value.position == 5
+
+
 def test_parse_scheme():
     s = parse_scheme("a:2, b:3, d:inf")
     assert s.order("a") == 2
