@@ -218,9 +218,10 @@ def verify_certificate(payload) -> bool:
     """
     if not isinstance(payload, Mapping):
         raise MalformedCertificate("certificate must be a JSON object")
-    kind = payload.get("kind")
-    if not isinstance(kind, str):
+    if "kind" not in payload:
         raise MalformedCertificate("certificate is missing its 'kind' field")
+    kind = payload["kind"]
+    _shape(isinstance(kind, str), "field 'kind' must be a string")
     checker = _CHECKERS.get(kind)
     if checker is None:
         raise MalformedCertificate(f"unknown certificate kind {kind!r}")

@@ -17,9 +17,14 @@ reduced words, a rotation of one core onto another is found by substring
 search in the doubled core, and the centres around which a core mirrors
 itself to its inverse are found by Manacher's algorithm.
 
+A word may also hold its inverse's syllables, no part of its value, which
+:func:`invert` fills on both words, so inverting either again is O(1).  A
+seam whose first pair cancels is a suffix comparison of tuple slices of the
+left syllables with the right factor's remembered inverse.
+
 A scheme records each finite-order syllable's inverse and canonical spelling
-(``a``, ``b^2``) when it first shares it, so the kernels invert, cancel, code
-and spell by dict lookups under ``map``, and text this module writes parses
+(``a``, ``b^2``) when it first shares it, so the kernels invert, code and
+spell by dict lookups under ``map``, and text this module writes parses
 through the spelling table.  A table makes an entry it lacks, such as an
 infinite-order syllable's, without storing it, so each lookup takes one path.
 """
@@ -27,8 +32,8 @@ infinite-order syllable's, without storing it, so each lookup takes one path.
 from __future__ import annotations
 
 import re
-from itertools import compress, count, repeat
-from operator import eq, itemgetter, ne
+from itertools import count, repeat
+from operator import eq, itemgetter
 from typing import Iterable, Iterator, Optional
 
 from .errors import (
@@ -213,11 +218,14 @@ class Word(_Record):
     '1'
     """
 
-    __slots__ = _fields = ("scheme", "syllables")
+    __slots__ = ("scheme", "syllables", "_inverted")
+    _fields = ("scheme", "syllables")
 
     def __init__(self, scheme: GroupScheme, syllables: tuple[Syllable, ...]):
         self.scheme = scheme
         self.syllables = syllables
+        # the syllables of the inverse, once a kernel has needed them; no part of the value
+        self._inverted: Optional[tuple[Syllable, ...]] = None
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -242,7 +250,7 @@ class Word(_Record):
         if scheme is not other.scheme and scheme != other.scheme:
             raise SchemeMismatch("cannot multiply words over different schemes")
         left, right = self.syllables, other.syllables
-        j = _seam(scheme, left, right)
+        j = _cancelled(left, other, min(len(left), len(right)))
         i = len(left) - j
         if i and j < len(right) and left[i - 1][0] == right[j][0]:
             merged = _merged(scheme, left[i - 1], right[j])
@@ -274,10 +282,33 @@ class Word(_Record):
         return " ".join(map(self.scheme.spellings.__getitem__, self.syllables)) or "1"
 
 
-def _seam(scheme: GroupScheme, left: tuple[Syllable, ...], right: tuple[Syllable, ...]) -> int:
-    """The greatest k with left[-1 - d] the inverse of right[d] for every d < k."""
-    unequal = map(ne, reversed(left), map(scheme.inverses.__getitem__, right))
-    return next(compress(count(), unequal), min(len(left), len(right)))
+def _cancelled(left: tuple[Syllable, ...], w: Word, limit: int) -> int:
+    """The greatest k <= limit with left[-1 - d] the inverse of w's syllable d for d < k.
+
+    That is the longest common suffix of left and w's inverse syllables.
+    When the first pair does not cancel, k is 0 after one lookup at most;
+    otherwise the inverse syllables are read from, or remembered on, w, and
+    galloping slice comparisons find k in about 2 log2(k) compares, each of
+    them a C loop over syllables not compared before.
+    """
+    if not limit:
+        return 0
+    inverse = w._inverted
+    if left[-1] != (w.scheme.inverses[w.syllables[0]] if inverse is None else inverse[-1]):
+        return 0
+    inverse = _inverse_syllables(w)
+    a, b = len(left), len(inverse)
+    lo, hi = 1, 2  # the last lo pairs cancel; double hi until the last hi do not
+    while hi <= limit and left[a - hi:a - lo] == inverse[b - hi:b - lo]:
+        lo, hi = hi, 2 * hi
+    hi = min(hi, limit + 1)  # now fewer than hi cancel
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if left[a - mid:a - lo] == inverse[b - mid:b - lo]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def _merged(scheme: GroupScheme, s: Syllable, t: Syllable) -> tuple[Syllable]:
@@ -324,12 +355,25 @@ def invert(w: Word) -> Word:
     """The group inverse: reversed syllables with negated exponents.
 
     A reduced word inverts syllable by syllable, with no cancellation:
-    a finite-order exponent e becomes order - e.
+    a finite-order exponent e becomes order - e.  w and its inverse each
+    remember the other's syllables.
 
     >>> str(invert(parse_word(PSL2Z, "a b a b^2")))
     'b a b^2 a'
     """
-    return Word(w.scheme, tuple(map(w.scheme.inverses.__getitem__, reversed(w.syllables))))
+    if w.__class__ is not Word:  # a CyclicWord remembers nothing
+        w = Word(w.scheme, w.syllables)
+    v = Word(w.scheme, _inverse_syllables(w))
+    v._inverted = w.syllables
+    return v
+
+
+def _inverse_syllables(w: Word) -> tuple[Syllable, ...]:
+    """The syllables of w^-1, computed once and remembered on w."""
+    inverse = w._inverted
+    if inverse is None:
+        inverse = w._inverted = tuple(map(w.scheme.inverses.__getitem__, reversed(w.syllables)))
+    return inverse
 
 
 def conjugated(w: Word, k: Word) -> Word:
@@ -347,7 +391,7 @@ def _cyclic_core(w: Word) -> tuple[Word, Word]:
     """
     sylls, scheme = w.syllables, w.scheme
     # a reduced word cannot peel past its middle, where neighbours never cancel
-    i = _seam(scheme, sylls, sylls[:len(sylls) // 2])
+    i = _cancelled(sylls, w, len(sylls) // 2)
     j = len(sylls) - i
     if j - i >= 2 and sylls[i][0] == sylls[j - 1][0]:
         merged = _merged(scheme, sylls[j - 1], sylls[i])
@@ -386,14 +430,15 @@ def _rotation_offset(text: tuple[Syllable, ...], pattern: tuple[Syllable, ...]) 
     point, or for an alphabet too large for that two code points from
     disjoint ranges, so that every match starts on a syllable.
     """
-    codes = dict(zip(dict.fromkeys(pattern), count()))
-    p = list(map(codes.__getitem__, pattern))
-    other = len(codes)
-    t = list(map(codes.get, text, repeat(other)))
-    t += t[:-1]
+    distinct = dict.fromkeys(pattern)
+    other = len(distinct)
     if other <= _MAX_CODE:
-        return "".join(map(chr, t)).find("".join(map(chr, p)))
-    return _wide(t).find(_wide(p)) // 2
+        codes = dict(zip(distinct, map(chr, count())))
+        t = "".join(map(codes.get, text, repeat(chr(other))))
+        return (t + t[:-1]).find("".join(map(codes.__getitem__, pattern)))
+    wide = dict(zip(distinct, count()))
+    t = list(map(wide.get, text, repeat(other)))
+    return _wide(t + t[:-1]).find(_wide(list(map(wide.__getitem__, pattern)))) // 2
 
 
 #: the largest code ``_rotation_offset`` writes as a single code point

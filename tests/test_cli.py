@@ -266,11 +266,16 @@ def test_verify_tampered_certificate_is_invalid_but_decided():
 
 
 def test_verify_malformed_certificates_exit_one():
-    for payload in ('{"kind":"mystery"}', '{"word":"a"}', "not json",
+    errors = {}
+    for payload in ('{"kind":"mystery"}', '{"word":"a"}', "not json", '{"kind":5}',
                     '{"kind":"pslz-reverser","word":"a b a b^2"}'):
         proc = run_cli("verify", "--certificate", payload)
         assert proc.returncode == 1, payload
-        assert json.loads(proc.stderr)["error_kind"] == "MalformedCertificate"
+        report = json.loads(proc.stderr)
+        assert report["error_kind"] == "MalformedCertificate"
+        errors[payload] = report["error"]
+    assert errors['{"word":"a"}'] == "certificate is missing its 'kind' field"
+    assert errors['{"kind":5}'] == "field 'kind' must be a string"
 
 
 def test_verify_reads_from_file(tmp_path):

@@ -8,10 +8,10 @@ the oracle in B3 or a Seifert group always comes with a structural yes,
 and a B3 conjugate shifted by a fibre power h^s is conjugate exactly when
 s = 0.  Each of the three word syntaxes reads back what it writes.  The
 words kernel, which works through per-scheme syllable tables, agrees with the
-per-syllable loops it replaced on cold and warm tables, and a PSL(2,Z),
-B3 or trefoil Seifert certificate with one syllable changed verifies
-exactly when its relation holds in 2x2 integer matrices, for B3 and the
-trefoil with the exponent sum.
+per-syllable loops it replaced on cold and warm tables, and every inverse a
+word remembers is the per-syllable one.  A PSL(2,Z), B3 or trefoil Seifert
+certificate with one syllable changed verifies exactly when its relation
+holds in 2x2 integer matrices, for B3 and the trefoil with the exponent sum.
 Hypothesis runs derandomized, so every run draws the same examples.
 """
 
@@ -488,6 +488,80 @@ def test_the_table_driven_kernels_match_the_per_syllable_loops(scheme):
         assert not (fresh.interned or fresh.inverses or fresh.spellings or fresh.spelled)
         assert _kernel_results(fresh, *case) == expected, case
         assert _kernel_results(fresh, *case) == expected, case  # now on warm tables
+
+    check()
+
+
+# -- remembered inverses ------------------------------------------------------
+#
+# A word may hold its inverse's syllables, remembered by the kernels that
+# need them.  Whatever a kernel returns or remembers along the way, a memo is
+# unset or the per-syllable inverse, and it is no part of the word's value.
+
+MEMO_SCHEMES = {
+    "psl2z": PSL2Z,
+    "finite-and-infinite": parse_scheme("c1:4, c2:4, d1:inf"),
+    "billion": parse_scheme("a:2, d:1000000000"),
+}
+
+
+@st.composite
+def memo_cases(draw, scheme):
+    """Factors whose seam cancels partly, fully or up to a merged syllable, and an exponent.
+
+    left is u s x and right x^-1 t y, with s and t on one generator, so the
+    seam cancels x and may merge s t; or right is left^-1; or left is a power
+    of u, which repeats its syllables.
+    """
+    orders = dict(scheme.generators)
+    u, x, y = (draw(_plain_words(scheme, 6)) for _ in range(3))
+    gen = draw(st.sampled_from(scheme.names()))
+    s, t = (old_reduce(orders, [(gen, draw(st.integers(-5, 5)))]) for _ in range(2))
+    left = old_mul(orders, old_mul(orders, u, s), x)
+    right = old_mul(orders, old_mul(orders, old_invert(orders, x), t), y)
+    shape = draw(st.sampled_from(("seam", "full", "power")))
+    if shape == "full":
+        right = old_invert(orders, left)
+    elif shape == "power":
+        left = old_reduce(orders, u * draw(st.integers(2, 5)))
+    return left, right, draw(st.integers(-3, 3))
+
+
+def _memo_results(left, right, n):
+    core, conj = _cyclic_core(left)
+    other = conjugated(left, right)
+    return [left * right, right * left, invert(left), ~~right, left ** n, right ** -n,
+            core, conj, other, is_conjugate(left, other), is_conjugate(left, invert(left))]
+
+
+@pytest.mark.parametrize("scheme", MEMO_SCHEMES.values(), ids=MEMO_SCHEMES.keys())
+def test_every_remembered_inverse_is_the_per_syllable_inverse(scheme):
+    orders = dict(scheme.generators)
+    init = Word.__init__
+
+    @PROPERTY
+    @given(memo_cases(scheme))
+    def check(case):
+        made = []
+
+        def recording(self, *args):
+            init(self, *args)
+            made.append(self)
+
+        with mock.patch.object(Word, "__init__", recording):
+            left, right = Word(scheme, case[0]), Word(scheme, case[1])
+            cold = _memo_results(left, right, case[2])
+            warm = _memo_results(left, right, case[2])  # the inputs' memos now filled
+        assert cold == warm
+        for product in (cold[0], warm[0]):
+            assert product.syllables == old_mul(orders, case[0], case[1])
+        assert cold[9] is not None and left._inverted == old_invert(orders, case[0])
+        for w in made:
+            if w._inverted is not None:
+                assert w._inverted == old_invert(orders, w.syllables), w
+                plain = Word(scheme, w.syllables)
+                assert plain == w and hash(plain) == hash(w)
+                assert repr(plain) == repr(w) and plain.to_dict() == w.to_dict()
 
     check()
 

@@ -626,8 +626,25 @@ def test_warm_tables_make_an_entry_for_each_infinite_order_syllable_only(monkeyp
     assert (len(interned), len(inverses), len(spellings)) == (0, k, 0)
     assert str(u) == words.format_tokens(pairs)
     assert (len(interned), len(inverses), len(spellings)) == (0, k, k)
-    assert (u * v).is_identity  # the seam makes the inverse of each d syllable of v
-    assert (len(interned), len(inverses), len(spellings)) == (0, 2 * k, k)
+    assert (u * v).is_identity  # the seam reads v's memo of u's syllables
+    assert (len(interned), len(inverses), len(spellings)) == (0, k, k)
+
+
+def test_a_seam_looks_up_one_inverse_until_its_first_pair_cancels(monkeypatch):
+    free = parse_scheme("d:inf, e:inf")  # no table stores a syllable, so _made sees every lookup
+    u = reduce([("d" if i % 2 else "e", i) for i in range(1, 10**4 + 1)], free)
+    merging = Word(free, (("e", 5),) + u.syllables)
+    inverses = _made(monkeypatch, free.inverses)
+    for right in (u, merging):
+        product = u * right
+        assert len(product) == len(u) + len(right) - (right is merging)
+        assert inverses == [right.syllables[0]]
+        assert u._inverted is right._inverted is product._inverted is None
+        inverses.clear()
+    v = invert(u)
+    inverses.clear()
+    assert (u * v).is_identity and (v * u).is_identity and ~v == u
+    assert inverses == []
 
 
 # -- the one record idiom ----------------------------------------------------
