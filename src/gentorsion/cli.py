@@ -226,6 +226,8 @@ def _handle_gen_torsion(args):
             reason = f"fibers ({found.i}, {found.j}) with powers ({found.p}, {found.p_prime})"
         return {"verdict": "yes", "certificate": cert, "diagnostics": [reason]}
     if args.n != 3:
+        from .seifert import require_gen_degree
+        require_gen_degree(args.n)  # the refusal a seifert group gives below n = 2
         raise GroupError(
             f"only n = 3 is decided for group {kind!r}; --n {args.n} is supported "
             "for seifert groups"

@@ -153,8 +153,8 @@ def classify(w: Word) -> IsometryClass:
 
 def _parabolic_exponent(core: tuple[Syllable, ...]) -> int:
     """n with a core of two or more syllables a rotation of (a b)^n or (a b^2)^-n, else 0."""
-    exps = {exp for gen, exp in set(core) if gen == "b"}
-    return 0 if len(exps) > 1 else len(core) // 2 * (1 if exps == {1} else -1)
+    # the core alternates a with b^e, so it has period 2 exactly when one e occurs
+    return 0 if core[2:] != core[:-2] else len(core) // 2 * (1 if ("b", 1) in core[:2] else -1)
 
 
 class Reversibility(_Record):
@@ -211,7 +211,8 @@ def parabolic_power(w: Word) -> tuple[int, Word]:
 
 def gen3_product(g: Word, h1: Word, k: Word) -> Word:
     """The product g * (h1 g h1^-1) * (k g k^-1), reduced."""
-    return g * conjugated(g, h1) * conjugated(g, k)
+    # a left-to-right chain: each seam cancels against an original factor's memo
+    return g * h1 * g * invert(h1) * k * g * invert(k)
 
 
 class Gen3Witness(_Record):

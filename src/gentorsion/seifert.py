@@ -635,6 +635,12 @@ def _separating_letter(d: SeifertData, i: int, j: int) -> str:
     return candidates[0] if candidates else ""
 
 
+def require_gen_degree(n: int) -> None:
+    """Refuse a degree n < 2, for which generalised n-torsion is not defined."""
+    if n < 2:
+        raise InvalidInvariant(f"generalised torsion needs n >= 2, got {n}")
+
+
 def _require_gen_n_base(d: SeifertData) -> None:
     """Refuse a closed base whose orbifold Euler characteristic is positive.
 
@@ -675,8 +681,7 @@ def gen_n_pair(d: SeifertData, n: int) -> Optional[tuple[int, int, int, int]]:
     if any pair exists.  That is O(sum g_i) steps plus the sort, within the
     n - 1 conjugators of a found certificate.
     """
-    if n < 2:
-        raise InvalidInvariant(f"generalised torsion needs n >= 2, got {n}")
+    require_gen_degree(n)
     _require_gen_n_base(d)
     powers = sorted((u * (mu // g), j, beta * u * (n // g) % n)
                     for j, (mu, beta) in enumerate(d.exceptional, start=1)

@@ -20,13 +20,18 @@ itself to its inverse are found by Manacher's algorithm.
 A word may also hold its inverse's syllables, no part of its value, which
 :func:`invert` fills on both words, so inverting either again is O(1).  A
 seam whose first pair cancels is a suffix comparison of tuple slices of the
-left syllables with the right factor's remembered inverse.
+left syllables with the right factor's remembered inverse.  A product of
+several words, such as a conjugate or a gen-3 relation, is a left-to-right
+chain of ``*`` over the original factors, so each seam reads a factor's memo
+and no partial product is ever inverted.
 
 A scheme records each finite-order syllable's inverse and canonical spelling
 (``a``, ``b^2``) when it first shares it, so the kernels invert, code and
 spell by dict lookups under ``map``, and text this module writes parses
 through the spelling table.  A table makes an entry it lacks, such as an
 infinite-order syllable's, without storing it, so each lookup takes one path.
+The rotation search and the parser read plain dicts by one ``itemgetter``
+call, and the search stops at a text syllable outside the pattern.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from __future__ import annotations
 import re
 from itertools import count, repeat
 from operator import eq, itemgetter
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     InvalidCertificate,
@@ -425,20 +430,30 @@ def _least_rotation(keys: list) -> int:
 def _rotation_offset(text: tuple[Syllable, ...], pattern: tuple[Syllable, ...]) -> int:
     """The least t with text[t:] + text[:t] == pattern, or -1; equal lengths.
 
-    Each distinct syllable of the pattern gets a code, every other syllable
-    one more, and ``str.find`` searches the doubled text.  A code is one code
-    point, or for an alphabet too large for that two code points from
-    disjoint ranges, so that every match starts on a syllable.
+    Each distinct syllable of the pattern gets a code, and ``str.find``
+    searches the doubled text.  A code is one code point, read in bulk, and a
+    text syllable outside the pattern rules out every rotation; for an
+    alphabet too large for that it is two code points from disjoint ranges,
+    so that every match starts on a syllable, and every other syllable gets
+    one more code.
     """
     distinct = dict.fromkeys(pattern)
     other = len(distinct)
     if other <= _MAX_CODE:
         codes = dict(zip(distinct, map(chr, count())))
-        t = "".join(map(codes.get, text, repeat(chr(other))))
-        return (t + t[:-1]).find("".join(map(codes.__getitem__, pattern)))
+        try:
+            t = "".join(_looked_up(codes, text))
+        except KeyError:
+            return -1
+        return (t + t[:-1]).find("".join(_looked_up(codes, pattern)))
     wide = dict(zip(distinct, count()))
     t = list(map(wide.get, text, repeat(other)))
     return _wide(t + t[:-1]).find(_wide(list(map(wide.__getitem__, pattern)))) // 2
+
+
+def _looked_up(table: dict, keys: Sequence) -> tuple:
+    """The values of keys in a plain dict, by one ``itemgetter`` call; KeyError on a miss."""
+    return itemgetter(*keys)(table) if len(keys) > 1 else tuple(map(table.__getitem__, keys))
 
 
 #: the largest code ``_rotation_offset`` writes as a single code point
@@ -694,17 +709,19 @@ def format_tokens(pairs: Iterable[tuple[str, int]]) -> str:
 def parse_word(scheme: GroupScheme, text: str) -> Word:
     """Parse text like ``a b^2 a b^-1`` (see :func:`tokens`) into a reduced word.
 
-    Canonical spellings with distinct adjacent generators are read from the scheme's table.
+    Canonical spellings are read in bulk from the scheme's table, and the word
+    is reduced only if neighbours share a generator; any other text goes
+    through :func:`tokens` and :func:`reduce`.
 
     >>> parse_word(PSL2Z, "a b^2").syllables == (("a", 1), ("b", 2))
     True
     """
-    sylls = tuple(map(scheme.spelled.get, text.split()))
-    if all(sylls):
-        gens = list(map(itemgetter(0), sylls))
-        if not any(map(eq, gens, gens[1:])):
-            return Word(scheme, sylls)
-    return reduce(tokens(text), scheme)
+    try:
+        sylls = _looked_up(scheme.spelled, text.split())
+    except KeyError:
+        return reduce(tokens(text), scheme)
+    gens = list(map(itemgetter(0), sylls))
+    return reduce(sylls, scheme) if any(map(eq, gens, gens[1:])) else Word(scheme, sylls)
 
 
 

@@ -236,6 +236,23 @@ def test_gen_torsion_other_degrees_rejected_for_pslz():
     assert proc.returncode == 1
 
 
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize(
+    "group, word", [("pslz", "a b"), ("b3", "s1 S2"), (f"seifert:{TREFOIL}", None)],
+    ids=["pslz", "b3", "seifert"],
+)
+def test_gen_torsion_below_degree_two_is_one_error_in_every_group(group, word, n):
+    argv = ("gen-torsion", "--group", group, "--n", str(n)) + (("--word", word) if word else ())
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_in_process(*argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err.getvalue()) == {
+        "error": f"generalised torsion needs n >= 2, got {n}",
+        "error_kind": "InvalidInvariant",
+    }
+
+
 def test_every_emitted_certificate_passes_verify():
     commands = (
         ("reversible", "--group", "pslz", "--word", "a b a b^2"),

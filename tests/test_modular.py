@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gentorsion import modular, words
 from gentorsion.errors import (
     InvalidCertificate,
     NotElliptic,
@@ -596,6 +597,44 @@ def test_parabolic_power_matches_the_two_sign_search():
     assert len(short) > 50 and len(cases) > 100
     for g in cases:
         assert parabolic_power(g) == reference_parabolic_power(g), str(g)
+
+
+def old_parabolic_exponent(core):
+    """_parabolic_exponent as it read the b-exponents through a set."""
+    exps = {exp for gen, exp in set(core) if gen == "b"}
+    return 0 if len(exps) > 1 else len(core) // 2 * (1 if exps == {1} else -1)
+
+
+def test_parabolic_exponent_matches_the_set_of_b_exponents_on_every_short_core():
+    cores = [
+        core
+        for length in range(2, 13, 2)
+        for exps in itertools.product((1, 2), repeat=length // 2)
+        for a_first in (tuple(s for e in exps for s in (("a", 1), ("b", e))),)
+        for core in (a_first, a_first[1:] + a_first[:1])
+    ]
+    assert len(set(cores)) == 2 * sum(2 ** k for k in range(1, 7))
+    for core in cores:
+        assert words._cyclic_core(Word(PSL2Z, core))[0].syllables == core
+        assert modular._parabolic_exponent(core) == old_parabolic_exponent(core), core
+
+
+def test_gen3_product_inverts_its_three_words_and_no_partial_product(monkeypatch):
+    rng = random.Random(24)
+    g = conjugated(w("a b") ** 2, _random_word(rng, 5_000))
+    h1, k = gen3_torsion(g).certificate
+    g, h1, k = (Word(PSL2Z, x.syllables) for x in (g, h1, k))  # with no memo
+    filled, remember = [], words._inverse_syllables
+
+    def recording(x):
+        if x._inverted is None:
+            filled.append(x)
+        return remember(x)
+
+    monkeypatch.setattr(words, "_inverse_syllables", recording)
+    assert gen3_product(g, h1, k).is_identity
+    assert len(g) > 9_000 and len(h1) > 9_000 and len(k) > 9_000
+    assert sorted(map(id, filled)) == sorted(map(id, (g, h1, k)))
 
 
 def test_no_decider_multiplies_matrices():

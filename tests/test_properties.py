@@ -15,6 +15,8 @@ holds in 2x2 integer matrices, for B3 and the trefoil with the exponent sum.
 Hypothesis runs derandomized, so every run draws the same examples.
 """
 
+import functools
+import operator
 from unittest import mock
 
 import pytest
@@ -41,7 +43,7 @@ from gentorsion.certificates import (
     seifert_reverser_certificate,
     verify_certificate,
 )
-from gentorsion.errors import GroupError
+from gentorsion.errors import GroupError, ParseError
 from gentorsion.modular import classify, gen3_torsion, reversible
 from gentorsion.oracle import SearchBudget, _candidates, _first, brute_conjugate_b3
 from gentorsion.seifert import (
@@ -566,6 +568,41 @@ def test_every_remembered_inverse_is_the_per_syllable_inverse(scheme):
     check()
 
 
+@st.composite
+def chain_cases(draw, scheme):
+    """One to seven factors, each cancelling a drawn suffix of the product
+    before it, so that a seam cancels partly, fully or up to a merged
+    syllable, and the whole product may vanish."""
+    orders = dict(scheme.generators)
+    factors, so_far = [], ()
+    for _ in range(draw(st.integers(1, 7))):
+        cut = draw(st.one_of(st.just(0), st.integers(0, len(so_far))))
+        tail = draw(st.one_of(st.just(()), _plain_words(scheme, 4)))
+        factors.append(old_mul(orders, old_invert(orders, so_far[cut:]), tail))
+        so_far = old_mul(orders, so_far, factors[-1])
+    return factors
+
+
+@pytest.mark.parametrize("scheme", MEMO_SCHEMES.values(), ids=MEMO_SCHEMES.keys())
+def test_a_chain_of_products_is_the_reduced_concatenation_and_remembers_only_true_inverses(scheme):
+    orders = dict(scheme.generators)
+
+    @PROPERTY
+    @given(chain_cases(scheme), st.integers(0, 7))
+    def check(factors, warm):
+        held = [Word(scheme, f) for f in factors]
+        for w in held[:warm]:  # some factors arrive with their inverse remembered
+            invert(w)
+        expected = reduce([s for f in factors for s in f], scheme)
+        assert functools.reduce(operator.mul, held) == expected  # a left-to-right chain
+        assert functools.reduce(operator.mul, held) == expected  # with the memos it filled
+        for w, f in zip(held, factors):
+            assert w.syllables == f
+            assert w._inverted is None or w._inverted == old_invert(orders, f)
+
+    check()
+
+
 # -- canonical text through the spelling table --------------------------------
 
 #: every character str.isspace accepts; none lies past U+3000
@@ -623,6 +660,33 @@ def test_parse_word_reads_every_text_as_tokens_and_reduce_do(drawn):
     if isinstance(got, Word):
         assert str(got) == format_tokens(got.syllables)
         assert parse_word(fresh, str(got)) == got
+
+
+#: tokens outside the spelling table, or pairs of neighbours on one generator
+INSERTS = ("1", "b^-1", "a a", "b b^2")
+
+
+@PROPERTY
+@given(_words(PSL2Z, 40), st.lists(st.tuples(st.integers(0, 40), st.sampled_from(INSERTS)),
+                                   min_size=1, max_size=3))
+def test_parse_word_reduces_canonical_text_with_other_tokens_put_in(g, inserts):
+    parts = str(g).split()
+    for at, insert in inserts:
+        parts.insert(min(at, len(parts)), insert)
+    text = " ".join(parts)
+    assert parse_word(GroupScheme(PSL2Z.generators), text) == reduce(tokens(text), PSL2Z)
+    assert parse_word(PSL2Z, text) == reduce(tokens(text), PSL2Z)
+
+
+@pytest.mark.parametrize("bad", ["^2", "a^", "b^" + "9" * 5_000], ids=["caret", "bare", "digits"])
+def test_a_bad_last_token_of_a_long_text_is_reported_where_it_stands(bad):
+    text = "b^-1 " + str(Word(PSL2Z, (("a", 1), ("b", 1)) * 5_000)) + " 1 " + bad
+    with pytest.raises(ParseError) as caught:
+        parse_word(PSL2Z, text)
+    with pytest.raises(ParseError) as expected:
+        tokens(text)
+    assert caught.value.position == expected.value.position == text.rindex(" ") + 1
+    assert str(caught.value) == str(expected.value)
 
 
 # -- a certificate with one syllable changed ----------------------------------

@@ -579,6 +579,38 @@ def test_rotation_search_encodes_huge_alphabets_in_two_code_points(monkeypatch):
     assert [primitive_root(g) for g in powers] == roots
 
 
+ROTATION_SYLLABLES = (("a", 1), ("b", 1), ("b", 2), ("d", 10**9))
+
+
+@st.composite
+def rotation_cases(draw):
+    """A pattern and a text of its length: a rotation of it, another word, or one
+    syllable outside the pattern put into a rotation."""
+    pattern = tuple(draw(st.lists(st.sampled_from(ROTATION_SYLLABLES[:3]), max_size=9)))
+    shift = draw(st.integers(0, max(len(pattern) - 1, 0)))
+    text = pattern[shift:] + pattern[:shift]
+    kind = draw(st.sampled_from(("rotation", "other", "outside")))
+    if kind == "other":
+        text = tuple(draw(st.lists(st.sampled_from(ROTATION_SYLLABLES[:3]),
+                                   min_size=len(pattern), max_size=len(pattern))))
+    elif kind == "outside" and text:
+        at = draw(st.integers(0, len(text) - 1))
+        text = text[:at] + (ROTATION_SYLLABLES[3],) + text[at + 1:]
+    return text, pattern
+
+
+@PROPERTY
+@given(rotation_cases())
+@example(((), ()))
+@example(((("a", 1),), (("a", 1),)))
+@example(((("b", 1),), (("b", 2),)))
+@example(((("d", 10**9), ("a", 1)), (("a", 1), ("a", 1))))
+def test_rotation_offset_is_the_least_matching_rotation(case):
+    text, pattern = case
+    expected = next((t for t in range(max(len(text), 1)) if text[t:] + text[:t] == pattern), -1)
+    assert words._rotation_offset(text, pattern) == expected
+
+
 def test_scheme_lookup_tables_stay_out_of_equality():
     again = parse_scheme("a:2, b:3")
     assert again == PSL2Z and hash(again) == hash(PSL2Z)
