@@ -15,18 +15,25 @@ diagnostics; and it picks the exit code.  The certificates printed are
 self-contained and can be piped back into ``gentorsion verify``.
 
 Each handler imports the modules it runs, so a call pays only for those.
+The subcommands and their flags are one table, ``_COMMANDS``.  A plain,
+complete command line is read from that table directly; argparse, with
+the gettext and locale modules it loads, is imported only to print help
+or a usage error, so a well-formed call pays for none of them either.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from functools import cache
-from typing import Mapping, Optional, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from . import certificates
 from .errors import GroupError, InvalidCertificate, MalformedCertificate
+
+if TYPE_CHECKING:
+    import argparse
 
 __all__ = ["main"]
 
@@ -35,17 +42,13 @@ EXIT_ERROR = 1
 
 _SEIFERT_PREFIX = "seifert:"
 
-#: ``gentorsion.oracle.SUITES``, spelled out so that building the parser
+#: ``gentorsion.oracle.SUITES``, spelled out so that the command table
 #: does not load the oracles; tests/test_imports.py keeps the two equal
 _SUITES = ("pslz-reversible", "pslz-gen3", "b3-reversible", "b3-conjugacy", "seifert-reversible")
 
-
-class _Parser(argparse.ArgumentParser):
-    """Argument parser that reports usage problems with exit status 1."""
-
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+#: ``argparse.SUPPRESS``, spelled out so that the command table does not
+#: load argparse: a flag with this default is absent unless given
+_SUPPRESS = "==SUPPRESS=="
 
 
 def _compact(value) -> str:
@@ -286,10 +289,10 @@ def _handle_seifert(args):
 
 
 def _handle_verify(args):
-    if args.file:
+    if args.file is not None:
         with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
-    elif args.certificate:
+    elif args.certificate is not None:
         text = args.certificate
     else:
         text = sys.stdin.read()
@@ -311,24 +314,112 @@ def _handle_sweep(args):
     return payload
 
 
-def _add_common(parser: argparse.ArgumentParser, *, group: bool = True) -> None:
-    if group:
-        parser.add_argument(
-            "--group",
-            default="pslz",
-            help="pslz, b3, or seifert:<data> (default: pslz)",
-        )
-    parser.add_argument(
-        "--format",
-        choices=("json", "text"),
-        default="json",
-        help="output format (default: json)",
-    )
+_FORMAT = ("--format", {
+    "choices": ("json", "text"), "default": "json", "help": "output format (default: json)"})
+_GROUP = ("--group", {"default": "pslz", "help": "pslz, b3, or seifert:<data> (default: pslz)"})
+_WORD = ("--word", {"required": True})
+
+#: every subcommand: its help, its handler and its arguments in the order
+#: of the help text, each a name and the keyword arguments of argparse's
+#: ``add_argument``; the strict reader and ``build_parser`` both read it
+_COMMANDS = {
+    "normalize": ("reduce a word to its normal form", _handle_normalize,
+                  (_WORD, _GROUP, _FORMAT)),
+    "classify": ("isometry class of a modular group element", _handle_classify,
+                 (_WORD, _GROUP, _FORMAT)),
+    "conjugate": ("decide conjugacy of two elements", _handle_conjugate,
+                  (_WORD, ("--other", {"required": True, "help": "the second element"}),
+                   _GROUP, _FORMAT)),
+    "reversible": ("decide conjugacy of an element to its inverse", _handle_reversible,
+                   (_WORD, _GROUP, _FORMAT)),
+    "gen-torsion": ("decide generalised n-torsion", _handle_gen_torsion, (
+        ("--word", {"help": "element text (pslz and b3; omit for seifert)"}),
+        ("--n", {"type": int, "default": 3, "help": "torsion degree (default: 3)"}),
+        _GROUP, _FORMAT)),
+    "braid": ("normal form and exponent sum of a braid word", _handle_braid,
+              (_WORD, _FORMAT)),
+    "seifert": ("inspect Seifert fibration data", _handle_seifert, (
+        ("action", {"choices": ("families", "presentation", "quotient")}),
+        ("--spec", {"required": True, "help": "Seifert data text"}),
+        _FORMAT)),
+    "verify": ("re-multiply a certificate's defining relation", _handle_verify, (
+        ("--certificate", {"help": "certificate JSON text"}),
+        ("--file", {"help": "path to a certificate JSON file"}),
+        _FORMAT)),
+    "sweep": ("compare structural deciders against brute oracles", _handle_sweep, (
+        ("--suite", {"required": True, "choices": _SUITES}),
+        *((flag, {"type": int, "default": _SUPPRESS}) for flag in (
+            "--max-conjugator-syllables", "--max-central-exponent", "--max-candidates")),
+        _FORMAT)),
+}
+
+
+def _read(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse returns for a plain, complete command line, or None.
+
+    A plain line is a command, then its positional arguments and each of
+    its long flags at most once, as ``--flag value`` or ``--flag=value``,
+    with no value that begins with ``-``.  Every other line (help,
+    abbreviations, repeated flags, usage errors) is None here, left to
+    argparse, which reads or reports it.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, arguments = _COMMANDS[argv[0]]
+    flags = {name for name, _ in arguments if name.startswith("-")}
+    given: dict = {}
+    positionals = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        flag, equals, value = token.partition("=")
+        if flag not in flags or flag in given:
+            return None
+        if not equals:
+            value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        given[flag] = value
+    values = {"command": argv[0], "func": func}
+    for name, spec in arguments:
+        dest = name.lstrip("-").replace("-", "_")
+        if name.startswith("-"):
+            text = given.get(name)
+        else:
+            text = positionals.pop(0) if positionals else None
+        if text is None:
+            if spec.get("required", not name.startswith("-")):
+                return None
+            if spec.get("default") != _SUPPRESS:
+                values[dest] = spec.get("default")
+            continue
+        try:
+            values[dest] = spec.get("type", str)(text)
+        except ValueError:
+            return None
+        if "choices" in spec and values[dest] not in spec["choices"]:
+            return None
+    return None if positionals else SimpleNamespace(**values)
 
 
 @cache
-def build_parser() -> _Parser:
-    """The parser, built once a process: parsing arguments does not change it."""
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of the command table, built once a process.
+
+    ``main`` uses it for the lines the strict reader leaves: it prints help
+    and reports usage problems, with exit status 1.
+    """
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Argument parser that reports usage problems with exit status 1."""
+
+        def error(self, message: str):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
     parser = _Parser(
         prog="gentorsion",
         description=
@@ -337,63 +428,21 @@ def build_parser() -> _Parser:
         "and Seifert-fibered spaces with boundary.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("normalize", help="reduce a word to its normal form")
-    p.add_argument("--word", required=True)
-    _add_common(p)
-    p.set_defaults(func=_handle_normalize)
-
-    p = sub.add_parser("classify", help="isometry class of a modular group element")
-    p.add_argument("--word", required=True)
-    _add_common(p)
-    p.set_defaults(func=_handle_classify)
-
-    p = sub.add_parser("conjugate", help="decide conjugacy of two elements")
-    p.add_argument("--word", required=True)
-    p.add_argument("--other", required=True, help="the second element")
-    _add_common(p)
-    p.set_defaults(func=_handle_conjugate)
-
-    p = sub.add_parser("reversible", help="decide conjugacy of an element to its inverse")
-    p.add_argument("--word", required=True)
-    _add_common(p)
-    p.set_defaults(func=_handle_reversible)
-
-    p = sub.add_parser("gen-torsion", help="decide generalised n-torsion")
-    p.add_argument("--word", help="element text (pslz and b3; omit for seifert)")
-    p.add_argument("--n", type=int, default=3, help="torsion degree (default: 3)")
-    _add_common(p)
-    p.set_defaults(func=_handle_gen_torsion)
-
-    p = sub.add_parser("braid", help="normal form and exponent sum of a braid word")
-    p.add_argument("--word", required=True)
-    _add_common(p, group=False)
-    p.set_defaults(func=_handle_braid)
-
-    p = sub.add_parser("seifert", help="inspect Seifert fibration data")
-    p.add_argument("action", choices=("families", "presentation", "quotient"))
-    p.add_argument("--spec", required=True, help="Seifert data text")
-    _add_common(p, group=False)
-    p.set_defaults(func=_handle_seifert)
-
-    p = sub.add_parser("verify", help="re-multiply a certificate's defining relation")
-    p.add_argument("--certificate", help="certificate JSON text")
-    p.add_argument("--file", help="path to a certificate JSON file")
-    _add_common(p, group=False)
-    p.set_defaults(func=_handle_verify)
-
-    p = sub.add_parser("sweep", help="compare structural deciders against brute oracles")
-    p.add_argument("--suite", required=True, choices=_SUITES)
-    for flag in ("--max-conjugator-syllables", "--max-central-exponent", "--max-candidates"):
-        p.add_argument(flag, type=int, default=argparse.SUPPRESS)
-    _add_common(p, group=False)
-    p.set_defaults(func=_handle_sweep)
-
+    for command, (help_text, func, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, spec in arguments:
+            if spec.get("default") == _SUPPRESS:
+                spec = dict(spec, default=argparse.SUPPRESS)
+            p.add_argument(name, **spec)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     fmt = getattr(args, "format", "json")
     try:
         result = args.func(args)

@@ -316,6 +316,15 @@ def test_verify_reports_an_unreadable_file_as_an_error(tmp_path):
                 assert proc.stderr.startswith("error: ")
 
 
+def test_verify_of_an_empty_certificate_or_file_is_an_error_not_a_read_of_stdin():
+    cert = json.dumps({"kind": "pslz-gen3", "word": "a b a b", "h1": "b^2", "k": "b"})
+    for flag, kind in (("--certificate", "MalformedCertificate"), ("--file", "GroupError")):
+        proc = run_cli("verify", flag, "", stdin_text=cert)
+        assert proc.returncode == 1, flag
+        assert proc.stdout == "", flag
+        assert json.loads(proc.stderr)["error_kind"] == kind, flag
+
+
 def test_sweep_subcommand_agreement():
     data = run_json("sweep", "--suite", "pslz-gen3", "--max-conjugator-syllables", "3")
     assert data["verdict"] == "agreement"

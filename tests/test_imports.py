@@ -4,9 +4,11 @@ Each probe runs in a fresh interpreter and reports ``sys.modules``, so the
 checks count modules, not milliseconds.  A command loads the modules it
 runs and nothing else: no subcommand of the benchmark's ``cli`` workload
 loads ``dataclasses``, ``fractions`` or the oracles, and a PSL(2,Z)
-command loads neither the braid nor the Seifert code.  The package itself
-loads its modules on first use (PEP 562), with the same public names as
-when it imported them all.
+command loads neither the braid nor the Seifert code.  A well-formed
+command line, such as every line of that workload and every README
+example, loads no argparse, gettext or locale; help and usage errors do.
+The package itself loads its modules on first use (PEP 562), with the
+same public names as when it imported them all.
 """
 
 import ast
@@ -56,6 +58,8 @@ PUBLIC = {
 SUBMODULES = ("braid3", "certificates", "errors", "modular", "oracle", "seifert", "words")
 DECIDERS = {"gentorsion.words", "gentorsion.modular", "gentorsion.braid3", "gentorsion.seifert"}
 NEVER_ON_THE_CLI = {"dataclasses", "fractions", "gentorsion.oracle"}
+#: what argparse loads, for help and usage errors only
+ARGPARSE = {"argparse", "gettext", "locale"}
 PSLZ_COMMANDS = ("classify", "conjugate", "reversible", "gen-torsion", "verify")
 
 _LISTED = "import json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
@@ -65,7 +69,10 @@ import contextlib, io, json, sys
 from gentorsion import cli
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
-    code = cli.main(sys.argv[1:])
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
 print(json.dumps({"code": code, "stdout": out.getvalue(), "modules": sorted(sys.modules)}))
 """
 
@@ -116,7 +123,8 @@ def test_every_cli_workload_command_loads_only_what_it_runs(at_start):
         if argv[0] == "reversible":
             certificate = json.dumps(result["certificate"])
         loaded = set(report["modules"]) - at_start
-        assert not loaded & NEVER_ON_THE_CLI, (argv, loaded & NEVER_ON_THE_CLI)
+        unwanted = loaded & (NEVER_ON_THE_CLI | ARGPARSE)
+        assert not unwanted, (argv, unwanted)
         group = argv[argv.index("--group") + 1] if "--group" in argv else "pslz"
         if argv[0] in PSLZ_COMMANDS and group == "pslz":
             assert not loaded & {"gentorsion.braid3", "gentorsion.seifert"}, argv
@@ -143,6 +151,33 @@ def test_pslz_commands_load_neither_the_braid_nor_the_seifert_code(at_start):
             assert not loaded & {"gentorsion.braid3", "gentorsion.seifert"}, argv
             assert not loaded & NEVER_ON_THE_CLI, argv
     assert kinds == {"pslz-conjugacy", "pslz-reverser", "pslz-gen3"}
+
+
+def test_the_readme_examples_load_no_argparse(at_start):
+    from test_readme_examples import readme_commands
+
+    def resolve(arg):
+        if isinstance(arg, dict):  # the certificate another command prints
+            report = json.loads(_fresh(_RUN_MAIN, *arg["certificate_of"]))
+            return json.dumps(json.loads(report["stdout"])["certificate"])
+        return arg
+
+    for argv in readme_commands():
+        report = json.loads(_fresh(_RUN_MAIN, *map(resolve, argv)))
+        assert report["code"] == 0, argv
+        loaded = set(report["modules"]) - at_start
+        assert not loaded & ARGPARSE, (argv, loaded & ARGPARSE)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--help",),
+    ("seifert", "--help"),
+    ("normalize", "--wor", "a b"),
+    ("normalize", "--word", "a b", "--format", "xml"),
+])
+def test_help_and_usage_errors_load_argparse(at_start, argv):
+    report = json.loads(_fresh(_RUN_MAIN, *argv))
+    assert ARGPARSE <= set(report["modules"]) - at_start, argv
 
 
 _LAZY_API = """
