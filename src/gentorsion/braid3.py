@@ -327,8 +327,9 @@ class B3Gen3Verdict(_Record):
 
 
 def gen3_relation(g: CentralElement, h1: CentralElement, k: CentralElement) -> CentralElement:
-    """The product g * (h1 g h1^-1) * (k g k^-1) in normal form."""
-    return g * g.conjugated_by(h1) * g.conjugated_by(k)
+    """The product g * (h1 g h1^-1) * (k g k^-1) in normal form, folded as one product."""
+    pieces = (*_B3.conjugate_pieces(g, h1), *_B3.conjugate_pieces(g, k))
+    return CentralElement(*_B3.product(g.m, g.q, pieces))
 
 
 def gen3_torsion_b3(g: Union[BraidWord, CentralElement]) -> B3Gen3Verdict:
@@ -381,10 +382,10 @@ def gen3_torsion_b3(g: Union[BraidWord, CentralElement]) -> B3Gen3Verdict:
     e1, e2 = e1.conjugated_by(c), e2.conjugated_by(c)
     if e1 == e2:
         raise InvalidCertificate("the two torsion factors must be distinct")
-    h_inv = CentralElement(-1, identity(PSL2Z))
-    if e1 * e2 ** 2 * h_inv != n:
+    k = e2 ** 2
+    if e1 * k * CentralElement(-1, identity(PSL2Z)) != n:
         raise InvalidCertificate("form witness does not rebuild the element")
-    h1, k = e2 ** -2, e2 ** 2
+    h1 = k.inverse()
     if not gen3_relation(n, h1, k).is_identity:
         raise InvalidCertificate(f"certificate ({h1}, {k}) fails for {n}")
     return B3Gen3Verdict(

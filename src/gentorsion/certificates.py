@@ -144,7 +144,7 @@ def _check_pslz_conjugacy(payload: Mapping) -> bool:
 def _check_pslz_gen3(payload: Mapping) -> bool:
     from .modular import gen3_product
     word, h1, k = _pslz_words(payload, "word", "h1", "k")
-    return len(gen3_product(word, h1, k).syllables) == 0
+    return not word.is_identity and gen3_product(word, h1, k).is_identity
 
 
 def _check_b3_reverser(payload: Mapping) -> bool:
@@ -160,7 +160,7 @@ def _check_b3_conjugacy(payload: Mapping) -> bool:
 def _check_b3_gen3(payload: Mapping) -> bool:
     from .braid3 import gen3_relation
     element, h1, k = _braids(payload, "element", "h1", "k")
-    return gen3_relation(element, h1, k).is_identity
+    return not element.is_identity and gen3_relation(element, h1, k).is_identity
 
 
 def _check_seifert_reverser(payload: Mapping) -> bool:
@@ -181,15 +181,12 @@ def _check_seifert_gen_n(payload: Mapping) -> bool:
     m2 = _integer(payload, "m2")
     conjugators = payload.get("conjugators")
     _shape(isinstance(conjugators, (list, tuple)), "field 'conjugators' must be a list")
-    texts = []
-    for item in conjugators:
-        _shape(isinstance(item, str) and bool(item.strip()),
-               "every conjugator must be a nonempty string")
-        texts.append(item)
+    _shape(all(isinstance(item, str) and item.strip() for item in conjugators),
+           "every conjugator must be a nonempty string")
     element_text = _text(payload, "element")
-    if n * x + m1 + m2 != 0 or len(texts) != n - 1:
+    if n * x + m1 + m2 != 0 or len(conjugators) != n - 1:
         return False
-    return gen_n_relation_holds(data, element_text, texts)
+    return gen_n_relation_holds(data, element_text, conjugators)
 
 
 _CHECKERS: dict[str, Callable[[Mapping], bool]] = {

@@ -464,13 +464,13 @@ class SeifertGroup(CentralExtension):
 
     def _pieces(self, pairs: Iterable[tuple[str, int]]) -> Iterator[Piece]:
         for name, exp in pairs:
-            if name == "h":
+            if name in self._order:
+                yield 0, ((name, exp),)
+            elif name == "h":
                 yield exp, ()
             elif name == self.qmap.eliminated:
                 dm = self._dm if exp == 1 else self.pow(self._dm, exp)
                 yield dm.m, dm.q.syllables
-            elif name in self.scheme:
-                yield 0, ((name, exp),)
             else:
                 raise UnknownGenerator(f"unknown generator {name!r}")
 
@@ -702,15 +702,15 @@ def gen_n_pair(d: SeifertData, n: int) -> Optional[tuple[int, int, int, int]]:
 def gen_n_certificate(d: SeifertData, n: int) -> Optional[GenNCertificate]:
     """A generalised n-torsion element with its n - 1 conjugators, if any.
 
-    The pair (i, j, p, p') comes from :func:`gen_n_pair`, one index of the
-    fiber powers by their fiber exponent mod n, which takes
-    O(sum gcd(n, mu_i)) steps plus a sort.  Failing a pair, an even n and a
-    handle or non-eliminated boundary generator f with phi(f) = -1 give the
-    element h.  The n - 1 conjugators are built and the relation
-    re-multiplied, which is linear in that output.  Returns None when
-    neither exists, which covers n coprime to every fiber order with no
-    flipping letter; a closed base with positive orbifold Euler
-    characteristic raises UnsupportedBase.
+    The pair (i, j, p, p') comes from :func:`gen_n_pair`, one index of the fiber
+    powers by their fiber exponent mod n, in O(sum gcd(n, mu_i)) steps plus a
+    sort.  Failing a pair, an even n and a handle or non-eliminated boundary
+    generator f with phi(f) = -1 give the element h.  The conjugators are the
+    powers K^l, l < n, of K = k c_j^-p' k^-1 or f, so the relation telescopes,
+    g * prod K^l g K^-l = (g K)^n K^-n, and is checked in O(|g| + |K| + digits
+    of n).  Returns None when neither exists, which covers n coprime to every
+    fiber order with no flipping letter; a closed base with positive orbifold
+    Euler characteristic raises UnsupportedBase.
     """
     pair = gen_n_pair(d, n)
     if pair is not None:
@@ -741,8 +741,11 @@ def gen_n_certificate(d: SeifertData, n: int) -> Optional[GenNCertificate]:
     )
     if n * cert.x + cert.m1 + cert.m2 != 0:
         raise InvalidCertificate(f"fiber exponents fail n x + m1 + m2 = 0 for n = {n}")
-    if not gen_n_relation_holds(d, cert.element, cert.conjugators):
-        raise InvalidCertificate(f"gen-{n} relation fails for {cert.element!r}")
+    group = _gen_n_group(d)
+    g, k = group.element(element), group.element(conjugators[0])
+    holds = not g.is_identity and group.pow(group.mul(g, k), n) == group.pow(k, n)
+    if not (holds and _shown_where_closed(d, element)):
+        raise InvalidCertificate(f"gen-{n} relation fails for {element!r}")
     return cert
 
 
@@ -788,17 +791,35 @@ def _shown_nontrivial(d: SeifertData, element: str) -> bool:
     return ci != cj or separated or (p + p_prime) % orders[ci] != 0
 
 
+def _gen_n_group(d: SeifertData) -> SeifertGroup:
+    """The group a gen-n relation is multiplied in: d's, or on a closed base, which
+    has no exact arithmetic, d drilled along one more fiber (boundaries=1).  That
+    maps onto the closed group by d1 -> 1, so a relation that holds there holds in
+    the closed group too; d1 itself is not a generator of the closed group.
+    """
+    _require_gen_n_base(d)
+    return seifert_group(d if d.boundary_count else SeifertData(
+        d.base_orientable, d.genus_or_crosscaps, 1, d.b, d.exceptional, d.phi))
+
+
+def _shown_where_closed(d: SeifertData, element: str) -> bool:
+    """True, or UnsupportedBase on a closed base for element not :func:`_shown_nontrivial`."""
+    if d.boundary_count or _shown_nontrivial(d, element):
+        return True
+    raise UnsupportedBase(f"{element!r} is not of a shape shown nontrivial on a closed base: "
+                          "h^x, or c_i^p [k] c_j^p' [k^-1] h^x")
+
+
 def gen_n_relation_holds(d: SeifertData, element: str, conjugators: Sequence[str]) -> bool:
     """Whether g = element is nontrivial and g * prod (k g k^-1) over conjugators is 1.
 
-    A closed base has no exact arithmetic, so the relation is multiplied in
-    the group drilled along one more fiber (boundaries=1).  That group maps
-    onto the closed one by d1 -> 1, so a relation that holds there holds in
-    the closed group too; d1 itself is not a generator of the closed group.
+    Each text is read through :func:`tokens` once, and the relation is one
+    product, in the group :func:`_gen_n_group` picks, of the pieces k, g, k^-1
+    for every conjugator k in turn, k^-1 being k's pairs reversed and negated.
 
-    The drilled group cannot show g nontrivial in the closed group, so a
-    closed base must have orbifold Euler characteristic <= 0, and g one of
-    the shapes :func:`gen_n_certificate` builds; anything else raises
+    That group cannot show g nontrivial in a closed group, so a closed base
+    must have orbifold Euler characteristic <= 0, and g one of the shapes
+    :func:`gen_n_certificate` builds; anything else raises
     UnsupportedBase.  The orbifold group then acts on the Euclidean or
     hyperbolic plane, and those shapes are nontrivial in the closed group:
 
@@ -815,33 +836,24 @@ def gen_n_relation_holds(d: SeifertData, element: str, conjugators: Sequence[str
       the one rotation c_i^(p + p'), nontrivial when p + p' is nonzero
       modulo mu_i.
     """
-    _require_gen_n_base(d)
-    if d.boundary_count:
-        group = seifert_group(d)
-        elements = map(group.element, (element, *conjugators))
-    else:
-        group = seifert_group(SeifertData(
-            d.base_orientable, d.genus_or_crosscaps, 1, d.b, d.exceptional, d.phi
-        ))
-        drilled = group.qmap.eliminated
-        # every text is read once, for this check and for its element
-        texts = []
-        for text in (element, *conjugators):
-            texts.append(pairs := tokens(text))
-            if any(name == drilled for name, _ in pairs):
-                raise UnknownGenerator(f"unknown generator {drilled!r}")
-        elements = map(group._element, texts)
-    g = next(elements)
+    group = _gen_n_group(d)
+    drilled = not d.boundary_count and group.qmap.eliminated
+
+    def read(text: str) -> list[tuple[str, int]]:
+        pairs = tokens(text)
+        if drilled and any(name == drilled for name, _ in pairs):
+            raise UnknownGenerator(f"unknown generator {drilled!r}")
+        return pairs
+
+    g = group._element(read(element))
     if g.is_identity:
         return False
-    m, q = g.m, g.q
-    for k in elements:
-        m, q = group.product(m, q, group.conjugate_pieces(g, k))
-    if m or q:
-        return False
-    if not d.boundary_count and not _shown_nontrivial(d, element):
-        raise UnsupportedBase(
-            f"{element!r} is not of a shape shown nontrivial on a closed base: "
-            "h^x, or c_i^p [k] c_j^p' [k^-1] h^x"
-        )
-    return True
+
+    def conjugates() -> Iterator[Piece]:
+        for pairs in map(read, conjugators):
+            yield from group._pieces(pairs)
+            yield g.m, g.q.syllables
+            yield from group._pieces([(name, -exp) for name, exp in reversed(pairs)])
+
+    m, q = group.product(g.m, g.q, conjugates())
+    return not (m or q) and _shown_where_closed(d, element)

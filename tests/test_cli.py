@@ -10,6 +10,7 @@ from unittest import mock
 import pytest
 
 from gentorsion import cli
+from gentorsion.certificates import verify_certificate
 from gentorsion.oracle import SearchBudget
 
 TREFOIL = "(O,o,0 | 1; (2,1),(3,1)); boundaries=1; phi: d1=+1"
@@ -280,6 +281,17 @@ def test_verify_tampered_certificate_is_invalid_but_decided():
     cert = {"kind": "pslz-reverser", "word": "a b a b^2", "reverser": "b"}
     data = run_json("verify", "--certificate", json.dumps(cert))
     assert data["verdict"] == "invalid"
+
+
+@pytest.mark.parametrize("cert", [
+    {"kind": "pslz-gen3", "word": "1", "h1": "1", "k": "1"},
+    {"kind": "pslz-gen3", "word": "a a", "h1": "1", "k": "1"},
+    {"kind": "b3-gen3", "element": "s1 S1", "h1": "s2", "k": "x"},
+])
+def test_verify_refuses_gen3_certificates_of_the_identity(cert):
+    # the deciders refuse a trivial element, so its relation certifies nothing
+    assert not verify_certificate(cert)
+    assert run_json("verify", "--certificate", json.dumps(cert))["verdict"] == "invalid"
 
 
 def test_verify_malformed_certificates_exit_one():

@@ -88,6 +88,12 @@ CASES = {
         "parse_word(seifert.SeifertGroup(seifert.parse_seifert(TREFOIL)).scheme, 'c2')",
         "seifert.reversible_seifert('c1 c2 c1^-1 c2^-1', seifert.parse_seifert(TREFOIL))",
     ),
+    # g K read as 1 fails the power form (g K)^n = K^n
+    "seifert.gen_n_certificate": (
+        "gentorsion.seifert.SeifertGroup.mul",
+        "seifert.SeifertGroup(seifert.parse_seifert(TREFOIL)).one",
+        "seifert.gen_n_certificate(seifert.parse_seifert(TREFOIL), 4)",
+    ),
 }
 
 

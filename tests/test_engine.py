@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from gentorsion import braid3
 from gentorsion.braid3 import BraidWord, CentralElement, normal_form, parse_braid
+from gentorsion.certificates import seifert_gen_n_certificate, verify_certificate
 from gentorsion.seifert import (
     CentralExtension,
     SeifertGroup,
@@ -30,6 +31,7 @@ from gentorsion.seifert import (
     gen_n_certificate,
     gen_n_relation_holds,
     parse_seifert,
+    presentation,
     seifert_group,
 )
 from gentorsion.words import PSL2Z, Word, identity, invert, parse_scheme, parse_word, reduce
@@ -509,9 +511,9 @@ def test_the_table_of_runs_stays_bounded():
 
 
 @contextmanager
-def counted_products():
-    """Count, for each call of the B3 product in order of entry, the pieces it reads."""
-    calls, product = [], braid3._B3.product
+def counted_products(extension=braid3._B3):
+    """Count, for each call of the extension's product in order of entry, the pieces it reads."""
+    calls, product = [], extension.product
 
     def counting(m, q, pieces):
         calls.append(0)
@@ -524,11 +526,11 @@ def counted_products():
 
         return product(m, q, count())
 
-    braid3._B3.product = counting
+    extension.product = counting
     try:
         yield calls
     finally:
-        del braid3._B3.product
+        del extension.product
 
 
 @PROPERTY
@@ -573,10 +575,12 @@ def test_a_conjugate_is_one_product_as_the_mul_inv_chain_says(case):
 
 
 @PROPERTY
-@given(braids, braids)
-def test_a_b3_conjugate_is_one_product_as_the_mul_inv_chain_says(w, k):
-    nw, nk = normal_form(w), normal_form(k)
+@given(braids, braids, braids)
+def test_a_b3_conjugate_is_one_product_as_the_mul_inv_chain_says(w, k, j):
+    nw, nk, nj = normal_form(w), normal_form(k), normal_form(j)
     assert nw.conjugated_by(nk) == nk * nw * nk.inverse()
+    chain = nw * (nk * nw * nk.inverse()) * (nj * nw * nj.inverse())
+    assert braid3.gen3_relation(nw, nk, nj) == chain
 
 
 def chained_relation(d, element, conjugators):
@@ -605,6 +609,81 @@ def test_the_folded_gen_n_relation_agrees_with_the_mul_inv_chain(spec):
             assert gen_n_relation_holds(d, element, cs) == chained_relation(d, element, cs)
         assert gen_n_relation_holds(d, element, conjugators)
     assert found
+
+
+#: the benchmark's data sets, and a closed base of orbifold Euler characteristic -1
+POWER_FORM_DATA = (*sorted(workloads.FIBER_ORDERS), "(O,o,1|0;(2,1),(2,1));boundaries=0")
+
+
+@pytest.mark.parametrize("spec", POWER_FORM_DATA)
+def test_the_conjugators_are_powers_of_one_k_so_the_power_form_is_the_listed_relation(spec):
+    # g * prod_l K^l g K^-l telescopes to (g K)^n K^-n; on a closed base both
+    # are multiplied in the group drilled along one more fiber
+    d = parse_seifert(spec)
+    G = seifert_group(parse_seifert(spec.replace("boundaries=0", "boundaries=1")))
+    found = 0
+    for n in (*range(2, 13), 60):
+        cert = gen_n_certificate(d, n)
+        if cert is None:
+            continue
+        found += 1
+        g, K = G.element(cert.element), G.element(cert.conjugators[0])
+        for l, text in enumerate(cert.conjugators, start=1):
+            assert G.element(text) == G.pow(K, l), (n, l)
+        assert G.pow(G.mul(g, K), n) == G.pow(K, n)
+        assert verify_certificate(seifert_gen_n_certificate(spec, cert)), n
+    assert found
+
+
+README_DATA = "(O,o,0|1,(2,1),(3,1));boundaries=1"
+
+
+def test_the_gen_n_decider_multiplies_a_number_of_pieces_independent_of_n():
+    d = parse_seifert(README_DATA)
+    G = seifert_group(d)
+    gen_n_certificate(d, 2)  # the group's own set-up is not counted
+    counts = []
+    for n in (10, 10**3, 10**5):
+        with counted_products(G) as calls:
+            cert = gen_n_certificate(d, n)
+        assert len(cert.conjugators) == n - 1
+        counts.append(calls)
+    assert counts[0] == counts[1] == counts[2]
+    assert sum(counts[0]) < 20, counts[0]
+
+
+#: data away from the trefoil, TWO_BOUNDARY and CROSSCAP with phi = -1 letters,
+#: and three boundaries whose only certificates are the fiber under a flipping d1
+MUTATION_DATA = (workloads.TWO_BOUNDARY, workloads.GENUS_ONE, workloads.CROSSCAP,
+                 workloads.THREE_FIBERS, "(O,o,0|0);boundaries=3;phi:d1=-1,d2=-1")
+
+
+@pytest.mark.parametrize("spec", MUTATION_DATA)
+def test_a_gen_n_certificate_with_one_token_changed_verifies_as_the_mul_inv_chain_says(spec):
+    d = parse_seifert(spec)
+    names = presentation(d).generators
+    replacements = (*(f"{name}{exp}" for name in names for exp in ("", "^-1", "^2")), "1")
+    checked = valid = 0
+    for n in (2, 3, 4, 6):
+        cert = gen_n_certificate(d, n)
+        if cert is None:
+            continue
+        payload = seifert_gen_n_certificate(spec, cert)
+        assert verify_certificate(payload)
+        texts = [payload["element"], *payload["conjugators"]]
+        for slot, text in enumerate(texts):
+            parts = text.split()
+            for i, r in product(range(len(parts)), replacements):
+                if r == parts[i]:
+                    continue
+                element, *conjugators = texts[:slot] + [
+                    " ".join(parts[:i] + [r] + parts[i + 1:])] + texts[slot + 1:]
+                mutated = dict(payload, element=element, conjugators=conjugators)
+                expected = chained_relation(d, element, conjugators)
+                assert verify_certificate(mutated) == expected, mutated
+                checked += 1
+                valid += expected
+    assert checked > 100 and valid < checked
 
 
 # -- inverses read off in one pass ---------------------------------------

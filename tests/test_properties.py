@@ -739,7 +739,8 @@ def _matrix_relation(cert):
         _mat_mul(g, _mat_mul(_mat_mul(h1, g), _mat_inv(h1))),
         _mat_mul(_mat_mul(k, g), _mat_inv(k)),
     )
-    return _up_to_sign(product, ((1, 0), (0, 1)))
+    # generalised torsion is an answer about a nontrivial g
+    return not _up_to_sign(g, ((1, 0), (0, 1))) and _up_to_sign(product, ((1, 0), (0, 1)))
 
 
 @st.composite
@@ -816,7 +817,8 @@ def _braid_relation(cert):
         _mat_mul(g, _mat_mul(_mat_mul(h1, g), _mat_inv(h1))),
         _mat_mul(_mat_mul(k, g), _mat_inv(k)),
     )
-    return e == 0 and product == ((1, 0), (0, 1))
+    # with e = 0, g is 1 exactly when its matrix is, and g must not be 1
+    return e == 0 and g != ((1, 0), (0, 1)) and product == ((1, 0), (0, 1))
 
 
 @st.composite
