@@ -326,9 +326,10 @@ class B3Gen3Verdict(_Record):
     _defaults = {"certificate": None, "reason": None, "form_witness": None, "diagnostics": ()}
 
 
-def gen3_relation(g: CentralElement, h1: CentralElement, k: CentralElement) -> CentralElement:
-    """The product g * (h1 g h1^-1) * (k g k^-1) in normal form, folded as one product."""
-    pieces = (*_B3.conjugate_pieces(g, h1), *_B3.conjugate_pieces(g, k))
+def gen3_relation(g: CentralElement, *conjugators: CentralElement) -> CentralElement:
+    """g (k_1 g k_1^-1) ... (k_r g k_r^-1) in normal form, folded as one product: 1 for
+    the conjugators (h1, k) of generalised 3-torsion, and for (r) exactly when r reverses g."""
+    pieces = [piece for k in conjugators for piece in _B3.conjugate_pieces(g, k)]
     return CentralElement(*_B3.product(g.m, g.q, pieces))
 
 

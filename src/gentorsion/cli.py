@@ -442,7 +442,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read(argv)
     if args is None:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        flag = argv[0].partition("=")[0] if argv else ""
+        # argparse would read the flag's value as the command; "--" ends the flags
+        if flag.startswith("-") and flag != "-h" and not "--help".startswith(flag):
+            parser.error(f"{flag} belongs after the command, as in: gentorsion COMMAND {flag} ...")
+        args = parser.parse_args(argv)
     fmt = getattr(args, "format", "json")
     try:
         result = args.func(args)

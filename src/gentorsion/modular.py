@@ -33,6 +33,7 @@ from .words import (
     _cyclic_core,
     _Record,
     conjugated,
+    gen3_product,
     identity,
     invert,
     is_conjugate,
@@ -207,12 +208,6 @@ def parabolic_power(w: Word) -> tuple[int, Word]:
     if c is None:
         raise InvalidCertificate(f"{w} has the cyclic form of (a b)^{n} but no conjugator")
     return n, c
-
-
-def gen3_product(g: Word, h1: Word, k: Word) -> Word:
-    """The product g * (h1 g h1^-1) * (k g k^-1), reduced."""
-    # a left-to-right chain: each seam cancels against an original factor's memo
-    return g * h1 * g * invert(h1) * k * g * invert(k)
 
 
 class Gen3Witness(_Record):

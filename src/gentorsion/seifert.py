@@ -810,12 +810,14 @@ def _shown_where_closed(d: SeifertData, element: str) -> bool:
                           "h^x, or c_i^p [k] c_j^p' [k^-1] h^x")
 
 
-def gen_n_relation_holds(d: SeifertData, element: str, conjugators: Sequence[str]) -> bool:
+def gen_n_relation_holds(d: SeifertData, element: str, conjugators: Iterable[str]) -> bool:
     """Whether g = element is nontrivial and g * prod (k g k^-1) over conjugators is 1.
 
     Each text is read through :func:`tokens` once, and the relation is one
     product, in the group :func:`_gen_n_group` picks, of the pieces k, g, k^-1
     for every conjugator k in turn, k^-1 being k's pairs reversed and negated.
+    The conjugators are read in one pass, after g.  With the one conjugator r
+    it tests that r reverses g: g (r g r^-1) = 1 exactly when r g r^-1 = g^-1.
 
     That group cannot show g nontrivial in a closed group, so a closed base
     must have orbifold Euler characteristic <= 0, and g one of the shapes

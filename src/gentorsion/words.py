@@ -386,6 +386,16 @@ def conjugated(w: Word, k: Word) -> Word:
     return k * w * invert(k)
 
 
+def gen3_product(g: Word, *conjugators: Word) -> Word:
+    """reduce(g (k_1 g k_1^-1) ... (k_r g k_r^-1)): 1 for the conjugators (h1, k) of
+    generalised 3-torsion, and for (r) exactly when r reverses g."""
+    # a left-to-right chain: each seam cancels against an original factor's memo
+    product = g
+    for k in conjugators:
+        product = product * k * g * invert(k)
+    return product
+
+
 def _cyclic_core(w: Word) -> tuple[Word, Word]:
     """Peel matching end syllables; returns (core, conj) with conj^-1 w conj = core.
 

@@ -11,6 +11,7 @@ import pytest
 
 from gentorsion import cli
 from gentorsion.certificates import verify_certificate
+from gentorsion.errors import MalformedCertificate
 from gentorsion.oracle import SearchBudget
 
 TREFOIL = "(O,o,0 | 1; (2,1),(3,1)); boundaries=1; phi: d1=+1"
@@ -112,6 +113,25 @@ def test_a_power_too_long_to_write_out_is_an_error_not_a_traceback(argv):
 def test_unknown_subcommand_exits_one():
     proc = run_cli("nope")
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("--format", "text", "normalize", "--word", "a b"),
+    ("--format=text", "normalize", "--word", "a b"),
+    ("--word", "a b"),
+])
+def test_a_flag_before_the_command_is_named_in_the_usage_error(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 1 and proc.stdout == ""
+    flag = argv[0].partition("=")[0]
+    assert proc.stderr.splitlines()[-1] == (
+        f"gentorsion: error: {flag} belongs after the command, as in: gentorsion COMMAND {flag} ...")
+
+
+@pytest.mark.parametrize("flag", ["-h", "--h", "--he", "--help"])
+def test_help_and_its_abbreviations_before_the_command_still_print_help(flag):
+    proc = run_cli(flag)
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: gentorsion")
 
 
 def test_byte_identical_reruns():
@@ -287,11 +307,18 @@ def test_verify_tampered_certificate_is_invalid_but_decided():
     {"kind": "pslz-gen3", "word": "1", "h1": "1", "k": "1"},
     {"kind": "pslz-gen3", "word": "a a", "h1": "1", "k": "1"},
     {"kind": "b3-gen3", "element": "s1 S1", "h1": "s2", "k": "x"},
+    {"kind": "pslz-reverser", "word": "1", "reverser": "a"},
+    {"kind": "b3-reverser", "element": "s1 S1", "reverser": "x"},
+    # c1^2 = h
+    {"kind": "seifert-reverser", "data": "(O,o,0|1,(2,1),(3,1));boundaries=1",
+     "element": "c1^2 h^-1", "reverser": "c2"},
 ])
-def test_verify_refuses_gen3_certificates_of_the_identity(cert):
+def test_verify_refuses_gen3_and_reverser_certificates_of_the_identity(cert):
     # the deciders refuse a trivial element, so its relation certifies nothing
-    assert not verify_certificate(cert)
-    assert run_json("verify", "--certificate", json.dumps(cert))["verdict"] == "invalid"
+    assert verify_certificate(cert) is False
+    proc = run_cli("verify", "--certificate", json.dumps(cert))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verdict"] == "invalid"
 
 
 def test_verify_malformed_certificates_exit_one():
@@ -305,6 +332,84 @@ def test_verify_malformed_certificates_exit_one():
         errors[payload] = report["error"]
     assert errors['{"word":"a"}'] == "certificate is missing its 'kind' field"
     assert errors['{"kind":5}'] == "field 'kind' must be a string"
+
+
+#: one emitted certificate of each kind, and two of its fields in the order they are read
+PIN_CERTIFICATES = {
+    "pslz-reverser": ({"kind": "pslz-reverser", "word": "a b a b^2", "reverser": "a"},
+                      "word", "reverser"),
+    "pslz-conjugacy": ({"kind": "pslz-conjugacy", "word": "a b", "other": "b a",
+                        "conjugator": "a"}, "word", "conjugator"),
+    "pslz-gen3": ({"kind": "pslz-gen3", "word": "a b a b", "h1": "b^2", "k": "b"},
+                  "word", "k"),
+    "b3-reverser": ({"kind": "b3-reverser", "element": "s1 S2", "reverser": "y^2 x y"},
+                    "element", "reverser"),
+    "b3-conjugacy": ({"kind": "b3-conjugacy", "element": "s1", "other": "s2",
+                      "conjugator": "y"}, "element", "conjugator"),
+    "b3-gen3": ({"kind": "b3-gen3", "element": "s1 S2", "h1": "h^-4 x y^2 x y x y x",
+                 "k": "h^-3 x y^2 x y^2 x y x"}, "element", "k"),
+    "seifert-reverser": ({"kind": "seifert-reverser", "data": "(O,o,0|1,(2,1),(3,1));boundaries=1",
+                          "element": "c1 c2 c1^-1 c2^-1", "reverser": "c1"},
+                         "element", "reverser"),
+    # the listed conjugators are read before the element
+    "seifert-gen-n": ({"kind": "seifert-gen-n", "data": "(O,o,0|1,(2,1),(3,1));boundaries=1",
+                       "n": 2, "element": "c1 c2 c1 c2^-1 h^-1",
+                       "conjugators": ["c2 c1^-1 c2^-1"], "x": -1, "m1": 1, "m2": 1},
+                      "conjugators", "element"),
+}
+
+_DROP = object()
+
+
+def _outcome(cert):
+    try:
+        return verify_certificate(cert)
+    except MalformedCertificate as exc:
+        return str(exc)
+
+
+def _bad_field_cases():
+    for kind, (cert, _, _) in PIN_CERTIFICATES.items():
+        for field in cert:
+            if field == "kind":
+                continue
+            for value in (_DROP, 7, ""):
+                if field in ("n", "x", "m1", "m2"):
+                    # 7 is a well-formed integer, so only the relation fails
+                    expected = False if value == 7 else f"field {field!r} must be an integer"
+                elif field == "conjugators":
+                    expected = "field 'conjugators' must be a list"
+                else:
+                    expected = f"field {field!r} must be a nonempty string"
+                yield pytest.param(kind, {field: value}, expected,
+                                   id=f"{kind}-{field}-{'drop' if value is _DROP else repr(value)}")
+
+
+def _two_bad_field_cases():
+    for kind, (cert, first, last) in PIN_CERTIFICATES.items():
+        yield pytest.param(kind, {first: 7, last: 7}, f"field {first!r} must be a "
+                           + ("list" if first == "conjugators" else "nonempty string"),
+                           id=f"{kind}-both-7")
+    # an unparseable element is reported before a missing field read after it
+    for kind, message in [("pslz-reverser", "pslz-reverser: unknown generator 'q'"),
+                          ("pslz-gen3", "pslz-gen3: unknown generator 'q'"),
+                          ("b3-conjugacy", "b3-conjugacy: bad braid letter 'q' (at position 0)"),
+                          ("seifert-reverser", "seifert-reverser: unknown generator 'q'")]:
+        cert, first, last = PIN_CERTIFICATES[kind]
+        yield pytest.param(kind, {first: "q", last: _DROP}, message, id=f"{kind}-q-then-drop")
+
+
+@pytest.mark.parametrize("kind, changes, expected",
+                         [*_bad_field_cases(), *_two_bad_field_cases()])
+def test_a_malformed_certificate_reports_the_first_bad_field_it_reads(kind, changes, expected):
+    cert = dict(PIN_CERTIFICATES[kind][0])
+    assert verify_certificate(cert) is True
+    for field, value in changes.items():
+        if value is _DROP:
+            del cert[field]
+        else:
+            cert[field] = value
+    assert _outcome(cert) == expected
 
 
 def test_verify_reads_from_file(tmp_path):

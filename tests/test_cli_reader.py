@@ -138,7 +138,7 @@ def test_the_reader_reads_the_readme_examples_and_the_cli_workload():
     lines = [[certificate if isinstance(arg, dict) else arg for arg in argv]
              for argv in readme_commands()]
     lines += [list(item[2:]) for seed in range(1, 6) for item in workloads.make_round("cli", seed)]
-    assert len(lines) == 15 + 5 * 13
+    assert len(lines) == 17 + 5 * 13
     for argv in lines:
         assert _agrees(argv), argv
 

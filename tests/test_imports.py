@@ -150,6 +150,8 @@ def test_pslz_commands_load_neither_the_braid_nor_the_seifert_code(at_start):
             assert run["code"] == 0, argv
             assert not loaded & {"gentorsion.braid3", "gentorsion.seifert"}, argv
             assert not loaded & NEVER_ON_THE_CLI, argv
+        # a PSL(2,Z) certificate is checked by the words code alone
+        assert all("gentorsion.modular" not in run["modules"] for run in runs[1:]), argv
     assert kinds == {"pslz-conjugacy", "pslz-reverser", "pslz-gen3"}
 
 

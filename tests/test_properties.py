@@ -728,9 +728,11 @@ def _up_to_sign(x, y):
 def _matrix_relation(cert):
     m = {key: _matrix(text) for key, text in cert.items() if key != "kind"}
     g = m["word"]
+    # a reverser and generalised torsion are answers about a nontrivial g
+    nontrivial = not _up_to_sign(g, ((1, 0), (0, 1)))
     if cert["kind"] == "pslz-reverser":
         r = m["reverser"]
-        return _up_to_sign(_mat_mul(_mat_mul(r, g), _mat_inv(r)), _mat_inv(g))
+        return nontrivial and _up_to_sign(_mat_mul(_mat_mul(r, g), _mat_inv(r)), _mat_inv(g))
     if cert["kind"] == "pslz-conjugacy":
         k = m["conjugator"]
         return _up_to_sign(_mat_mul(_mat_mul(k, g), _mat_inv(k)), m["other"])
@@ -739,8 +741,7 @@ def _matrix_relation(cert):
         _mat_mul(g, _mat_mul(_mat_mul(h1, g), _mat_inv(h1))),
         _mat_mul(_mat_mul(k, g), _mat_inv(k)),
     )
-    # generalised torsion is an answer about a nontrivial g
-    return not _up_to_sign(g, ((1, 0), (0, 1))) and _up_to_sign(product, ((1, 0), (0, 1)))
+    return nontrivial and _up_to_sign(product, ((1, 0), (0, 1)))
 
 
 @st.composite
@@ -808,7 +809,9 @@ def _braid_relation(cert):
     (g, e) = images["element"]
     if cert["kind"] == "b3-reverser":
         r = images["reverser"][0]
-        return e == 0 and _mat_mul(_mat_mul(r, g), _mat_inv(r)) == _mat_inv(g)
+        # with e = 0, g is 1 exactly when its matrix is, and g must not be 1
+        return (e == 0 and g != ((1, 0), (0, 1))
+                and _mat_mul(_mat_mul(r, g), _mat_inv(r)) == _mat_inv(g))
     if cert["kind"] == "b3-conjugacy":
         (k, _), (other, e_other) = images["conjugator"], images["other"]
         return e == e_other and _mat_mul(_mat_mul(k, g), _mat_inv(k)) == other
@@ -893,7 +896,8 @@ def _trefoil_relation(cert, b):
     g, e = _trefoil_image(cert["element"], b)
     if cert["kind"] == "seifert-reverser":
         r = _trefoil_image(cert["reverser"], b)[0]
-        return e == 0 and _mat_mul(_mat_mul(r, g), _mat_inv(r)) == _mat_inv(g)
+        # with e = 0, g is 1 exactly when its matrix is, and g must not be 1
+        return e == 0 and g != _IDENTITY and _mat_mul(_mat_mul(r, g), _mat_inv(r)) == _mat_inv(g)
     product = g
     for text in cert["conjugators"]:
         k = _trefoil_image(text, b)[0]
