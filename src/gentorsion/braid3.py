@@ -41,7 +41,6 @@ from .words import (
     _cyclic_core,
     format_tokens,
     identity,
-    invert,
     mirror_centres,
     parse_word,
     tokens,
@@ -338,9 +337,10 @@ def gen3_torsion_b3(g: Union[BraidWord, CentralElement]) -> B3Gen3Verdict:
 
     The exponent sum must vanish (three conjugates of g have exponent sum
     3 e(g)), and then the question descends to the quotient: a quotient
-    certificate lifts to a braid relation equal to h^(e(g)/2) = 1.  The
-    quotient witness z b^u z^-1 b^v is reshaped into the distinct-factor
-    form e1 e2^2 h^-1 and certified by (e2^-2, e2^2).
+    certificate lifts to a braid relation equal to h^(e(g)/2) = 1.  A quotient
+    witness c (z b^u z^-1 b^v) c^-1 gives the form e1 e2^2 h^-1, certified by
+    (e2^-2, e2^2): e1, e2 conjugate y by (c z, c) if u = 1, else by (c, c z)
+    with c shifted by b^2.
     """
     n = normal_form(g)
     if n.is_identity:
@@ -368,19 +368,11 @@ def gen3_torsion_b3(g: Union[BraidWord, CentralElement]) -> B3Gen3Verdict:
             "a zero-exponent-sum braid forces an order-3 image witness with "
             "exponents summing to 0 mod 3"
         )
+    # c (z b^2 z^-1 b) c^-1 is (c b^2) (b z b^2 z^-1) (c b^2)^-1
+    c = CentralElement(0, w.conjugator * _word("b^2") if w.e1 == 2 else w.conjugator)
+    cz = c * CentralElement(0, w.z)
     y = CentralElement(0, _word("b"))
-    z = CentralElement(0, w.z)
-    if (w.e1, w.e2) == (1, 2):
-        # image witness z b z^-1 * b^2 is already in e1 e2^2 shape
-        e1, e2 = z * y * z.inverse(), y
-        c_img = w.conjugator
-    else:
-        # rotate z b^2 z^-1 * b to b * z b^2 z^-1 = e1 e2^2 shape
-        e1, e2 = y, z * y * z.inverse()
-        b = _word("b")
-        c_img = w.conjugator * invert(b)
-    c = CentralElement(0, c_img)
-    e1, e2 = e1.conjugated_by(c), e2.conjugated_by(c)
+    e1, e2 = (y.conjugated_by(k) for k in ((cz, c) if w.e1 == 1 else (c, cz)))
     if e1 == e2:
         raise InvalidCertificate("the two torsion factors must be distinct")
     k = e2 ** 2

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Mapping
 from .errors import GroupError, MalformedCertificate, UnsupportedBase
 
 if TYPE_CHECKING:
-    from .braid3 import CentralElement
+    from .braid3 import BraidWord, CentralElement
     from .words import Word
 
 __all__ = [
@@ -63,7 +63,7 @@ def b3_reverser_certificate(element: str, reverser: str) -> dict:
     return _certificate("b3-reverser", element, reverser)
 
 
-def b3_conjugacy_certificate(element: str, other: str, conjugator: str) -> dict:
+def b3_conjugacy_certificate(element: str, other: str, conjugator: BraidWord | str) -> dict:
     return _certificate("b3-conjugacy", element, other, conjugator)
 
 

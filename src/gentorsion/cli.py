@@ -27,7 +27,7 @@ import json
 import sys
 from functools import cache
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
 from . import certificates
 from .errors import GroupError, InvalidCertificate, MalformedCertificate
@@ -39,8 +39,6 @@ __all__ = ["main"]
 
 EXIT_DECIDED = 0
 EXIT_ERROR = 1
-
-_SEIFERT_PREFIX = "seifert:"
 
 #: ``gentorsion.oracle.SUITES``, spelled out so that the command table
 #: does not load the oracles; tests/test_imports.py keeps the two equal
@@ -79,17 +77,42 @@ def _emit_error(exc: Exception, fmt: str) -> None:
         sys.stderr.write(f"error: {exc}\n")
 
 
-def _split_group(value: str) -> tuple[str, Optional[str]]:
-    if value in ("pslz", "b3"):
-        return value, None
-    if value.startswith(_SEIFERT_PREFIX):
-        spec = value[len(_SEIFERT_PREFIX):]
+def _group(value: str) -> tuple[str, Optional[str], Callable[[str], Any]]:
+    """--group read once: its kind, its Seifert data text and its element reader.
+
+    The reader loads its group's module when called, and reads a PSL(2,Z)
+    word or the normal form of a B3 or Seifert group element.
+    """
+    kind, spec = value, None
+    if value.startswith("seifert:"):
+        kind, spec = "seifert", value.removeprefix("seifert:")
         if not spec.strip():
             raise GroupError("seifert group data is empty; use seifert:<data>")
-        return "seifert", spec
-    raise GroupError(
-        f"unknown group {value!r}; expected pslz, b3, or seifert:<data>"
-    )
+    elif value not in ("pslz", "b3"):
+        raise GroupError(f"unknown group {value!r}; expected pslz, b3, or seifert:<data>")
+
+    def read(text: str):
+        if kind == "pslz":
+            from .words import PSL2Z, parse_word
+            return parse_word(PSL2Z, text)
+        if kind == "b3":
+            from .braid3 import normal_form, parse_braid
+            return normal_form(parse_braid(text))
+        return _seifert(spec).element(text)
+
+    return kind, spec, read
+
+
+def _seifert(spec: str):
+    """The Seifert group of data text, built once per data."""
+    from .seifert import parse_seifert, seifert_group
+    return seifert_group(parse_seifert(spec))
+
+
+def _normal_form(pair, spec: Optional[str] = None) -> dict:
+    """A B3 normal form h^m q, or one of the Seifert group of spec, as {m, q, spelled}."""
+    spelled = pair.spell() if spec is None else _seifert(spec).spell(pair)
+    return {"m": pair.m, "q": str(pair.q), "spelled": str(spelled)}
 
 
 def _require_word(args) -> str:
@@ -98,36 +121,19 @@ def _require_word(args) -> str:
     return args.word
 
 
-def _braid_normal_form(word: str) -> tuple[dict, int]:
-    """The B3 normal form of word as {m, q, spelled}, and its exponent sum."""
-    from .braid3 import normal_form, parse_braid
-    nf = normal_form(parse_braid(word))
-    return {"m": nf.m, "q": str(nf.q), "spelled": str(nf.spell())}, nf.exponent_sum
-
-
 def _handle_normalize(args):
-    kind, spec = _split_group(args.group)
-    word = _require_word(args)
-    if kind == "pslz":
-        from .words import PSL2Z, parse_word
-        normal = str(parse_word(PSL2Z, word))
-    elif kind == "b3":
-        normal, _ = _braid_normal_form(word)
-    else:
-        from .seifert import parse_seifert, seifert_group
-        group = seifert_group(parse_seifert(spec))
-        pair = group.element(word)
-        normal = {"m": pair.m, "q": str(pair.q), "spelled": group.spell(pair)}
+    kind, spec, read = _group(args.group)
+    element = read(_require_word(args))
+    normal = str(element) if kind == "pslz" else _normal_form(element, spec)
     return {"verdict": "ok", "normal_form": normal}
 
 
 def _handle_classify(args):
-    kind, _ = _split_group(args.group)
+    kind, _, read = _group(args.group)
     if kind != "pslz":
         raise GroupError("classify supports only --group pslz")
     from .modular import classify, to_matrix
-    from .words import PSL2Z, parse_word
-    word = parse_word(PSL2Z, _require_word(args))
+    word = read(_require_word(args))
     trace = abs(to_matrix(word).trace)
     try:
         diagnostic = f"absolute trace {trace}"
@@ -141,52 +147,43 @@ def _handle_classify(args):
 
 
 def _handle_conjugate(args):
-    kind, _ = _split_group(args.group)
+    kind, _, read = _group(args.group)
     word = _require_word(args)
     if not args.other:
         raise GroupError("conjugate requires --other")
-    if kind == "pslz":
-        from .words import PSL2Z, is_conjugate, parse_word
-        u = parse_word(PSL2Z, word)
-        v = parse_word(PSL2Z, args.other)
-        conjugator = is_conjugate(u, v)
-        if conjugator is None:
-            return {"verdict": "no"}
-        cert = certificates.pslz_conjugacy_certificate(u, v, conjugator)
-    elif kind == "b3":
-        from .braid3 import conjugate_b3, parse_braid
-        g1 = parse_braid(word)
-        g2 = parse_braid(args.other)
-        braid_conjugator = conjugate_b3(g1, g2)
-        if braid_conjugator is None:
-            return {"verdict": "no"}
-        cert = certificates.b3_conjugacy_certificate(
-            word, args.other, str(braid_conjugator)
-        )
-    else:
+    if kind == "seifert":
         raise GroupError("conjugate supports --group pslz and --group b3")
-    return {"verdict": "yes", "certificate": cert}
+    u, v = read(word), read(args.other)
+    if kind == "pslz":
+        from .words import is_conjugate
+        conjugator, build = is_conjugate(u, v), certificates.pslz_conjugacy_certificate
+    else:
+        from .braid3 import conjugate_b3
+        conjugator, build = conjugate_b3(u, v), certificates.b3_conjugacy_certificate
+        u, v = word, args.other  # a B3 certificate carries the text given
+    if conjugator is None:
+        return {"verdict": "no"}
+    return {"verdict": "yes", "certificate": build(u, v, conjugator)}
 
 
 def _handle_reversible(args):
-    kind, spec = _split_group(args.group)
+    kind, spec, read = _group(args.group)
     word = _require_word(args)
+    element = read(word)
     result = {"verdict": "no"}
     if kind == "pslz":
         from .modular import classify, reversible
-        from .words import PSL2Z, parse_word
-        parsed = parse_word(PSL2Z, word)
-        verdict = reversible(parsed)
-        result["diagnostics"] = diagnostics = [f"isometry class {classify(parsed).value}"]
+        verdict = reversible(element)
+        result["diagnostics"] = diagnostics = [f"isometry class {classify(element).value}"]
         if verdict is None:
             return result
         u, v = verdict.involution_pair
         diagnostics.append("reverser squares to the identity")
         diagnostics.append(f"involution pair u = {u}, v = {v}")
-        cert = certificates.pslz_reverser_certificate(parsed, verdict.reverser)
+        cert = certificates.pslz_reverser_certificate(element, verdict.reverser)
     elif kind == "b3":
-        from .braid3 import parse_braid, reversible_b3
-        outcome = reversible_b3(parse_braid(word))
+        from .braid3 import reversible_b3
+        outcome = reversible_b3(element)
         if outcome is None:
             return result
         result["diagnostics"] = [
@@ -195,22 +192,22 @@ def _handle_reversible(args):
         ]
         cert = certificates.b3_reverser_certificate(word, str(outcome.reverser))
     else:
-        from .seifert import parse_seifert, reversible_seifert, seifert_group
-        data = parse_seifert(spec)
-        report = reversible_seifert(word, data)
+        from .seifert import reversible_seifert
+        group = _seifert(spec)
+        report = reversible_seifert(element, group.data)
         result["diagnostics"] = [report.reason]
         result["normal_form"] = {"m": report.normal_form.m, "q": str(report.normal_form.q)}
         if not report.reversible:
             return result
         cert = certificates.seifert_reverser_certificate(
-            spec, word, seifert_group(data).spell(report.reverser)
+            spec, word, group.spell(report.reverser)
         )
     result.update(verdict="yes", certificate=cert)
     return result
 
 
 def _handle_gen_torsion(args):
-    kind, spec = _split_group(args.group)
+    kind, spec, read = _group(args.group)
     if kind == "seifert":
         from .seifert import gen_n_absent_reason, gen_n_certificate, parse_seifert
         if args.word:
@@ -229,24 +226,21 @@ def _handle_gen_torsion(args):
             reason = f"fibers ({found.i}, {found.j}) with powers ({found.p}, {found.p_prime})"
         return {"verdict": "yes", "certificate": cert, "diagnostics": [reason]}
     if args.n != 3:
-        from .seifert import require_gen_degree
+        from .words import require_gen_degree
         require_gen_degree(args.n)  # the refusal a seifert group gives below n = 2
         raise GroupError(
             f"only n = 3 is decided for group {kind!r}; --n {args.n} is supported "
             "for seifert groups"
         )
     word = _require_word(args)
+    element = read(word)
     if kind == "pslz":
         from .modular import gen3_torsion
-        from .words import PSL2Z, parse_word
-        element = parse_word(PSL2Z, word)
-        verdict = gen3_torsion(element)
-        build = certificates.pslz_gen3_certificate
+        verdict, build = gen3_torsion(element), certificates.pslz_gen3_certificate
     else:
-        from .braid3 import gen3_torsion_b3, parse_braid
-        element = word
-        verdict = gen3_torsion_b3(parse_braid(word))
-        build = certificates.b3_gen3_certificate
+        from .braid3 import gen3_torsion_b3
+        verdict, build = gen3_torsion_b3(element), certificates.b3_gen3_certificate
+        element = word  # a B3 certificate carries the text given
     result = {"verdict": verdict.tag.value}
     if verdict.reason:
         result["diagnostics"] = [verdict.reason]
@@ -256,11 +250,11 @@ def _handle_gen_torsion(args):
 
 
 def _handle_braid(args):
-    normal, exponent_sum = _braid_normal_form(_require_word(args))
+    element = _group("b3")[2](_require_word(args))
     return {
         "verdict": "ok",
-        "normal_form": normal,
-        "diagnostics": [f"exponent sum {exponent_sum}"],
+        "normal_form": _normal_form(element),
+        "diagnostics": [f"exponent sum {element.exponent_sum}"],
     }
 
 

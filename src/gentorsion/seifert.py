@@ -52,6 +52,7 @@ from .words import (
     invert,
     is_conjugate,
     reduce,
+    require_gen_degree,
     tokens,
 )
 
@@ -633,12 +634,6 @@ def _separating_letter(d: SeifertData, i: int, j: int) -> str:
     names = [f"c{idx}" for idx in range(1, len(d.exceptional) + 1) if idx != j]
     candidates = names + _kept_letters(d, 1)
     return candidates[0] if candidates else ""
-
-
-def require_gen_degree(n: int) -> None:
-    """Refuse a degree n < 2, for which generalised n-torsion is not defined."""
-    if n < 2:
-        raise InvalidInvariant(f"generalised torsion needs n >= 2, got {n}")
 
 
 def _require_gen_n_base(d: SeifertData) -> None:

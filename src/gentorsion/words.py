@@ -43,6 +43,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     InvalidCertificate,
+    InvalidInvariant,
     ParseError,
     SchemeMismatch,
     TrivialElement,
@@ -360,14 +361,12 @@ def invert(w: Word) -> Word:
     """The group inverse: reversed syllables with negated exponents.
 
     A reduced word inverts syllable by syllable, with no cancellation:
-    a finite-order exponent e becomes order - e.  w and its inverse each
-    remember the other's syllables.
+    a finite-order exponent e becomes order - e.  w, a CyclicWord too, and
+    its inverse, a Word, each remember the other's syllables.
 
     >>> str(invert(parse_word(PSL2Z, "a b a b^2")))
     'b a b^2 a'
     """
-    if w.__class__ is not Word:  # a CyclicWord remembers nothing
-        w = Word(w.scheme, w.syllables)
     v = Word(w.scheme, _inverse_syllables(w))
     v._inverted = w.syllables
     return v
@@ -394,6 +393,12 @@ def gen3_product(g: Word, *conjugators: Word) -> Word:
     for k in conjugators:
         product = product * k * g * invert(k)
     return product
+
+
+def require_gen_degree(n: int) -> None:
+    """Refuse a degree n < 2, for which generalised n-torsion is not defined."""
+    if n < 2:
+        raise InvalidInvariant(f"generalised torsion needs n >= 2, got {n}")
 
 
 def _cyclic_core(w: Word) -> tuple[Word, Word]:
@@ -475,23 +480,17 @@ def _wide(codes: list[int]) -> str:
     return "".join([chr(0x100000 | c >> 16) + chr(c & 0xFFFF) for c in codes])
 
 
-class CyclicWord(_Record):
-    """A conjugacy-class representative: the least rotation of a cyclic core.
+class CyclicWord(Word):
+    """A conjugacy-class representative: the least rotation of a cyclic core, a reduced word.
 
     Rotations are ordered lexicographically by (generator index, exponent).
     """
 
-    __slots__ = _fields = ("scheme", "syllables")
+    __slots__ = ()
 
     @classmethod
     def from_word(cls, w: Word) -> "CyclicWord":
         return cyclic_reduce(w)[0]
-
-    def __len__(self) -> int:
-        return len(self.syllables)
-
-    def __str__(self) -> str:
-        return format_tokens(self.syllables)
 
 
 def cyclic_reduce(w: Word) -> tuple[CyclicWord, Word]:

@@ -255,6 +255,29 @@ def test_gen3_rotates_a_two_one_image_witness_into_form():
     assert verify_certificate(b3_gen3_certificate(ROTATED_WITNESS, h1, k))
 
 
+# the outputs recorded for an image witness of each shape: (1, 2) is already
+# e1 e2^2, and (2, 1) is rotated into that form
+@pytest.mark.parametrize("text, h1, k, e1, e2, conjugator", [
+    ("s1 S2", "h^-4 x y^2 x y x y x", "h^-3 x y^2 x y^2 x y x",
+     "h^-1 x y x", "h^-3 x y^2 x y x y x", "x y^2 x"),
+    (ROTATED_WITNESS,
+     "h^-23 y x y x y^2 x y x y x y^2 x y^2 x y^2 x y x y x y^2 x y x y x y^2 x y^2 x y x y x "
+     "y x y^2 x y^2 x y x y^2 x y^2",
+     "h^-22 y x y x y^2 x y x y x y^2 x y^2 x y^2 x y x y x y^2 x y^2 x y x y^2 x y^2 x y x y x "
+     "y x y^2 x y^2 x y x y^2 x y^2",
+     "h^-14 y x y x y^2 x y x y x y^2 x y^2 x y x y x y x y^2 x y^2 x y x y^2 x y^2",
+     "h^-22 y x y x y^2 x y x y x y^2 x y^2 x y^2 x y x y x y^2 x y x y x y^2 x y^2 x y x y x "
+     "y x y^2 x y^2 x y x y^2 x y^2",
+     "y x y x y^2 x y x y x y^2 x y^2 x y^2"),
+])
+def test_gen3_pins_the_outputs_of_both_image_witness_shapes(text, h1, k, e1, e2, conjugator):
+    verdict = gen3_torsion_b3(parse_braid(text))
+    assert b3_gen3_certificate(text, *verdict.certificate) == {
+        "kind": "b3-gen3", "element": text, "h1": h1, "k": k}
+    wit = verdict.form_witness
+    assert [str(f.spell()) for f in (wit.e1, wit.e2, wit.conjugator)] == [e1, e2, conjugator]
+
+
 def test_gen3_rejects_nonzero_exponent_sum():
     verdict = gen3_torsion_b3(parse_braid("h"))
     assert verdict.tag == Verdict.NO

@@ -155,6 +155,15 @@ def test_pslz_commands_load_neither_the_braid_nor_the_seifert_code(at_start):
     assert kinds == {"pslz-conjugacy", "pslz-reverser", "pslz-gen3"}
 
 
+@pytest.mark.parametrize("n", ["4", "1"])
+def test_a_refused_pslz_gen_torsion_loads_neither_the_braid_nor_the_seifert_code(at_start, n):
+    report = json.loads(_fresh(_RUN_MAIN, "gen-torsion", "--group", "pslz", "--word", "a b",
+                               "--n", n))
+    loaded = set(report["modules"]) - at_start
+    assert report["code"] == 1
+    assert not loaded & {"gentorsion.braid3", "gentorsion.seifert"}
+
+
 def test_the_readme_examples_load_no_argparse(at_start):
     from test_readme_examples import readme_commands
 

@@ -11,12 +11,15 @@ words kernel, which works through per-scheme syllable tables, agrees with the
 per-syllable loops it replaced on cold and warm tables, and every inverse a
 word remembers is the per-syllable one.  A PSL(2,Z), B3 or trefoil Seifert
 certificate with one syllable changed verifies exactly when its relation
-holds in 2x2 integer matrices, for B3 and the trefoil with the exponent sum.
+holds in 2x2 integer matrices, for B3 and the trefoil with the exponent sum,
+and a Seifert certificate on other data with trivial phi exactly when its
+quotient image and a fibre character psi say it does.
 Hypothesis runs derandomized, so every run draws the same examples.
 """
 
 import functools
 import operator
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -944,3 +947,111 @@ def test_a_trefoil_certificate_with_one_letter_changed_verifies_as_sl2z_and_e_sa
         texts[index] = " ".join(parts)
         mutated = dict(cert, conjugators=texts)
     assert verify_certificate(mutated) == _trefoil_relation(mutated, b), mutated
+
+
+
+# -- a Seifert certificate on other data with one token changed ---------------
+#
+# With phi trivial and a boundary, h is central of infinite order, and the
+# quotient by <h> is the free product of the Z/mu_i on the c_i and of Z on the
+# handle letters and every boundary letter but the last, which the long
+# relation eliminates.  psi, with psi(h) = 1, psi(c_i) = beta_i/mu_i and
+# psi(d_last) = -(b + sum beta_i/mu_i), is a homomorphism to Q, so an element
+# is 1 exactly when its quotient image is 1 and psi of it is 0.
+
+#: each data set: its presentation letters, its last boundary letter, and the
+#: letters before that one in the long relation, whose inverse is its image
+PSI_DATA = {
+    "(O,o,1 | 1; (2,1),(4,1)); boundaries=1": ("a1 b1 c1 c2 d1 h", "d1", "a1 b1 a1^-1 b1^-1 c1 c2"),
+    "(O,o,0 | -1; (2,1),(3,1),(5,2)); boundaries=2": ("c1 c2 c3 d1 d2 h", "d2", "c1 c2 c3 d1"),
+    "(O,o,0|0;(4,1),(9,2));boundaries=1": ("c1 c2 d1 h", "d1", "c1 c2"),
+}
+PSI_GROUPS = {spec: SeifertGroup(parse_seifert(spec)) for spec in PSI_DATA}
+#: the degrees 2 .. 12 at which each data set has a gen-n certificate
+PSI_DEGREES = {spec: [n for n in range(2, 13) if gen_n_certificate(G.data, n)]
+               for spec, G in PSI_GROUPS.items()}
+
+
+def _pairs(text):
+    """The (letter, exponent) pairs of element text, read by str methods alone."""
+    return [(name, int(exp or 1)) for name, _, exp in
+            (token.partition("^") for token in text.split() if token != "1")]
+
+
+def _inverse_pairs(pairs):
+    return [(name, -exp) for name, exp in reversed(pairs)]
+
+
+def _psi_relation(cert):
+    """Whether the certificate's relation holds, read off the quotient image and psi."""
+    d = parse_seifert(cert["data"])
+    _, last, before_last = PSI_DATA[cert["data"]]
+    orders = {f"c{i}": mu for i, (mu, _) in enumerate(d.exceptional, 1)}
+    psi = {f"c{i}": Fraction(beta, mu) for i, (mu, beta) in enumerate(d.exceptional, 1)}
+    psi.update({"h": Fraction(1), last: -(d.b + sum(psi.values()))})
+    eliminated = _inverse_pairs(_pairs(before_last))
+
+    def image(pairs):
+        stack = []
+        for name, exp in pairs:
+            if name == "h":
+                continue
+            if name == last:
+                block = eliminated if exp > 0 else _inverse_pairs(eliminated)
+                stack = image(stack + block * abs(exp))
+                continue
+            if stack and stack[-1][0] == name:
+                exp += stack.pop()[1]
+            if name in orders:
+                exp %= orders[name]
+            if exp:
+                stack.append((name, exp))
+        return stack
+
+    g = _pairs(cert["element"])
+    product = list(g)
+    for text in [cert["reverser"]] if "reverser" in cert else cert["conjugators"]:
+        k = _pairs(text)
+        product += k + g + _inverse_pairs(k)
+    psi_g = sum(exp * psi.get(name, 0) for name, exp in g)
+    return bool(image(g) or psi_g) and not image(product) and psi_g == 0
+
+
+@st.composite
+def emitted_psi_certificates(draw):
+    """A certificate a Seifert decider emits on non-trefoil data with trivial phi:
+    gen-n at some n in 2 .. 12, or a reverser of a conjugated commutator
+    [c1^(mu_1/2), k], whose first factor is an involution in the quotient."""
+    spec = draw(st.sampled_from(list(PSI_DATA)))
+    G = PSI_GROUPS[spec]
+    if draw(st.booleans()):
+        n = draw(st.sampled_from(PSI_DEGREES[spec]))
+        return seifert_gen_n_certificate(spec, gen_n_certificate(G.data, n))
+    words = _seifert_elements(G, tuple(PSI_DATA[spec][0].split()), 4)
+    half = G.pow(G.generator("c1"), G.data.exceptional[0][0] // 2)
+    g = G.conjugated(G.mul(half, G.conjugated(G.inv(half), draw(words))), draw(words))
+    assume(not g.is_identity)
+    report = reversible_seifert(g, G.data)
+    assert report.reversible, G.spell(g)
+    return seifert_reverser_certificate(spec, G.spell(g), G.spell(report.reverser))
+
+
+@PROPERTY
+@given(emitted_psi_certificates(), st.data())
+def test_a_seifert_certificate_with_one_token_changed_verifies_as_its_image_and_psi_say(cert, data):
+    assert verify_certificate(cert) and _psi_relation(cert), cert
+    slots = [(key, None) for key in ("element", "reverser") if key in cert]
+    slots += [("conjugators", i) for i in range(len(cert.get("conjugators", ())))]
+    key, index = data.draw(st.sampled_from(slots))
+    parts = (cert[key] if index is None else cert[key][index]).split()
+    i = data.draw(st.integers(0, len(parts) - 1))
+    letters = PSI_DATA[cert["data"]][0].split()
+    replacements = ["1"] + [f"{x}{e}" for x in letters for e in ("", "^-1", "^2")]
+    parts[i] = data.draw(st.sampled_from([r for r in replacements if r != parts[i]]))
+    if index is None:
+        mutated = dict(cert, **{key: " ".join(parts)})
+    else:
+        texts = list(cert[key])
+        texts[index] = " ".join(parts)
+        mutated = dict(cert, conjugators=texts)
+    assert verify_certificate(mutated) == _psi_relation(mutated), mutated

@@ -844,6 +844,22 @@ def test_gen_n_certificates_at_large_n_verify():
         assert verify_certificate(seifert_gen_n_certificate(spec, cert))
 
 
+@pytest.mark.parametrize("spec, n", [
+    ("(O,o,0 | 1; (2,1),(3,1)); boundaries=1", 35),
+    ("(O,o,0 | -1; (2,1),(3,1),(5,2)); boundaries=2", 49),
+])
+def test_a_composed_gen_n_certificate_verifies_where_no_fibre_shares_a_factor_with_n(spec, n):
+    """g = h^-2 c1 c2 c1 c2^2 is reversible by c1 and gen-3 by (h^-1 c2, c2^2), so
+    each pair of conjugators c1, 1 adds g^-1 g and g is gen-n for every odd n.
+    No fibre order shares a factor with these n, and the benchmark's fibered
+    workload expects absent on exactly these inputs; only the verifier is pinned."""
+    cert = {"kind": "seifert-gen-n", "data": spec, "n": n, "element": "h^-2 c1 c2 c1 c2^2",
+            "conjugators": ["c1", "1"] * ((n - 3) // 2) + ["h^-1 c2", "c2^2"],
+            "x": 0, "m1": 0, "m2": 0}
+    assert verify_certificate(cert)
+    assert not verify_certificate(dict(cert, element="h^-2 c1 c2 c1 c2"))
+
+
 def test_gen_n_refuses_closed_bases_of_positive_orbifold_euler_characteristic():
     # (O,o,0|0;(4,1),(4,3)) is Z/16, where the pair element c1^2 c2 c1^2 c2^-1 h^-1
     # is 1; (O,o,0|3) is <h | h^3>

@@ -130,6 +130,8 @@ def test_cyclic_reduce_invariant_always_holds():
     for word in enumerate_reduced(PSL2Z, 5):
         core, conj = cyclic_reduce(word)
         assert CyclicWord.from_word(invert(conj) * word * conj) == core
+        assert isinstance(CyclicWord.from_word(word), Word)
+        assert (invert(core) * core).is_identity
 
 
 def test_canonical_rotation_identifies_rotations():
@@ -714,7 +716,7 @@ def test_a_record_equals_only_a_record_of_its_own_class():
     assert witness == Gen3Witness(z, e1=1, e2=2, conjugator=z)
     assert hash(witness) == hash(Gen3Witness(z, 1, 2, z))
     assert witness != (z, 1, 2, z) and witness != Gen3Witness(z, 2, 1, z)
-    # Word and CyclicWord share their fields, not their class
+    # a CyclicWord is a Word, yet equals only a CyclicWord
     assert Word(PSL2Z, z.syllables) != CyclicWord(PSL2Z, z.syllables)
     with pytest.raises(TypeError):
         iter(witness)
