@@ -26,18 +26,12 @@ SWEEP_SEIFERT_DATA = "(O,o,0 | 0; (4,1),(4,1)); boundaries=2; phi: d1=-1,d2=-1"
 
 class SearchBudget(_Record):
     __slots__ = _fields = ("max_conjugator_syllables", "max_central_exponent", "max_candidates")
+    _defaults = {"max_conjugator_syllables": 6, "max_central_exponent": 2, "max_candidates": 10**6}
 
-    def __init__(
-        self,
-        max_conjugator_syllables: int = 6,
-        max_central_exponent: int = 2,
-        max_candidates: int = 10**6,
-    ):
-        if min(max_conjugator_syllables, max_central_exponent, max_candidates) <= 0:
+    def __init__(self, *values, **named):
+        super().__init__(*values, **named)
+        if min(self._key(self)) <= 0:
             raise ValueError("budget fields must be positive")
-        self.max_conjugator_syllables = max_conjugator_syllables
-        self.max_central_exponent = max_central_exponent
-        self.max_candidates = max_candidates
 
 
 def _candidates(scheme, budget: SearchBudget, syllables: int):

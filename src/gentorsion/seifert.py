@@ -71,19 +71,10 @@ class SeifertData(_Record):
     _fields = ("base_orientable", "genus_or_crosscaps", "boundary_count", "b", "exceptional", "phi")
     #: beside the fields: the generator names, and phi of every one of them
     __slots__ = _fields + ("_handles", "_fibres", "_boundary", "_twist")
+    _defaults = {"exceptional": (), "phi": ()}
 
-    def __init__(
-        self,
-        base_orientable: bool,
-        genus_or_crosscaps: int,
-        boundary_count: int,
-        b: int,
-        exceptional: tuple[tuple[int, int], ...] = (),
-        phi: tuple[tuple[str, int], ...] = (),
-    ):
-        self.base_orientable, self.genus_or_crosscaps = base_orientable, genus_or_crosscaps
-        self.boundary_count, self.b = boundary_count, b
-        self.exceptional, self.phi = exceptional, phi
+    def __init__(self, *values, **named):
+        super().__init__(*values, **named)
         if self.genus_or_crosscaps < 0:
             raise InvalidInvariant("genus / crosscap count must be nonnegative")
         if self.boundary_count < 0:
@@ -272,13 +263,6 @@ class SeifertPair(_Record):
     def __init__(self, m: int, q: Word):
         self.m = m
         self.q = q
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.m == other.m and self.q == other.q
-
-    __hash__ = _Record.__hash__
 
     @property
     def is_identity(self) -> bool:
@@ -714,23 +698,21 @@ def gen_n_certificate(d: SeifertData, n: int) -> Optional[GenNCertificate]:
         m1 = beta_i * (n * p) // mu_i
         m2 = beta_j * (n * p_prime) // mu_j
         x = -(m1 + m2) // n
-        separating = _separating_letter(d, i, j)
-
-        def wrap(power: int) -> list[tuple[str, int]]:
-            core = [(f"c{j}", power)]
-            return [(separating, 1), *core, (separating, -1)] if separating else core
-
-        element = format_tokens([(f"c{i}", p), *wrap(p_prime), ("h", x)])
-        conjugators = tuple(format_tokens(wrap(-l * p_prime)) for l in range(1, n))
-        flipping = ""
+        separating, flipping, letter, step = _separating_letter(d, i, j), "", f"c{j}", -p_prime
     else:
         flips = _kept_letters(d, -1)
         if n % 2 or not flips:
             return None
         i = j = p = p_prime = x = m1 = m2 = 0
-        separating, flipping = "", flips[0]
-        element = "h"
-        conjugators = tuple(format_tokens([(flipping, l)]) for l in range(1, n))
+        separating, flipping, letter, step = "", flips[0], flips[0], 1
+
+    def power(l: int) -> list[tuple[str, int]]:
+        """K^l = [k] letter^(l step) [k^-1]."""
+        core = [(letter, l * step)]
+        return [(separating, 1), *core, (separating, -1)] if separating else core
+
+    element = format_tokens([(f"c{i}", p), *power(-1), ("h", x)]) if pair else "h"
+    conjugators = tuple(format_tokens(power(l)) for l in range(1, n))
     cert = GenNCertificate(
         n, i, j, p, p_prime, x, m1, m2, separating, element, conjugators, flipping
     )

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import re
 from itertools import count, repeat
-from operator import eq, itemgetter
+from operator import attrgetter, eq, itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -65,14 +65,17 @@ class _Record:
     what ``dataclass(frozen=True)`` provides, without that decorator's
     set-up cost when the module loads; assignment is not blocked, and no
     code assigns a field after ``__init__``.  A record equals only a record
-    of its own class, and is neither a tuple nor iterable.
+    of its own class, and is neither a tuple nor iterable.  Equality and the
+    hash read one key per class, an ``attrgetter`` over ``_fields`` (the
+    class itself for a record of no fields).
 
     A subclass writes its own ``__init__`` in two cases only.  One is a
     record built inside kernel loops (``Word``, ``SeifertPair`` and so
     ``CentralElement``): assigning its slots directly takes about 0.3 us on
     CPython 3.11, the generic constructor 1.2 to 2.2 us.  The other is a
     constructor that validates or derives fields (``GroupScheme``,
-    ``SeifertData``, ``BraidWord``, ``SearchBudget``).
+    ``SeifertData``, ``BraidWord``, ``SearchBudget``); the last two fill
+    their fields through the generic one and then check them.
     A syllable is no record: it is the pair (generator, exponent) itself.
     """
 
@@ -100,16 +103,16 @@ class _Record:
             problem = "got two values for" if name in fields else "has no"
             raise TypeError(f"{type(self).__name__} {problem} field {name!r}")
 
-    def _key(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls._fields) if cls._fields else type
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        return self._key(self) == other._key(other)
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self._key(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -232,13 +235,6 @@ class Word(_Record):
         self.syllables = syllables
         # the syllables of the inverse, once a kernel has needed them; no part of the value
         self._inverted: Optional[tuple[Syllable, ...]] = None
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.scheme, self.syllables) == (other.scheme, other.syllables)
-
-    __hash__ = _Record.__hash__
 
     def __len__(self) -> int:
         return len(self.syllables)

@@ -13,12 +13,16 @@ word remembers is the per-syllable one.  A PSL(2,Z), B3 or trefoil Seifert
 certificate with one syllable changed verifies exactly when its relation
 holds in 2x2 integer matrices, for B3 and the trefoil with the exponent sum,
 and a Seifert certificate on other data with trivial phi exactly when its
-quotient image and a fibre character psi say it does.
+quotient image and a fibre character psi say it does.  A certificate of a
+conjugate by a word of 10^3 or 10^4 syllables, with or without one token
+changed at its start, middle or end, verifies exactly when a plain stack
+reduction of its relation says it does.
 Hypothesis runs derandomized, so every run draws the same examples.
 """
 
 import functools
 import operator
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -1055,3 +1059,118 @@ def test_a_seifert_certificate_with_one_token_changed_verifies_as_its_image_and_
         texts[index] = " ".join(parts)
         mutated = dict(cert, conjugators=texts)
     assert verify_certificate(mutated) == _psi_relation(mutated), mutated
+
+
+# -- a long certificate re-multiplied in a plain model -------------------------
+#
+# Conjugates of a b a b^2 (reversible) and a b a b (parabolic, gen-3) by random
+# reduced words of 10^3 and 10^4 syllables, so the seams cancel over long runs.
+# In B3 the lift of a b a b^2 is taken with exponent sum 0: it is reversible and
+# generalised 3-torsion.  The lifts of a b a b have exponent sum 4 mod 6, so
+# none of them is either.  Each B3 syllable is spelled as x, y, y^2 or as its
+# run s1 s2 s1, s1 s2, s1 s2 s1 s2, and the runs between them take every length
+# mod 5.  The model reads text by str methods and reduces it on a stack: a
+# PSL(2,Z) relation holds when its syllables reduce to nothing, a B3 relation
+# when its image does and its exponent sum is 0, as B3 -> PSL(2,Z) x Z is
+# injective.  x = s1 s2 s1 and y = s1 s2 give s1 = y^-1 x and s2 = x^-1 y^2.
+
+PSL_ORDERS = {"a": 2, "b": 3}
+#: each braid letter's image in PSL(2,Z) and its exponent sum
+BRAID_PLAIN = {"s1": ([("b", -1), ("a", 1)], 1), "s2": ([("a", -1), ("b", 2)], 1),
+               "x": ([("a", 1)], 3), "y": ([("b", 1)], 2), "h": ([], 6)}
+#: each PSL(2,Z) syllable's braid spellings: its letter, and its run of s1, s2
+SYLLABLE_BRAIDS = {("a", 1): ("x", "s1 s2 s1"), ("b", 1): ("y", "s1 s2"),
+                   ("b", 2): ("y^2", "s1 s2 s1 s2")}
+LONG_REPLACEMENTS = {"pslz": ("a", "b", "b^2", "b^-1", "1"),
+                     "b3": ("s1", "S1", "s2^-1", "x", "Y", "y^2", "h", "H", "1")}
+
+
+def _plain_reduced(pairs):
+    stack = []
+    for name, exp in pairs:
+        if stack and stack[-1][0] == name:
+            exp += stack.pop()[1]
+        exp %= PSL_ORDERS[name]
+        if exp:
+            stack.append((name, exp))
+    return stack
+
+
+def _plain_image(text):
+    """The PSL(2,Z) syllables and the exponent sum of braid text."""
+    pairs, e = [], 0
+    for name, k in _pairs(text):
+        image, weight = BRAID_PLAIN[name.lower()]
+        k *= -1 if name[0].isupper() else 1
+        pairs += (image if k > 0 else _inverse_pairs(image)) * abs(k)
+        e += weight * k
+    return pairs, e
+
+
+def _plain_relation(cert):
+    """Whether g != 1 and g (k_1 g k_1^-1) ... = 1, with the k_i the certificate's."""
+    group, kind = cert["kind"].split("-")
+    read = _plain_image if group == "b3" else lambda text: (_pairs(text), 0)
+    element = "word" if group == "pslz" else "element"
+    g, e = read(cert[element])
+    product = list(g)
+    for key in ("reverser",) if kind == "reverser" else ("h1", "k"):
+        k = read(cert[key])[0]
+        product += k + g + _inverse_pairs(k)
+    return bool(_plain_reduced(g) or e) and not _plain_reduced(product) and e == 0
+
+
+def _long_conjugate(rng, core, size):
+    """The reduced syllables of k core k^-1 for k a random reduced word of size syllables."""
+    k, name = [], rng.choice("ab")
+    for _ in range(size):
+        k.append((name, 1) if name == "a" else ("b", rng.choice((1, 2))))
+        name = "b" if name == "a" else "a"
+    return _plain_reduced(k + _pairs(core) + _inverse_pairs(k))
+
+
+def _braid_lift(rng, syllables):
+    """Braid text lifting the syllables with exponent sum 0, and its runs of s1, s2."""
+    spelled, runs, run = [], [], 0
+    for syllable in syllables:
+        short, long = SYLLABLE_BRAIDS[syllable]
+        if rng.random() < 0.5:
+            spelled.append(long)
+            run += len(long.split())
+        else:
+            spelled.append(short)
+            runs.append(run)
+            run = 0
+    e = _plain_image(" ".join(spelled))[1]
+    assert e % 6 == 0  # e mod 6 depends only on the conjugacy class of the image
+    return " ".join([f"h^{-e // 6}"] * bool(e) + spelled), [r for r in runs + [run] if r]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("size", [10**3, 10**4])
+@pytest.mark.parametrize("kind", ["pslz-reverser", "pslz-gen3", "b3-reverser", "b3-gen3"])
+def test_a_long_certificate_with_one_token_changed_verifies_as_a_plain_stack_says(kind, size, seed):
+    rng, (group, relation) = random.Random(seed), kind.split("-")
+    core = "a b a b" if kind == "pslz-gen3" else "a b a b^2"
+    syllables = _long_conjugate(rng, core, size)
+    if group == "pslz":
+        g = parse_word(PSL2Z, format_tokens(syllables))
+        if relation == "reverser":
+            cert = pslz_reverser_certificate(g, reversible(g).reverser)
+        else:
+            cert = pslz_gen3_certificate(g, *gen3_torsion(g).certificate)
+    else:
+        text, runs = _braid_lift(rng, syllables)
+        assert {run % 5 for run in runs} == set(range(5))
+        if relation == "reverser":
+            cert = b3_reverser_certificate(text, str(reversible_b3(parse_braid(text)).reverser))
+        else:
+            cert = b3_gen3_certificate(text, *gen3_torsion_b3(parse_braid(text)).certificate)
+    assert verify_certificate(cert) and _plain_relation(cert)
+    # one token changed at the start, the middle and the end of the fields' tokens
+    slots = [(key, i) for key in cert if key != "kind" for i in range(len(cert[key].split()))]
+    for key, i in (slots[0], slots[len(slots) // 2], slots[-1]):
+        parts = cert[key].split()
+        parts[i] = rng.choice([r for r in LONG_REPLACEMENTS[group] if r != parts[i]])
+        mutated = dict(cert, **{key: " ".join(parts)})
+        assert verify_certificate(mutated) == _plain_relation(mutated), (key, i, parts[i])

@@ -6,10 +6,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gentorsion import words
+from gentorsion.braid3 import CentralElement
 from gentorsion.errors import ParseError, TrivialElement, UnknownGenerator
 from gentorsion.modular import Gen3Verdict, Gen3Witness, IntMatrix2, Verdict, to_matrix
 from gentorsion.oracle import SearchBudget, SweepReport
-from gentorsion.seifert import GenNCertificate, Presentation
+from gentorsion.seifert import (
+    GenNCertificate,
+    PowersOfH,
+    Presentation,
+    SeifertPair,
+    TwoHalfTwists,
+    parse_seifert,
+    seifert_group,
+)
 from gentorsion.words import (
     PSL2Z,
     CyclicWord,
@@ -718,6 +727,21 @@ def test_a_record_equals_only_a_record_of_its_own_class():
     assert witness != (z, 1, 2, z) and witness != Gen3Witness(z, 2, 1, z)
     # a CyclicWord is a Word, yet equals only a CyclicWord
     assert Word(PSL2Z, z.syllables) != CyclicWord(PSL2Z, z.syllables)
+    # a CentralElement is a SeifertPair, yet the two are unequal both ways round
+    pair, central = SeifertPair(1, z), CentralElement(1, z)
+    assert pair != central and central != pair
+    again = CentralElement(1, w("a b"))
+    assert central == again and hash(central) == hash(again)
+    # a record of one field, and one of none
+    scheme = GroupScheme((("a", 2), ("b", 3)))
+    assert scheme == PSL2Z and hash(scheme) == hash(PSL2Z)
+    assert PowersOfH() == PowersOfH() and hash(PowersOfH()) == hash(PowersOfH())
+    assert PowersOfH() != TwoHalfTwists(1, 2, 1, -1, 1)
+    # data parsed twice is one value, and so one cached group
+    text = "(O,o,0 | 1; (2,1),(3,1)); boundaries=1"
+    data = parse_seifert(text)
+    assert data == parse_seifert(text) and hash(data) == hash(parse_seifert(text))
+    assert seifert_group(data) is seifert_group(parse_seifert(text))
     with pytest.raises(TypeError):
         iter(witness)
 
