@@ -25,13 +25,14 @@ several words, such as a conjugate or a gen-3 relation, is a left-to-right
 chain of ``*`` over the original factors, so each seam reads a factor's memo
 and no partial product is ever inverted.
 
-A scheme records each finite-order syllable's inverse and canonical spelling
-(``a``, ``b^2``) when it first shares it, so the kernels invert, code and
-spell by dict lookups under ``map``, and text this module writes parses
-through the spelling table.  A table makes an entry it lacks, such as an
-infinite-order syllable's, without storing it, so each lookup takes one path.
-The rotation search and the parser read plain dicts by one ``itemgetter``
-call, and the search stops at a text syllable outside the pattern.
+A scheme records each finite-order syllable's inverse, canonical spelling
+(``a``, ``b^2``) and code point in plain dicts when it first shares it, so
+the kernels invert, spell and code a word by one ``itemgetter`` call; a
+word holding an infinite-order syllable, which no table stores, is read by
+one shared helper that makes each missing entry without storing it.  A word
+parsed from canonical text keeps that text, and ``str`` returns it when it
+is already the canonical spelling, so a certificate never spells its input
+again.  Text this module writes parses through the spelling table.
 """
 
 from __future__ import annotations
@@ -153,16 +154,24 @@ def _add_generator(orders: dict, name: str, order: Optional[int]) -> None:
     orders[name] = order
 
 
+#: the largest code point ``GroupScheme.syllable`` and ``_rotation_offset`` give a syllable
+_MAX_CODE = 0x10FFFF
+
+
 class GroupScheme(_Record):
     """A free product of cyclic groups, one (name, order) pair per factor.
 
-    order None means an infinite cyclic factor.
+    order None means an infinite cyclic factor.  Each finite-order syllable
+    the scheme shares has, in plain dicts that the kernels read in bulk, its
+    inverse, its canonical spelling (and back), and a code point of its own
+    for the rotation search, until ``_MAX_CODE`` + 1 syllables have one.
 
     >>> PSL2Z.order("b")
     3
     """
 
-    __slots__ = ("generators", "orders", "indices", "interned", "inverses", "spellings", "spelled")
+    __slots__ = ("generators", "orders", "indices", "interned", "inverses", "spellings", "spelled",
+                 "codes")
     _fields = ("generators",)
 
     def __init__(self, generators: tuple[tuple[str, Optional[int]], ...]):
@@ -173,11 +182,12 @@ class GroupScheme(_Record):
         # name -> order and name -> index, derived from ``generators``
         self.orders = orders
         self.indices = {name: i for i, name in enumerate(orders)}
-        # shared finite-order syllables, their inverses and spellings, filled by ``syllable``
+        # shared finite-order syllables, their inverses, spellings and codes, filled by ``syllable``
         self.interned: dict[Syllable, Syllable] = _Table(lambda s: self.syllable(*s))
-        self.inverses: dict[Syllable, Syllable] = _Table(self.inverse)
-        self.spellings: dict[Syllable, str] = _Table(lambda s: format_tokens((s,)))
+        self.inverses: dict[Syllable, Syllable] = {}
+        self.spellings: dict[Syllable, str] = {}
         self.spelled: dict[str, Syllable] = {}
+        self.codes: dict[Syllable, str] = {}
 
     def names(self) -> tuple[str, ...]:
         return tuple(self.orders)
@@ -196,15 +206,18 @@ class GroupScheme(_Record):
 
         Shared syllables make equal reduced words equal element by element
         by identity, and spare an allocation per syllable.  Sharing one
-        records its inverse and spelling.  A finite factor has order - 1
+        records its inverse, spelling and, while fewer than ``_MAX_CODE`` + 1
+        syllables have one, its code point.  A finite factor has order - 1
         syllables, so no table outgrows the scheme.
         """
         s = (gen, exp)
         order = self.orders[gen]
         if s not in self.interned and order is not None and 0 < exp < order:
             self.interned[s] = s
-            self.spellings[s] = text = format_tokens((s,))
+            self.spellings[s] = text = _spelling(s)
             self.spelled[text] = s
+            if len(self.codes) <= _MAX_CODE:
+                self.codes[s] = chr(len(self.codes))
             self.inverses[s] = self.syllable(gen, order - exp)
         return self.interned.get(s, s)
 
@@ -222,12 +235,15 @@ PSL2Z = GroupScheme((("a", 2), ("b", 3)))
 class Word(_Record):
     """A reduced word.  Build with :func:`reduce` or :func:`parse_word`.
 
+    ``str`` reads the spellings in bulk, or returns the text :func:`parse_word`
+    read the word from when that text is already the canonical spelling.
+
     >>> w = parse_word(PSL2Z, "a b a b^2")
     >>> str(w * ~w)
     '1'
     """
 
-    __slots__ = ("scheme", "syllables", "_inverted")
+    __slots__ = ("scheme", "syllables", "_inverted", "_text")
     _fields = ("scheme", "syllables")
 
     def __init__(self, scheme: GroupScheme, syllables: tuple[Syllable, ...]):
@@ -235,6 +251,8 @@ class Word(_Record):
         self.syllables = syllables
         # the syllables of the inverse, once a kernel has needed them; no part of the value
         self._inverted: Optional[tuple[Syllable, ...]] = None
+        # the text parse_word read the syllables from, canonical tokens only; no part of the value
+        self._text: Optional[str] = None
 
     def __len__(self) -> int:
         return len(self.syllables)
@@ -281,7 +299,11 @@ class Word(_Record):
         return p * power * invert(p) if p else power
 
     def __str__(self) -> str:
-        return " ".join(map(self.scheme.spellings.__getitem__, self.syllables)) or "1"
+        sylls, text = self.syllables, self._text
+        # text's tokens are the spellings, and " " is the one printable whitespace
+        if text is not None and text.isprintable() and text.count(" ") == len(sylls) - 1:
+            return text
+        return " ".join(_looked_up(self.scheme.spellings, sylls, _spelling)) or "1"
 
 
 def _cancelled(left: tuple[Syllable, ...], w: Word, limit: int) -> int:
@@ -296,7 +318,11 @@ def _cancelled(left: tuple[Syllable, ...], w: Word, limit: int) -> int:
     if not limit:
         return 0
     inverse = w._inverted
-    if left[-1] != (w.scheme.inverses[w.syllables[0]] if inverse is None else inverse[-1]):
+    if inverse is None:
+        first, scheme = w.syllables[0], w.scheme
+        if left[-1] != (scheme.inverses.get(first) or scheme.inverse(first)):
+            return 0
+    elif left[-1] != inverse[-1]:
         return 0
     inverse = _inverse_syllables(w)
     a, b = len(left), len(inverse)
@@ -372,7 +398,8 @@ def _inverse_syllables(w: Word) -> tuple[Syllable, ...]:
     """The syllables of w^-1, computed once and remembered on w."""
     inverse = w._inverted
     if inverse is None:
-        inverse = w._inverted = tuple(map(w.scheme.inverses.__getitem__, reversed(w.syllables)))
+        scheme = w.scheme
+        inverse = w._inverted = _looked_up(scheme.inverses, w.syllables[::-1], scheme.inverse)
     return inverse
 
 
@@ -438,37 +465,55 @@ def _least_rotation(keys: list) -> int:
     return i
 
 
-def _rotation_offset(text: tuple[Syllable, ...], pattern: tuple[Syllable, ...]) -> int:
+def _rotation_offset(codes: dict, text: tuple[Syllable, ...], pattern: tuple[Syllable, ...]) -> int:
     """The least t with text[t:] + text[:t] == pattern, or -1; equal lengths.
 
-    Each distinct syllable of the pattern gets a code, and ``str.find``
-    searches the doubled text.  A code is one code point, read in bulk, and a
-    text syllable outside the pattern rules out every rotation; for an
-    alphabet too large for that it is two code points from disjoint ranges,
-    so that every match starts on a syllable, and every other syllable gets
-    one more code.
+    Each syllable is written as its code point and ``str.find`` searches
+    the doubled text.  The codes are read in bulk from codes, a scheme's
+    table, when it holds every syllable of the pattern.  Otherwise, as for
+    an infinite-order syllable or once the table is full, each distinct
+    syllable of the pattern gets a code of its own.  Either way a text
+    syllable without a code is outside the pattern and rules out every
+    rotation.  For a pattern alphabet too large for one code point a code
+    is two, from disjoint ranges, so that every match starts on a
+    syllable, and every other syllable gets one more code.
     """
-    distinct = dict.fromkeys(pattern)
-    other = len(distinct)
-    if other <= _MAX_CODE:
+    try:
+        p = "".join(_looked_up(codes, pattern))
+    except KeyError:
+        distinct = dict.fromkeys(pattern)
+        other = len(distinct)
+        if other > _MAX_CODE:
+            wide = dict(zip(distinct, count()))
+            t = list(map(wide.get, text, repeat(other)))
+            return _wide(t + t[:-1]).find(_wide(list(map(wide.__getitem__, pattern)))) // 2
         codes = dict(zip(distinct, map(chr, count())))
-        try:
-            t = "".join(_looked_up(codes, text))
-        except KeyError:
-            return -1
-        return (t + t[:-1]).find("".join(_looked_up(codes, pattern)))
-    wide = dict(zip(distinct, count()))
-    t = list(map(wide.get, text, repeat(other)))
-    return _wide(t + t[:-1]).find(_wide(list(map(wide.__getitem__, pattern)))) // 2
+        p = "".join(_looked_up(codes, pattern))
+    try:
+        t = "".join(_looked_up(codes, text))
+    except KeyError:
+        return -1
+    return (t + t[:-1]).find(p)
 
 
-def _looked_up(table: dict, keys: Sequence) -> tuple:
-    """The values of keys in a plain dict, by one ``itemgetter`` call; KeyError on a miss."""
-    return itemgetter(*keys)(table) if len(keys) > 1 else tuple(map(table.__getitem__, keys))
+def _looked_up(table: dict, keys: Sequence, make=None) -> tuple:
+    """The values of keys in an exact dict, by one ``itemgetter`` call.
+
+    A key the table lacks raises KeyError when no make is given; otherwise
+    the values are read again one at a time, and each missing one is
+    ``make(key)``, not stored.  A table read with make holds no false value.
+    """
+    try:
+        return itemgetter(*keys)(table) if len(keys) > 1 else tuple(map(table.__getitem__, keys))
+    except KeyError:
+        if make is None:
+            raise
+        get = table.get
+        return tuple([get(key) or make(key) for key in keys])
 
 
-#: the largest code ``_rotation_offset`` writes as a single code point
-_MAX_CODE = 0x10FFFF
+def _spelling(s: Syllable) -> str:
+    return format_tokens((s,))
 
 
 def _wide(codes: list[int]) -> str:
@@ -521,7 +566,7 @@ def is_conjugate(u: Word, v: Word) -> Optional[Word]:
         return None
     if not cu:
         return identity(u.scheme)
-    t = _rotation_offset(cu.syllables, cv.syllables)
+    t = _rotation_offset(u.scheme.codes, cu.syllables, cv.syllables)
     if t < 0:
         return None
     prefix = Word(u.scheme, cu.syllables[:t])
@@ -541,13 +586,14 @@ def conjugate_to_inverse(w: Word) -> Optional[Word]:
     return is_conjugate(w, invert(w))
 
 
-def _period(sylls: tuple[Syllable, ...]) -> int:
-    """The least p > 0 with sylls a power of sylls[:p]; sylls nonempty.
+def _period(codes: dict, sylls: tuple[Syllable, ...]) -> int:
+    """The least p > 0 with sylls a power of sylls[:p]; sylls nonempty, codes as
+    :func:`_rotation_offset` reads them.
 
     That is the least rotation above 0 taking sylls to itself: one more
     than the rotation offset from sylls rotated by one back to sylls.
     """
-    return 1 + _rotation_offset(sylls[1:] + sylls[:1], sylls)
+    return 1 + _rotation_offset(codes, sylls[1:] + sylls[:1], sylls)
 
 
 def primitive_root(w: Word) -> Word:
@@ -564,7 +610,7 @@ def primitive_root(w: Word) -> Word:
     if len(sylls) == 1:
         root = Word(w.scheme, (w.scheme.syllable(sylls[0][0], 1),))
     else:
-        root = Word(w.scheme, sylls[:_period(sylls)])
+        root = Word(w.scheme, sylls[:_period(w.scheme.codes, sylls)])
     return p * root * invert(p)
 
 
@@ -618,7 +664,7 @@ def mirror_centres(core: Word, radius: int) -> list[int]:
         arm[q] = r
         if q + r > hi:
             lo, hi = q - r, q + r
-    period = _period(sylls)
+    period = _period(core.scheme.codes, sylls)
     # the window of centre c is centred at text[2c + radius + 1]
     return [c for c in range(period) if arm[2 * c + radius + 1] >= radius - 1]
 
@@ -716,7 +762,9 @@ def parse_word(scheme: GroupScheme, text: str) -> Word:
 
     Canonical spellings are read in bulk from the scheme's table, and the word
     is reduced only if neighbours share a generator; any other text goes
-    through :func:`tokens` and :func:`reduce`.
+    through :func:`tokens` and :func:`reduce`.  A word of canonical
+    spellings that needs no reduction keeps text itself, not a copy, which
+    ``str`` returns when text is single-spaced; that test waits for ``str``.
 
     >>> parse_word(PSL2Z, "a b^2").syllables == (("a", 1), ("b", 2))
     True
@@ -726,7 +774,11 @@ def parse_word(scheme: GroupScheme, text: str) -> Word:
     except KeyError:
         return reduce(tokens(text), scheme)
     gens = list(map(itemgetter(0), sylls))
-    return reduce(sylls, scheme) if any(map(eq, gens, gens[1:])) else Word(scheme, sylls)
+    if any(map(eq, gens, gens[1:])):
+        return reduce(sylls, scheme)
+    w = Word(scheme, sylls)
+    w._text = text
+    return w
 
 
 

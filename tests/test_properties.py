@@ -27,7 +27,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gentorsion.braid3 import (
@@ -65,6 +65,7 @@ from gentorsion.words import (
     GroupScheme,
     Word,
     _cyclic_core,
+    _period,
     conjugated,
     format_tokens,
     identity,
@@ -406,16 +407,32 @@ def old_cyclic_core(orders, sylls):
     return sylls[i:j] + tail, sylls[:i]
 
 
-def old_is_conjugate(orders, u, v):
+def old_rotation_offset(text, pattern):
+    """The least rotation of text onto pattern, tried one rotation at a time."""
+    return next((t for t in range(max(len(text), 1)) if text[t:] + text[:t] == pattern), -1)
+
+
+def per_pattern_offset(text, pattern):
+    """The rotation search before scheme-wide codes: one code point for each
+    distinct syllable of the pattern, and a text syllable outside it rules out
+    every rotation."""
+    codes = {s: chr(i) for i, s in enumerate(dict.fromkeys(pattern))}
+    if not all(s in codes for s in text):
+        return -1
+    t, p = ("".join(codes[s] for s in word) for word in (text, pattern))
+    return (t + t[:-1]).find(p)
+
+
+def old_is_conjugate(orders, u, v, offset=old_rotation_offset):
     cu, pu = old_cyclic_core(orders, u)
     cv, pv = old_cyclic_core(orders, v)
     if len(cu) != len(cv):
         return None
-    for t in range(max(len(cu), 1)):
-        if cu[t:] + cu[:t] == cv:
-            k = old_mul(orders, pv, old_invert(orders, cu[:t]))
-            return old_mul(orders, k, old_invert(orders, pu))
-    return None
+    t = offset(cu, cv)
+    if t < 0:
+        return None
+    k = old_mul(orders, pv, old_invert(orders, cu[:t]))
+    return old_mul(orders, k, old_invert(orders, pu))
 
 
 def old_mirror_centres(orders, core, radius):
@@ -494,11 +511,54 @@ def test_the_table_driven_kernels_match_the_per_syllable_loops(scheme):
         expected = _reference_results(orders, *case)
         assert Word(scheme, case[0]) * Word(scheme, case[1]) == reduce(case[0] + case[1], scheme)
         fresh = GroupScheme(scheme.generators)
-        assert not (fresh.interned or fresh.inverses or fresh.spellings or fresh.spelled)
+        assert not (fresh.interned or fresh.inverses or fresh.spellings or fresh.spelled
+                    or fresh.codes)
         assert _kernel_results(fresh, *case) == expected, case
         assert _kernel_results(fresh, *case) == expected, case  # now on warm tables
 
     check()
+
+
+def _long_plain_word(rng, scheme, size):
+    """A reduced word of size syllables, exponents up to 10^6 in absolute value."""
+    orders, names, sylls = dict(scheme.generators), scheme.names(), []
+    while len(sylls) < size:
+        gen = rng.choice([name for name in names if not sylls or name != sylls[-1][0]])
+        order = orders[gen]
+        exp = rng.randrange(1, 10**6) * rng.choice((-1, 1))
+        sylls.append((gen, exp if order is None else 1 + exp % (order - 1)))
+    return tuple(sylls)
+
+
+@pytest.mark.parametrize("size", [10**3, 10**4])
+@pytest.mark.parametrize("scheme", KERNEL_SCHEMES.values(), ids=KERNEL_SCHEMES.keys())
+def test_long_rotation_searches_match_the_per_pattern_search(scheme, size):
+    """Scheme-wide codes, or per-pattern ones for a pattern with an infinite-order
+    syllable, find the rotations the per-pattern search finds, at length."""
+    orders = dict(scheme.generators)
+    rng = random.Random(size)
+    u, k = _long_plain_word(rng, scheme, size), _long_plain_word(rng, scheme, 7)
+    core = old_cyclic_core(orders, u)[0]
+    n = len(core)
+    at = next(i for i in range(n // 2, n) if orders[core[i][0]] != 2)
+    gen, exp = core[at]
+    changed = core[:at] + ((gen, 2 * exp if orders[gen] is None else exp % (orders[gen] - 1) + 1),)
+    others = [
+        core[n // 3:] + core[:n // 3],
+        old_invert(orders, core),
+        old_mul(orders, old_mul(orders, k, core[2 * n // 3:] + core[:2 * n // 3]),
+                old_invert(orders, k)),
+        changed + core[at + 1:],
+    ]
+    for other in others:
+        expected = old_is_conjugate(orders, u, other, per_pattern_offset)
+        got = is_conjugate(reduce(u, scheme), reduce(other, scheme))  # shares the syllables
+        assert (None if got is None else got.syllables) == expected
+    assert old_is_conjugate(orders, u, others[0], per_pattern_offset) is not None
+    block = next(b for b in range(max(n // 10, 2), 1, -1) if core[b - 1][0] != core[0][0])
+    for sylls in (core, core[:block] * 10):
+        rotated = sylls[1:] + sylls[:1]
+        assert _period(scheme.codes, sylls) == 1 + per_pattern_offset(rotated, sylls)
 
 
 # -- remembered inverses ------------------------------------------------------
@@ -667,6 +727,59 @@ def test_parse_word_reads_every_text_as_tokens_and_reduce_do(drawn):
     if isinstance(got, Word):
         assert str(got) == format_tokens(got.syllables)
         assert parse_word(fresh, str(got)) == got
+
+
+#: the whitespace runs of kept-text cases are drawn from; only " " is printable
+SEPARATORS = (" ", "\t", "\n", "\xa0", "\u3000")
+
+
+@st.composite
+def kept_texts(draw):
+    """The canonical tokens of a word, with ``1`` tokens, other spellings of a
+    syllable (``b^-1``, ``a^3``) and merging neighbours put in, joined by runs
+    of whitespace between optional leading and trailing runs; often nothing
+    is put in and every run is one space."""
+    scheme = draw(st.sampled_from(PARSE_SCHEMES))
+    orders = dict(scheme.generators)
+    parts = format_tokens(draw(_words(scheme, 12)).syllables).split()
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+        gen = draw(st.sampled_from(scheme.names()))
+        exp = draw(st.sampled_from((-1, (orders[gen] or 2) + 1)))
+        at = draw(st.integers(0, len(parts)))
+        kind = draw(st.sampled_from(("one", "spelling", "merge")))
+        if kind == "one":
+            parts.insert(at, "1")
+        elif kind == "spelling":
+            parts.insert(at, f"{gen}^{exp}")
+        elif parts:
+            parts.insert(at, parts[min(at, len(parts) - 1)])  # a neighbour on its generator
+    single = draw(st.booleans())
+    runs = st.just(" ") if single else st.text(st.sampled_from(SEPARATORS), min_size=1,
+                                                max_size=3)
+    ends = st.just("") if single else st.text(st.sampled_from(SEPARATORS), max_size=2)
+    text = draw(ends)
+    for i, part in enumerate(parts):
+        text += (draw(runs) if i else "") + part
+    return scheme, text + draw(ends)
+
+
+@PROPERTY
+@given(kept_texts())
+@example((PSL2Z, "a b^2 a b"))
+@example((PSL2Z, "a b^2  a b"))
+@example((PSL2Z, "a b^2 a b "))
+def test_a_word_keeps_its_text_only_when_str_would_spell_it_so(drawn):
+    scheme, text = drawn
+    parse_word(scheme, text)  # share every finite-order syllable the text spells
+    w = parse_word(scheme, text)
+    spelled = format_tokens(w.syllables)
+    assert w == reduce(tokens(text), scheme) and str(w) == spelled, text
+    finite = all(scheme.order(gen) is not None for gen, _ in w.syllables)
+    if len(text) > 1:  # a one-character str is shared, so its identity tells nothing
+        assert (str(w) is text) == (text == spelled and finite), text
+    plain = Word(scheme, w.syllables)
+    assert "_text" not in Word._fields and w == plain and hash(w) == hash(plain)
+    assert repr(w) == repr(plain) and w.to_dict() == plain.to_dict()
 
 
 #: tokens outside the spelling table, or pairs of neighbours on one generator

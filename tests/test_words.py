@@ -586,11 +586,21 @@ def test_rotation_search_encodes_huge_alphabets_in_two_code_points(monkeypatch):
     powers = [g for u, _ in cases for g in (u, u ** 2, u ** 3) if not g.is_identity]
     roots = [primitive_root(g) for g in powers]
     monkeypatch.setattr(words, "_MAX_CODE", 0)
+    # fresh, equal schemes: one code point at most, so nearly every pattern is coded alone
+    fresh = {scheme: GroupScheme(scheme.generators) for scheme in (MIXED, free)}
+    cases = [(Word(fresh[u.scheme], u.syllables), Word(fresh[u.scheme], v.syllables))
+             for u, v in cases]
+    powers = [Word(fresh[g.scheme], g.syllables) for g in powers]
     assert [is_conjugate(u, v) for u, v in cases] == expected
     assert [primitive_root(g) for g in powers] == roots
+    assert all(len(scheme.codes) <= 1 for scheme in fresh.values())
 
 
 ROTATION_SYLLABLES = (("a", 1), ("b", 1), ("b", 2), ("d", 10**9))
+#: a scheme whose table codes the first three, and no infinite-order syllable
+ROTATION_SCHEME = parse_scheme("a:2, b:3, d:inf")
+for _syllable in ROTATION_SYLLABLES:
+    ROTATION_SCHEME.syllable(*_syllable)
 
 
 @st.composite
@@ -619,7 +629,8 @@ def rotation_cases(draw):
 def test_rotation_offset_is_the_least_matching_rotation(case):
     text, pattern = case
     expected = next((t for t in range(max(len(text), 1)) if text[t:] + text[:t] == pattern), -1)
-    assert words._rotation_offset(text, pattern) == expected
+    assert words._rotation_offset(ROTATION_SCHEME.codes, text, pattern) == expected
+    assert words._rotation_offset({}, text, pattern) == expected  # coded per pattern
 
 
 def test_scheme_lookup_tables_stay_out_of_equality():
@@ -638,7 +649,7 @@ def test_syllable_tables_store_no_infinite_syllable_and_grow_with_distinct_ones(
     u = parse_word(scheme, text)
     seen = [u, invert(u), u * u, u * invert(u), invert(u) * u]
     assert len(u) == 10**4 and str(u) == text and seen[3].is_identity
-    tables = (scheme.interned, scheme.inverses, scheme.spellings, scheme.spelled)
+    tables = (scheme.interned, scheme.inverses, scheme.spellings, scheme.spelled, scheme.codes)
     keys = [key for table in tables for key in table]
     if order is None:
         assert not [key for key in keys if key[0] == "d"]  # a syllable, or a spelling
@@ -647,10 +658,14 @@ def test_syllable_tables_store_no_infinite_syllable_and_grow_with_distinct_ones(
         assert all(len(table) <= len(distinct) for table in tables)
 
 
-def _made(monkeypatch, table):
-    """The keys that table makes from now on, in order."""
-    made, make = [], table.make
-    monkeypatch.setattr(table, "make", lambda key: made.append(key) or make(key))
+def _made(monkeypatch, owner, name):
+    """The keys that the maker owner.name makes an entry for from now on, in order.
+
+    The makers are ``interned.make``, ``GroupScheme.inverse`` and
+    ``words._spelling``; each takes the key last.
+    """
+    made, make = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: made.append(args[-1]) or make(*args))
     return made
 
 
@@ -662,8 +677,8 @@ def test_warm_tables_make_an_entry_for_each_infinite_order_syllable_only(monkeyp
              for gen in alternation * (10**4 // 2)]
     u = reduce(pairs, scheme)
     k = sum(gen == "d" for gen, _ in pairs)
-    tables = (scheme.interned, scheme.inverses, scheme.spellings)
-    interned, inverses, spellings = (_made(monkeypatch, table) for table in tables)
+    makers = ((scheme.interned, "make"), (GroupScheme, "inverse"), (words, "_spelling"))
+    interned, inverses, spellings = (_made(monkeypatch, *maker) for maker in makers)
     v = invert(u)
     assert v.syllables == tuple((gen, -exp if gen == "d" else exp) for gen, exp in reversed(pairs))
     assert (len(interned), len(inverses), len(spellings)) == (0, k, 0)
@@ -677,7 +692,7 @@ def test_a_seam_looks_up_one_inverse_until_its_first_pair_cancels(monkeypatch):
     free = parse_scheme("d:inf, e:inf")  # no table stores a syllable, so _made sees every lookup
     u = reduce([("d" if i % 2 else "e", i) for i in range(1, 10**4 + 1)], free)
     merging = Word(free, (("e", 5),) + u.syllables)
-    inverses = _made(monkeypatch, free.inverses)
+    inverses = _made(monkeypatch, GroupScheme, "inverse")
     for right in (u, merging):
         product = u * right
         assert len(product) == len(u) + len(right) - (right is merging)
@@ -688,6 +703,67 @@ def test_a_seam_looks_up_one_inverse_until_its_first_pair_cancels(monkeypatch):
     inverses.clear()
     assert (u * v).is_identity and (v * u).is_identity and ~v == u
     assert inverses == []
+
+
+def test_a_full_code_table_leaves_the_rotation_search_to_code_each_pattern(monkeypatch):
+    monkeypatch.setattr(words, "_MAX_CODE", 3)
+    scheme = parse_scheme("a:2, d:1000000000")
+    rng = random.Random(34)
+    u = reduce([("a", 1) if i % 2 else ("d", rng.randrange(1, 40)) for i in range(400)], scheme)
+    assert len(scheme.codes) == 4 and sorted(scheme.codes.values()) == list(map(chr, range(4)))
+    rotated = Word(scheme, u.syllables[151:] + u.syllables[:151])
+    at = next(i for i, (gen, _) in enumerate(rotated.syllables) if gen == "d")
+    changed = Word(scheme, rotated.syllables[:at] + (("d", 77),) + rotated.syllables[at + 1:])
+    for v in (rotated, invert(u), changed, Word(scheme, u.syllables[:2] * 200)):
+        assert is_conjugate(u, v) == old_is_conjugate(u, v)
+    for g in (u, u ** 3, rotated ** 2, Word(scheme, u.syllables[:4] * 100)):
+        assert primitive_root(g) == old_primitive_root(g)
+    assert len(scheme.codes) == 4
+
+
+SEAM_LENGTHS = sorted({2**k + d for k in range(13) for d in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("scheme", [PSL2Z, parse_scheme("a:2, d:inf")], ids=["psl2z", "a-d"])
+def test_seams_cancelling_around_powers_of_two_match_a_stack_reduction(scheme):
+    """A seam cancels exactly m syllables, where _cancelled gallops to powers of two, then
+    merges two syllables or meets the end of the right factor."""
+    rng = random.Random(35)
+    other = scheme.names()[1]
+    exponents = (1, 2) if other == "b" else (-3, -1, 1, 4)
+    for m in SEAM_LENGTHS:
+        x = tuple(("a", 1) if i % 2 == 0 else (other, rng.choice(exponents)) for i in range(m))
+        x_inverse = old_invert(Word(scheme, x)).syllables
+        s = (other, rng.choice(exponents))
+        for q in ((s,), ()):
+            u, v = reduce((s,) + x, scheme), reduce(x_inverse + q, scheme)
+            expected = old_reduce(u.syllables + v.syllables, scheme).syllables  # a plain stack
+            assert len(expected) == 1 and len(u) + len(v) - 1 == 2 * m + len(q)
+            for memo in (False, True):
+                right = Word(scheme, v.syllables)
+                if memo:
+                    invert(right)
+                assert (Word(scheme, u.syllables) * right).syllables == expected, (m, q, memo)
+
+
+def test_bulk_tables_are_exact_dicts_and_warm_finite_words_make_no_entry(monkeypatch):
+    rng = random.Random(36)
+    billion = parse_scheme("a:2, d:1000000000")
+    long_words = [
+        _long_word(rng, 10**4),
+        reduce([("a", 1) if i % 2 else ("d", rng.randrange(1, 30)) for i in range(10**4)], billion),
+    ]  # reduce shares every syllable, so the tables are warm
+    inverses = _made(monkeypatch, GroupScheme, "inverse")
+    spellings = _made(monkeypatch, words, "_spelling")
+    for u in long_words:
+        scheme = u.scheme
+        tables = (scheme.inverses, scheme.spellings, scheme.spelled, scheme.codes)
+        assert all(type(table) is dict for table in tables)
+        plain = Word(scheme, u.syllables)
+        canonical = str(plain)
+        assert len(u) == 10**4 and invert(plain).syllables == old_invert(u).syllables
+        assert inverses == spellings == []
+        assert str(parse_word(scheme, canonical)) is canonical  # kept, not spelled again
 
 
 # -- the one record idiom ----------------------------------------------------
