@@ -8,8 +8,9 @@ B3 is the fundamental group of the trefoil complement, the Seifert group
 (O,o,0 | 0; (2,1),(3,1)); boundaries=1 with x, y as c1, c2, so its
 arithmetic is that group's engine, :class:`~gentorsion.seifert.CentralExtension`,
 and a normal form is that group's :class:`~gentorsion.seifert.SeifertPair`.
-A run of letters s_i^+-1 enters that engine five letters at a time, each
-block's normal form read from a table of runs filled on first use.
+A word enters that engine as slices of five letters s_i^+-1, each block's
+normal form read from a table of runs keyed by its letters and filled on
+first use; from the first block with another letter on, it is read run by run.
 
 The extension makes three decisions exact.  Writing e for the exponent-sum
 homomorphism (s1, s2 -> 1), two braids with the same quotient image and the
@@ -161,37 +162,51 @@ def _word(text: str) -> Word:
     return parse_word(PSL2Z, text)
 
 
-#: a code character for each letter s1, s1^-1, s2, s2^-1, and its lift h^m * section(q)
-_CODE = {("s1", 1): "s", ("s1", -1): "S", ("s2", 1): "t", ("s2", -1): "T"}
-_LIFT = {code: (-1, _word(text)) for code, text in zip("sStT", ("b^2 a", "a b", "a b^2", "b a"))}
-#: letters of a run per piece: the table holds at most (4^6 - 4) / 3 = 1364 runs (at 6, 5460)
+#: each letter s1, s1^-1, s2, s2^-1, as the one tuple :func:`parse_braid` shares for it, and
+#: its lift h^m * section(q) as the piece (m, syllables of q)
+_CODE = {_SPELLED[name]: (-1, _word(text).syllables)
+         for name, text in zip(("s1", "S1", "s2", "S2"), ("b^2 a", "a b", "a b^2", "b a"))}
+#: letters of a run per piece, sliced from the word up to its first block with another letter:
+#: the table, keyed by those letters, holds at most (4^6 - 4) / 3 = 1364 runs (at 6, 5460)
 _BLOCK = 5
 
 
 @lru_cache(maxsize=None)
-def _run(code: str) -> tuple[int, Word]:
-    """The normal form of a run of coded letters: one product of its prefix's and a lift."""
-    if len(code) == 1:
-        return _LIFT[code]
-    m, q = _LIFT[code[-1]]
-    return _B3.product(*_run(code[:-1]), ((m, q.syllables),))
+def _run(letters: tuple[tuple[str, int], ...]) -> Piece:
+    """The normal form of a run of letters s_i^+-1: one product of its prefix's and the last
+    lift.  A letter of another kind raises KeyError before any product, and leaves no entry."""
+    piece = _CODE[letters[-1]]
+    if len(letters) == 1:
+        return piece
+    m, q = _B3.product(0, identity(PSL2Z), (_run(letters[:-1]), piece))
+    return m, q.syllables
 
 
 def _pieces(w: BraidWord) -> Iterator[Piece]:
-    for run, letters in groupby(w.letters, _CODE.__contains__):
+    letters = w.letters
+    for i in range(0, len(letters), _BLOCK):
+        block = letters[i:i + _BLOCK]
+        if block[-1] not in _CODE:  # tested first, so most words of other letters raise nothing
+            break
+        try:
+            piece = _run(block)
+        except KeyError:  # a letter of another kind inside the block
+            break
+        yield piece
+    else:
+        return
+    for run, group in groupby(letters[i:], _CODE.__contains__):
         if run:
-            code = "".join(map(_CODE.__getitem__, letters))
-            for i in range(0, len(code), _BLOCK):
-                m, q = _run(code[i:i + _BLOCK])
-                yield m, q.syllables
+            yield from _pieces(_checked(tuple(group)))
             continue
-        for name, exp in letters:
+        for name, exp in group:
             if name == "h":
                 yield exp, ()
             elif name in ("x", "y"):
                 yield 0, (("a" if name == "x" else "b", exp),)
             else:
-                m, q = _B3.power(*_LIFT[_CODE[name, 1]], exp)
+                m, q = _CODE[name, 1]
+                m, q = _B3.power(m, Word(PSL2Z, q), exp)
                 yield m, q.syllables
 
 

@@ -760,26 +760,37 @@ def format_tokens(pairs: Iterable[tuple[str, int]]) -> str:
 def parse_word(scheme: GroupScheme, text: str) -> Word:
     """Parse text like ``a b^2 a b^-1`` (see :func:`tokens`) into a reduced word.
 
-    Canonical spellings are read in bulk from the scheme's table, and the word
-    is reduced only if neighbours share a generator; any other text goes
-    through :func:`tokens` and :func:`reduce`.  A word of canonical
+    Canonical spellings are read in bulk from the scheme's table, and the
+    distinct other tokens by one :func:`tokens` call, each normalised as
+    :func:`reduce` does; the word is reduced only if neighbours share a
+    generator, and text with an error is read again whole, for the error's
+    position.  A word of canonical
     spellings that needs no reduction keeps text itself, not a copy, which
     ``str`` returns when text is single-spaced; that test waits for ``str``.
 
     >>> parse_word(PSL2Z, "a b^2").syllables == (("a", 1), ("b", 2))
     True
     """
+    parts = text.split()
     try:
-        sylls = _looked_up(scheme.spelled, text.split())
+        sylls = _looked_up(scheme.spelled, parts)
     except KeyError:
-        return reduce(tokens(text), scheme)
+        odd = list(set(parts).difference(scheme.spelled, ("1",)))
+        read = {**scheme.spelled, "1": None}
+        try:  # one call reads every odd part, each one token; one that vanishes reads as None
+            for part, (gen, exp) in zip(odd, tokens(" ".join(odd))):
+                order = scheme.order(gen)
+                exp = exp % order if order else exp
+                read[part] = scheme.interned[gen, exp] if exp else None
+        except (ParseError, UnknownGenerator):
+            return reduce(tokens(text), scheme)
+        sylls, text = tuple(filter(None, _looked_up(read, parts))), None
     gens = list(map(itemgetter(0), sylls))
     if any(map(eq, gens, gens[1:])):
         return reduce(sylls, scheme)
     w = Word(scheme, sylls)
-    w._text = text
+    w._text = text  # None for text that is not canonical
     return w
-
 
 
 def parse_scheme(text: str) -> GroupScheme:

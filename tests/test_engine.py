@@ -510,6 +510,37 @@ def test_the_table_of_runs_stays_bounded():
     assert braid3._run.cache_info().currsize <= 1364
 
 
+OTHER_LETTERS = ("x", "X^2", "y", "Y^-1", "h", "H^3", "s1^2", "S2^3", "s2^-2")
+
+
+@pytest.mark.parametrize("length", [10**3, 10**4])
+def test_long_runs_with_one_late_letter_of_another_kind_match_the_per_syllable_fold(
+    monkeypatch, length
+):
+    rng = random.Random(length)
+    held, run = [], braid3._run
+
+    def holding(letters):
+        piece = run(letters)
+        held.append(letters)
+        return piece
+
+    braid3._run.cache_clear()
+    monkeypatch.setattr(braid3, "_run", holding)
+    texts = [rng.choice(("s1", "S1", "s2", "S2")) for _ in range(length)]
+    whole = parse_braid(" ".join(texts))
+    # the same letters as new tuples, not the ones parse_braid shares
+    words = [whole, BraidWord(tuple((name, exp) for name, exp in whole.letters))]
+    for other in OTHER_LETTERS:
+        at = rng.randrange(length * 3 // 4, length + 1)
+        words.append(parse_braid(" ".join(texts[:at] + [other] + texts[at:])))
+    for w in words:
+        assert normal_form(w) == reference_normal_form(w)
+    # every entry the table stored was returned through the wrapper, so none holds another letter
+    assert run.cache_info().currsize == len(set(held))
+    assert held and all(letter in braid3._CODE for letters in held for letter in letters)
+
+
 @contextmanager
 def counted_products(extension=braid3._B3):
     """Count, for each call of the extension's product in order of entry, the pieces it reads."""

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gentorsion import words
 from gentorsion.braid3 import CentralElement
-from gentorsion.errors import ParseError, TrivialElement, UnknownGenerator
+from gentorsion.errors import GroupError, ParseError, TrivialElement, UnknownGenerator
 from gentorsion.modular import Gen3Verdict, Gen3Witness, IntMatrix2, Verdict, to_matrix
 from gentorsion.oracle import SearchBudget, SweepReport
 from gentorsion.seifert import (
@@ -36,6 +36,7 @@ from gentorsion.words import (
     parse_word,
     primitive_root,
     reduce,
+    tokens,
 )
 
 
@@ -764,6 +765,38 @@ def test_bulk_tables_are_exact_dicts_and_warm_finite_words_make_no_entry(monkeyp
         assert len(u) == 10**4 and invert(plain).syllables == old_invert(u).syllables
         assert inverses == spellings == []
         assert str(parse_word(scheme, canonical)) is canonical  # kept, not spelled again
+
+
+@pytest.mark.parametrize("scheme", [PSL2Z, parse_scheme("a:2, b:3, d:inf")], ids=["psl2z", "a-b-d"])
+def test_a_long_text_with_an_odd_token_parses_as_its_tokens_reduce_reading_that_token_only(
+    monkeypatch, scheme
+):
+    """Only the tokens the spelling table lacks go through tokens, wherever they sit."""
+    canonical = str(_long_word(random.Random(51), 10**4)).split()
+    odd_tokens = ["1", "b^-1", "a^3", "a^2", "b^0", "b^4"] + ["d^-2"] * (scheme is not PSL2Z)
+    read = []
+    monkeypatch.setattr(words, "tokens", lambda text: read.append(text) or tokens(text))
+    for odd in odd_tokens:
+        for at in (0, len(canonical) // 2, len(canonical)):
+            text = " ".join(canonical[:at] + [odd] + canonical[at:])
+            expected = reduce(tokens(text), scheme)
+            read.clear()
+            parsed = parse_word(scheme, text)
+            assert parsed == expected and str(parsed) == str(expected), (odd, at)
+            assert read == ["" if odd == "1" else odd], (odd, at)  # "1" needs no reading
+
+
+@pytest.mark.parametrize("odd", ["a ^2", "c b^-1", "b^-1 c", "b^-1 a^x", "b^" + "7" * 5000])
+def test_an_error_in_a_long_text_is_raised_as_the_whole_text_raises_it(odd):
+    canonical = str(_long_word(random.Random(52), 10**3)).split()
+    for at in (0, len(canonical) // 2, len(canonical)):
+        text = " ".join(canonical[:at] + [odd] + canonical[at:])
+        with pytest.raises(GroupError) as expected:
+            reduce(tokens(text), PSL2Z)
+        with pytest.raises(GroupError) as caught:
+            parse_word(PSL2Z, text)
+        assert type(caught.value) is type(expected.value), (odd, at)
+        assert str(caught.value) == str(expected.value), (odd, at)
 
 
 # -- the one record idiom ----------------------------------------------------
