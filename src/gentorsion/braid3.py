@@ -10,7 +10,9 @@ arithmetic is that group's engine, :class:`~gentorsion.seifert.CentralExtension`
 and a normal form is that group's :class:`~gentorsion.seifert.SeifertPair`.
 A word enters that engine as slices of five letters s_i^+-1, each block's
 normal form read from a table of runs keyed by its letters and filled on
-first use; from the first block with another letter on, it is read run by run.
+first use; from the first block with another letter on, it is read run by run,
+and two or more letters h^k, x^+-1, x^+-2, y^+-1, y^+-2 in a row whose
+syllables alternate enter as one piece, read from a second table.
 
 The extension makes three decisions exact.  Writing e for the exponent-sum
 homomorphism (s1, s2 -> 1), two braids with the same quotient image and the
@@ -42,6 +44,7 @@ from .words import (
     _cyclic_core,
     format_tokens,
     identity,
+    invert,
     mirror_centres,
     parse_word,
     tokens,
@@ -182,6 +185,36 @@ def _run(letters: tuple[tuple[str, int], ...]) -> Piece:
     return m, q.syllables
 
 
+#: each section letter x^+-1, x^+-2, y^+-1, y^+-2, as the one tuple :func:`parse_braid` shares
+#: for it, and its normal form as the piece (m, syllables), of at most one syllable, as
+#: x^2 = y^3 = h
+_SECTION = {_SPELLED[name]: (m, _word(text).syllables) for name, m, text in (
+    ("x", 0, "a"), ("X", -1, "a"), ("x^2", 1, "1"), ("X^2", -1, "1"),
+    ("y", 0, "b"), ("Y", -1, "b^2"), ("y^2", 0, "b^2"), ("Y^2", -1, "b"))}
+
+
+def _section(letters: tuple[tuple[str, int], ...]) -> Optional[Piece]:
+    """Letters h^k and section letters as one piece: the sum of their fibre powers, as h is
+    central, then their syllables.  None when a letter is of another kind or two neighbouring
+    syllables share a generator."""
+    m, syllables, gen = 0, [], None
+    for letter in letters:
+        piece = _SECTION.get(letter)
+        if piece is None:
+            if letter[0] != "h":
+                return None
+            m += letter[1]
+            continue
+        k, s = piece
+        m += k
+        if s:
+            if s[0][0] == gen:
+                return None
+            gen = s[0][0]
+            syllables += s
+    return m, tuple(syllables)
+
+
 def _pieces(w: BraidWord) -> Iterator[Piece]:
     letters = w.letters
     for i in range(0, len(letters), _BLOCK):
@@ -196,8 +229,13 @@ def _pieces(w: BraidWord) -> Iterator[Piece]:
     else:
         return
     for run, group in groupby(letters[i:], _CODE.__contains__):
+        group = tuple(group)
         if run:
-            yield from _pieces(_checked(tuple(group)))
+            yield from _pieces(_checked(group))
+            continue
+        piece = len(group) > 1 and _section(group)
+        if piece:
+            yield piece
             continue
         for name, exp in group:
             if name == "h":
@@ -260,6 +298,10 @@ class B3Reversibility(_Record):
     __slots__ = _fields = ("reverser", "commutator_witness", "witness_conjugator")
 
 
+#: the syllables of a, the image of x
+_A = _word("a").syllables
+
+
 def reversible_b3(g: Union[BraidWord, CentralElement]) -> Optional[B3Reversibility]:
     """Decide whether g is conjugate to its inverse in B3.
 
@@ -273,7 +315,10 @@ def reversible_b3(g: Union[BraidWord, CentralElement]) -> Optional[B3Reversibili
     cyclic core mirrors itself to its inverse around an a-syllable out to
     half its length L, and k0 is the L/2 - 1 syllables after that centre.
     Among the centres the witness takes the first k0 in enumerate_reduced
-    order, and its conjugator is the same lift from [x, k0] to g.
+    order, and its conjugator is the same lift from [x, k0] to g.  [x, k0]
+    is built as its normal form: the image a k0 a k0^-1, reduced as it stands
+    since k0 runs from b to b, and the fibre power that exponent sum 0 gives;
+    the lift's product and defect test check it against g.
     """
     n = normal_form(g)
     if n.is_identity:
@@ -292,8 +337,10 @@ def reversible_b3(g: Union[BraidWord, CentralElement]) -> Optional[B3Reversibili
     # every such k0 alternates from b, so its exponents order it as
     # enumerate_reduced does
     k0 = CentralElement(0, Word(PSL2Z, min(readings, key=lambda k: [exp for _, exp in k])))
-    x = CentralElement(0, _word("a"))
-    witness = _B3.lift_conjugator(x * k0 * x.inverse() * k0.inverse(), n)
+    # [x, k0] has exponent sum 0, and its image a k0 a k0^-1 is reduced as k0 runs from b to b
+    image = CentralElement(0, Word(PSL2Z, (*_A, *k0.q.syllables, *_A, *invert(k0.q).syllables)))
+    commutator = CentralElement(-image.exponent_sum // 6, image.q)
+    witness = _B3.lift_conjugator(commutator, n)
     if witness is None or witness[1]:
         raise InvalidCertificate(f"commutator [x, {k0.spell()}] is not conjugate to {n}")
     return B3Reversibility(
@@ -327,6 +374,11 @@ def _family_diagnostics(e: int) -> tuple[str, ...]:
     )
 
 
+#: b^2 shifts a witness's conjugator; y and y^2 conjugate to e1, e2 and e2^2
+_B2 = _word("b^2")
+_Y, _Y2 = CentralElement(0, _word("b")), CentralElement(0, _B2)
+
+
 class B3Gen3Witness(_Record):
     """The form g = e1 * e2^2 * h^-1 with e1, e2 distinct lifted 3-torsions."""
 
@@ -355,7 +407,9 @@ def gen3_torsion_b3(g: Union[BraidWord, CentralElement]) -> B3Gen3Verdict:
     certificate lifts to a braid relation equal to h^(e(g)/2) = 1.  A quotient
     witness c (z b^u z^-1 b^v) c^-1 gives the form e1 e2^2 h^-1, certified by
     (e2^-2, e2^2): e1, e2 conjugate y by (c z, c) if u = 1, else by (c, c z)
-    with c shifted by b^2.
+    with c shifted by b^2, and e2^2 is y^2 conjugated by e2's conjugator, not
+    a power.  One product checks that e1 e2^2 h^-1 rebuilds g, and one more
+    that the certificate's relation is 1.
     """
     n = normal_form(g)
     if n.is_identity:
@@ -384,14 +438,14 @@ def gen3_torsion_b3(g: Union[BraidWord, CentralElement]) -> B3Gen3Verdict:
             "exponents summing to 0 mod 3"
         )
     # c (z b^2 z^-1 b) c^-1 is (c b^2) (b z b^2 z^-1) (c b^2)^-1
-    c = CentralElement(0, w.conjugator * _word("b^2") if w.e1 == 2 else w.conjugator)
+    c = CentralElement(0, w.conjugator * _B2 if w.e1 == 2 else w.conjugator)
     cz = c * CentralElement(0, w.z)
-    y = CentralElement(0, _word("b"))
-    e1, e2 = (y.conjugated_by(k) for k in ((cz, c) if w.e1 == 1 else (c, cz)))
+    k1, k2 = (cz, c) if w.e1 == 1 else (c, cz)
+    e1, e2 = _Y.conjugated_by(k1), _Y.conjugated_by(k2)
     if e1 == e2:
         raise InvalidCertificate("the two torsion factors must be distinct")
-    k = e2 ** 2
-    if e1 * k * CentralElement(-1, identity(PSL2Z)) != n:
+    k = _Y2.conjugated_by(k2)  # e2^2 = k2 y^2 k2^-1
+    if CentralElement(*_B3.product(e1.m, e1.q, ((k.m, k.q.syllables), (-1, ())))) != n:
         raise InvalidCertificate("form witness does not rebuild the element")
     h1 = k.inverse()
     if not gen3_relation(n, h1, k).is_identity:

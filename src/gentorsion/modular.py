@@ -247,6 +247,9 @@ def gen3_torsion(g: Word) -> Gen3Verdict:
     to its inverse around b^e1, out to the L/2 - 1 syllables z before it.
     The witness reads the first such z in enumerate_reduced order, then
     the least e1 and e2.  Of the parabolics (ab)^n, n = +-2 alone pass.
+    The word z b^e1 z^-1 b^e2 is its syllables laid end to end, reduced as
+    it stands since z runs from a to a; is_conjugate re-multiplies the
+    conjugator it finds onto g, and one product checks the certificate.
     """
     if g.is_identity:
         raise TrivialElement("generalised torsion is considered for nontrivial elements")
@@ -298,13 +301,14 @@ def gen3_torsion(g: Word) -> Gen3Verdict:
         )
     _, e1, e2, centre = min(readings)
     z = Word(scheme, ring[centre + half + 1:centre + 2 * half])
-    b = parse_word(scheme, "b")
-    t = z * b ** e1 * invert(z) * b ** e2
+    b1, b2 = scheme.syllable("b", e1), scheme.syllable("b", e2)
+    # z runs from a to a, so z b^e1 z^-1 b^e2 is reduced as it stands
+    t = Word(scheme, (*z.syllables, b1, *invert(z).syllables, b2))
     c = is_conjugate(t, g)
     if c is None:
         raise InvalidCertificate(f"{t} has the cyclic form of {g} but no conjugator")
-    h1 = conjugated(b ** (3 - e2), c)
-    k = conjugated(b ** e2, c)
+    h1 = conjugated(Word(scheme, (scheme.inverse(b2),)), c)
+    k = conjugated(Word(scheme, (b2,)), c)
     return Gen3Verdict(
         Verdict.YES,
         certificate=_checked(g, h1, k),

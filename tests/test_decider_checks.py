@@ -3,9 +3,10 @@
 Each decider re-multiplies what it is about to return and raises
 InvalidCertificate when the check fails.  These run in a python -O
 subprocess, with one helper patched to return a wrong answer, and expect
-that error rather than a wrong result.  A case with a fourth entry
-``side_effect`` gives the helper a list of answers, one a call, so that only
-a later call is wrong.
+that error rather than a wrong result.  A case with a fourth entry names
+the patch's keyword: ``side_effect`` gives the helper a list of answers, one
+a call, so that only a later call is wrong, and ``new`` puts the answer in
+the helper's place.
 """
 
 import subprocess
@@ -33,6 +34,7 @@ sys.exit(f"returned {result!r}")
 """
 
 TREFOIL = "(O,o,0 | 1; (2,1),(3,1)); boundaries=1; phi: d1=+1"
+B3_GEN3 = "s1 s2^-1 s1 x y^2 x y x^-1 y^-2 x^-1 y^2 h^-1 s1^-1 s2 s1^-1"
 
 CASES = {
     "words.is_conjugate": (
@@ -78,6 +80,21 @@ CASES = {
         "parse_word(PSL2Z, 'b')",
         "braid3.reversible_b3(braid3.parse_braid('s1 S2'))",
     ),
+    # [x, k0] takes its fibre power from its exponent sum, here read 6 too high
+    "braid3.reversible_b3.exponent_sum": (
+        "gentorsion.braid3.CentralElement.exponent_sum",
+        "property(lambda self, right=braid3.CentralElement.exponent_sum.fget: right(self) + 6)",
+        "braid3.reversible_b3(braid3.parse_braid('s1 S2'))",
+        "new",
+    ),
+    # e1 and e2, the first two conjugates of y, are answered right; e2^2, the third, wrong
+    "braid3.gen3_torsion_b3.conjugated_by": (
+        "gentorsion.braid3.CentralElement.conjugated_by",
+        "(lambda w: [w.e1, w.e2, w.e1])(braid3.gen3_torsion_b3(braid3.parse_braid(B3_GEN3))"
+        ".form_witness)",
+        "braid3.gen3_torsion_b3(braid3.parse_braid(B3_GEN3))",
+        "side_effect",
+    ),
     "braid3.conjugate_b3": (
         "gentorsion.seifert.is_conjugate",
         "parse_word(PSL2Z, 'a b')",
@@ -101,7 +118,7 @@ CASES = {
 def test_a_wrong_helper_answer_raises_under_python_dash_o(name):
     target, answer, call, *keyword = CASES[name]
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", f"TREFOIL = {TREFOIL!r}\n" + _UNDER_O,
+        [sys.executable, "-O", "-c", f"TREFOIL = {TREFOIL!r}\nB3_GEN3 = {B3_GEN3!r}\n" + _UNDER_O,
          target, keyword[0] if keyword else "return_value", answer, call],
         capture_output=True,
         text=True,

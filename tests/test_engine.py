@@ -591,6 +591,98 @@ def test_filling_the_table_takes_one_product_per_entry(runs):
     assert calls[0] == sum(ceil(len(run) / 5) for run in runs) + len(runs)
 
 
+#: the eight section letters, by syllable, and h^k with x^+-2, which carry no syllable
+X_LETTERS, Y_LETTERS = parse_braid("x X").letters, parse_braid("y Y y^2 Y^2").letters
+FIBRE_LETTERS = st.one_of(st.tuples(st.just("h"), _nonzero(9)),
+                          st.sampled_from(parse_braid("x^2 X^2").letters))
+#: a letter that breaks a run's alternation (x x, y Y^2, X^2 x) or that the table lacks
+SPOILERS = parse_braid("x X y Y^2 x^3 y^-5 X^-7").letters
+
+
+@st.composite
+def section_run(draw):
+    """Section letters whose syllables alternate, h^k and x^+-2 between them, and at times one
+    letter that spoils the run."""
+    letters, gens = [], draw(st.sampled_from(((X_LETTERS, Y_LETTERS), (Y_LETTERS, X_LETTERS))))
+    for i in range(draw(st.integers(0, 10))):
+        letters.append(draw(st.sampled_from(gens[i % 2])))
+        if draw(st.booleans()):
+            letters.append(draw(FIBRE_LETTERS))
+    if draw(st.booleans()):
+        letters.insert(draw(st.integers(0, len(letters))), draw(st.sampled_from(SPOILERS)))
+    return letters
+
+
+#: section runs between runs of letters s_i^+-1 and letters s_i^k
+section_braids = st.lists(
+    st.tuples(section_run(), st.lists(st.sampled_from(RUN_LETTERS), max_size=8),
+              st.lists(st.tuples(st.sampled_from(("s1", "s2")), _nonzero(4)), max_size=2)),
+    max_size=4,
+).map(lambda parts: BraidWord(tuple(x for part in parts for letters in part for x in letters)))
+
+
+@PROPERTY
+@given(section_braids)
+def test_section_runs_read_as_one_piece_match_the_per_syllable_fold(w):
+    assert normal_form(w) == reference_normal_form(w)
+    assert normal_form(w.inverse()) == reference_normal_form(w.inverse())
+
+
+@pytest.mark.parametrize("text, pieces", [
+    ("h^-5 y^2 x y x y x y^2 x y", 1),  # a spelled certificate
+    ("x y^2 X Y h^3 X^2 x H Y^2", 1),
+    ("X^2 x", 1),
+    ("x^2 X^2 h", 1),
+    ("x x", 2),
+    ("y Y^2", 2),
+    ("x^3 y", 2),
+    ("h y^-5 x", 3),
+    ("x y s1 S2 s1 X Y^2", 3),
+])
+def test_a_section_run_is_one_piece_when_its_syllables_alternate(text, pieces):
+    w = parse_braid(text)
+    expected = reference_normal_form(w)
+    normal_form(w)  # fills the table of runs
+    with counted_products() as calls:
+        assert normal_form(w) == expected
+    assert calls == [pieces]
+
+
+#: searches-shaped inputs: c (e1 e2^2 h^-1) c^-1 with e1 = Z y Z^-1 and e2 = y, and c [x, k0] c^-1
+B3_GEN3 = ("s1 s2^-1 s1 x y^2 x y x^-1 y^-2 x^-1 y^2 h^-1 s1^-1 s2 s1^-1",
+           "s2^-1 s2^-1 s1 x y^2 x y^2 x y^2 x y x^-1 y^-2 x^-1 y^-2 x^-1 y^-2 x^-1 y^2 h^-1"
+           " s1^-1 s2 s2")
+B3_REV = ("s2 s1 s2^-1 x y x y x y x^-1 y^-1 x^-1 y^-1 x^-1 y^-1 s2 s1^-1 s2^-1",
+          "s1^-1 s2 s2 x y x y x y x y x y x^-1 y^-1 x^-1 y^-1 x^-1 y^-1 x^-1 y^-1 x^-1 y^-1"
+          " s2^-1 s2^-1 s1")
+
+
+@pytest.mark.parametrize("text", B3_GEN3)
+def test_the_b3_gen3_decider_multiplies_seven_products_whatever_the_length(text):
+    g = parse_braid(text)
+    braid3.gen3_torsion_b3(g)  # fills the table of runs
+    with counted_products() as calls:
+        verdict = braid3.gen3_torsion_b3(g)
+    # the normal form (run, section run, run), c z, e1 and e2 as conjugates of y, e2^2 as a
+    # conjugate of y^2, e1 e2^2 h^-1, and the relation g (h1 g h1^-1) (k g k^-1)
+    assert calls == [3, 1, 3, 3, 3, 2, 6]
+    for k in verdict.certificate:
+        with counted_products() as calls:
+            assert normal_form(parse_braid(str(k.spell()))) == k
+        assert calls == [1]  # h^m x y^e x ... is one section run
+
+
+@pytest.mark.parametrize("text", B3_REV)
+def test_the_b3_reversibility_decider_multiplies_three_products_whatever_the_length(text):
+    g = parse_braid(text)
+    braid3.reversible_b3(g)  # fills the table of runs
+    with counted_products() as calls:
+        braid3.reversible_b3(g)
+    # the normal form (run, section run, run), then the reverser's lift and the commutator
+    # witness's lift, each k g k^-1; [x, k0] itself takes no product
+    assert calls == [3, 3, 3]
+
+
 # -- conjugates as one product -------------------------------------------
 
 
