@@ -8,11 +8,11 @@ B3 is the fundamental group of the trefoil complement, the Seifert group
 (O,o,0 | 0; (2,1),(3,1)); boundaries=1 with x, y as c1, c2, so its
 arithmetic is that group's engine, :class:`~gentorsion.seifert.CentralExtension`,
 and a normal form is that group's :class:`~gentorsion.seifert.SeifertPair`.
-A word enters that engine as slices of five letters s_i^+-1, each block's
-normal form read from a table of runs keyed by its letters and filled on
-first use; from the first block with another letter on, it is read run by run,
-and two or more letters h^k, x^+-1, x^+-2, y^+-1, y^+-2 in a row whose
-syllables alternate enter as one piece, read from a second table.
+A word enters that engine in one pass over its runs.  A run of letters
+s_i^+-1 is cut into slices of five, each slice's normal form read from a
+table of runs keyed by its letters and filled on first use.  Between runs,
+letters h^k, x^+-1, x^+-2, y^+-1, y^+-2 join one piece, read from a second
+table, while their syllables alternate; any other letter is a piece alone.
 
 The extension makes three decisions exact.  Writing e for the exponent-sum
 homomorphism (s1, s2 -> 1), two braids with the same quotient image and the
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import groupby, islice
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import InvalidCertificate, ParseError, TrivialElement
 from .modular import Verdict, gen3_torsion
@@ -169,8 +169,8 @@ def _word(text: str) -> Word:
 #: its lift h^m * section(q) as the piece (m, syllables of q)
 _CODE = {_SPELLED[name]: (-1, _word(text).syllables)
          for name, text in zip(("s1", "S1", "s2", "S2"), ("b^2 a", "a b", "a b^2", "b a"))}
-#: letters of a run per piece, sliced from the word up to its first block with another letter:
-#: the table, keyed by those letters, holds at most (4^6 - 4) / 3 = 1364 runs (at 6, 5460)
+#: letters of a run per piece, sliced from the start of each run: the table, keyed by those
+#: letters, holds at most (4^6 - 4) / 3 = 1364 runs (at 6, 5460)
 _BLOCK = 5
 
 
@@ -193,59 +193,43 @@ _SECTION = {_SPELLED[name]: (m, _word(text).syllables) for name, m, text in (
     ("y", 0, "b"), ("Y", -1, "b^2"), ("y^2", 0, "b^2"), ("Y^2", -1, "b"))}
 
 
-def _section(letters: tuple[tuple[str, int], ...]) -> Optional[Piece]:
-    """Letters h^k and section letters as one piece: the sum of their fibre powers, as h is
-    central, then their syllables.  None when a letter is of another kind or two neighbouring
-    syllables share a generator."""
-    m, syllables, gen = 0, [], None
+def _section(letters: Iterable[tuple[str, int]]) -> Iterator[Piece]:
+    """Letters other than s_i^+-1 as pieces.  Letters h^k and section letters join one piece,
+    the sum of their fibre powers, as h is central, then their syllables, while those syllables
+    alternate; the first letter that repeats the last generator starts the next piece.  Any
+    other letter, x^k or y^k outside the table or s_i^k, ends the piece and is one of its own."""
+    m, syllables = 0, []
     for letter in letters:
         piece = _SECTION.get(letter)
-        if piece is None:
-            if letter[0] != "h":
-                return None
-            m += letter[1]
+        if piece is None and letter[0] == "h":
+            piece = letter[1], ()
+        if piece is None or piece[1] and syllables and piece[1][0][0] == syllables[-1][0]:
+            if m or syllables:
+                yield m, tuple(syllables)
+            m, syllables = 0, []
+        if piece is not None:
+            m += piece[0]
+            syllables += piece[1]
             continue
-        k, s = piece
-        m += k
-        if s:
-            if s[0][0] == gen:
-                return None
-            gen = s[0][0]
-            syllables += s
-    return m, tuple(syllables)
+        name, exp = letter
+        if name in ("x", "y"):
+            yield 0, (("a" if name == "x" else "b", exp),)
+        else:
+            k, q = _CODE[name, 1]
+            k, q = _B3.power(k, Word(PSL2Z, q), exp)
+            yield k, q.syllables
+    if m or syllables:
+        yield m, tuple(syllables)
 
 
 def _pieces(w: BraidWord) -> Iterator[Piece]:
-    letters = w.letters
-    for i in range(0, len(letters), _BLOCK):
-        block = letters[i:i + _BLOCK]
-        if block[-1] not in _CODE:  # tested first, so most words of other letters raise nothing
-            break
-        try:
-            piece = _run(block)
-        except KeyError:  # a letter of another kind inside the block
-            break
-        yield piece
-    else:
-        return
-    for run, group in groupby(letters[i:], _CODE.__contains__):
-        group = tuple(group)
+    for run, group in groupby(w.letters, _CODE.__contains__):
         if run:
-            yield from _pieces(_checked(group))
-            continue
-        piece = len(group) > 1 and _section(group)
-        if piece:
-            yield piece
-            continue
-        for name, exp in group:
-            if name == "h":
-                yield exp, ()
-            elif name in ("x", "y"):
-                yield 0, (("a" if name == "x" else "b", exp),)
-            else:
-                m, q = _CODE[name, 1]
-                m, q = _B3.power(m, Word(PSL2Z, q), exp)
-                yield m, q.syllables
+            group = tuple(group)
+            for i in range(0, len(group), _BLOCK):
+                yield _run(group[i:i + _BLOCK])
+        else:
+            yield from _section(group)
 
 
 def normal_form(w: Union[BraidWord, CentralElement]) -> CentralElement:

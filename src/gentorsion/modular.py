@@ -307,8 +307,8 @@ def gen3_torsion(g: Word) -> Gen3Verdict:
     c = is_conjugate(t, g)
     if c is None:
         raise InvalidCertificate(f"{t} has the cyclic form of {g} but no conjugator")
-    h1 = conjugated(Word(scheme, (scheme.inverse(b2),)), c)
     k = conjugated(Word(scheme, (b2,)), c)
+    h1 = invert(k)  # c b^-e2 c^-1
     return Gen3Verdict(
         Verdict.YES,
         certificate=_checked(g, h1, k),

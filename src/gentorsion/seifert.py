@@ -615,7 +615,7 @@ def _separating_letter(d: SeifertData, i: int, j: int) -> str:
     """A fiber-preserving letter distinguishing the two conjugates when i = j."""
     if i != j:
         return ""
-    names = [f"c{idx}" for idx in range(1, len(d.exceptional) + 1) if idx != j]
+    names = [name for idx, name in enumerate(d.exceptional_generators(), start=1) if idx != j]
     candidates = names + _kept_letters(d, 1)
     return candidates[0] if candidates else ""
 
@@ -692,13 +692,14 @@ def gen_n_certificate(d: SeifertData, n: int) -> Optional[GenNCertificate]:
     Euler characteristic raises UnsupportedBase.
     """
     pair = gen_n_pair(d, n)
+    cs = d.exceptional_generators()
     if pair is not None:
         i, j, p, p_prime = pair
         (mu_i, beta_i), (mu_j, beta_j) = d.exceptional[i - 1], d.exceptional[j - 1]
         m1 = beta_i * (n * p) // mu_i
         m2 = beta_j * (n * p_prime) // mu_j
         x = -(m1 + m2) // n
-        separating, flipping, letter, step = _separating_letter(d, i, j), "", f"c{j}", -p_prime
+        separating, flipping, letter, step = _separating_letter(d, i, j), "", cs[j - 1], -p_prime
     else:
         flips = _kept_letters(d, -1)
         if n % 2 or not flips:
@@ -711,7 +712,7 @@ def gen_n_certificate(d: SeifertData, n: int) -> Optional[GenNCertificate]:
         core = [(letter, l * step)]
         return [(separating, 1), *core, (separating, -1)] if separating else core
 
-    element = format_tokens([(f"c{i}", p), *power(-1), ("h", x)]) if pair else "h"
+    element = format_tokens([(cs[i - 1], p), *power(-1), ("h", x)]) if pair else "h"
     conjugators = tuple(format_tokens(power(l)) for l in range(1, n))
     cert = GenNCertificate(
         n, i, j, p, p_prime, x, m1, m2, separating, element, conjugators, flipping
@@ -728,11 +729,11 @@ def gen_n_certificate(d: SeifertData, n: int) -> Optional[GenNCertificate]:
 
 def gen_n_absent_reason(d: SeifertData, n: int) -> str:
     """Why :func:`gen_n_certificate` found nothing for n."""
-    for i, (mu, _) in enumerate(d.exceptional, start=1):
+    for name, (mu, _) in zip(d.exceptional_generators(), d.exceptional):
         shared = gcd(n, mu)
         if shared > 1:
             return (
-                f"fiber c{i} shares the factor {shared} with n = {n} but no "
+                f"fiber {name} shares the factor {shared} with n = {n} but no "
                 "letter separates its two conjugates, so they merge into a "
                 "fiber power"
             )

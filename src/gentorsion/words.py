@@ -775,8 +775,8 @@ def parse_word(scheme: GroupScheme, text: str) -> Word:
     try:
         sylls = _looked_up(scheme.spelled, parts)
     except KeyError:
-        odd = list(set(parts).difference(scheme.spelled, ("1",)))
-        read = {**scheme.spelled, "1": None}
+        read = {part: scheme.spelled.get(part) for part in set(parts)}
+        odd = [part for part, syll in read.items() if syll is None and part != "1"]
         try:  # one call reads every odd part, each one token; one that vanishes reads as None
             for part, (gen, exp) in zip(odd, tokens(" ".join(odd))):
                 order = scheme.order(gen)

@@ -638,6 +638,9 @@ def test_section_runs_read_as_one_piece_match_the_per_syllable_fold(w):
     ("x^3 y", 2),
     ("h y^-5 x", 3),
     ("x y s1 S2 s1 X Y^2", 3),
+    ("x y x^3 y x", 3),  # a letter the table lacks ends a run, and the run after it is one piece
+    ("h x y X^-7 y x h", 3),
+    ("x x y", 2),  # a repeated generator starts the next run
 ])
 def test_a_section_run_is_one_piece_when_its_syllables_alternate(text, pieces):
     w = parse_braid(text)

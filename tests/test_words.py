@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -784,6 +785,21 @@ def test_a_long_text_with_an_odd_token_parses_as_its_tokens_reduce_reading_that_
             parsed = parse_word(scheme, text)
             assert parsed == expected and str(parsed) == str(expected), (odd, at)
             assert read == ["" if odd == "1" else odd], (odd, at)  # "1" needs no reading
+
+
+def test_a_short_odd_text_costs_memory_in_its_own_size_not_the_spelling_tables():
+    billion = parse_scheme("a:2, d:1000000000")
+    for k in range(1, 2 * 10**4 + 1):
+        parse_word(billion, f"a d^{k}")  # each new syllable adds to the scheme's spelling table
+    assert len(billion.spelled) > 2 * 10**4
+    tracemalloc.start()
+    try:
+        parsed = parse_word(billion, "a d^-1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed.syllables == (("a", 1), ("d", 999999999))
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("odd", ["a ^2", "c b^-1", "b^-1 c", "b^-1 a^x", "b^" + "7" * 5000])
